@@ -5,6 +5,12 @@ All tie-breaks run ascending file id then ascending disk id, so every entry
 point is deterministic for a given input. Files outside the stage's active
 set may appear in an assignment (they keep their spot from an earlier
 stage); they contribute nothing to the objective and are never moved.
+
+The search cores here also serve budgeted restructuring. Exact
+restructuring and ``exact_solve`` share one branch-and-bound, symmetry
+prune included. Greedy restructuring is local search's move/swap
+neighbourhood with best-improvement under a move allowance. Files new to a
+restructured stage are placed by ``spread_allocate``'s best-fit rule.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import EnumerationCapError, InfeasibleError, ValidationError
 from .model import Allocation, CostModel, Instance, Pair, Stage, canonical_edge
@@ -266,6 +272,20 @@ def _resolve_pinned(
     return {f: d for f, d in previous.assignment.items() if f not in active}
 
 
+def _best_fit(
+    size: int,
+    disks: Iterable[int],
+    loads: Mapping[int, int],
+    capacities: Mapping[int, int],
+) -> Optional[int]:
+    """Disk among ``disks`` with the most residual capacity that still fits
+    ``size`` tracks, ties to the lowest disk id; None when none fits."""
+    fits = [d for d in disks if loads[d] + size <= capacities[d]]
+    if not fits:
+        return None
+    return max(fits, key=lambda d: (capacities[d] - loads[d], -d))
+
+
 def spread_allocate(
     communities: Sequence[Community],
     instance: Instance,
@@ -301,20 +321,118 @@ def spread_allocate(
             if size is None:
                 raise ValidationError(f"file {f} does not exist")
 
-            fits = [d for d in disks if d not in used and loads[d] + size <= capacities[d]]
-            if not fits:
-                fits = [d for d in disks if loads[d] + size <= capacities[d]]
-                if not fits:
+            best = _best_fit(size, [d for d in disks if d not in used], loads, capacities)
+            if best is None:
+                best = _best_fit(size, disks, loads, capacities)
+                if best is None:
                     raise InfeasibleError(
                         f"file {f} ({size} tracks) fits on no disk"
                     )
                 degraded = True
-            best = max(fits, key=lambda d: (capacities[d] - loads[d], -d))
             assignment[f] = best
             loads[best] += size
             used.add(best)
 
     return Allocation(assignment, degraded=degraded)
+
+
+class _Placement:
+    """Mutable placement of one stage, searched by moving and swapping
+    ``files``.
+
+    Holds the assignment, the per-disk loads and the per-disk sets of
+    active files, pinned ones included. Every file starts on its entry in
+    ``homes``, if it has one, and counts as moved while it sits elsewhere;
+    no step may leave more than ``allowance`` files moved.
+    """
+
+    def __init__(
+        self,
+        assignment: Mapping[int, int],
+        files: Sequence[int],
+        stage: Stage,
+        instance: Instance,
+        weights: PairWeights,
+        homes: Mapping[int, Optional[int]],
+        allowance: int,
+    ):
+        self.assignment = dict(assignment)
+        self.files = files
+        self.weights = weights
+        self.sizes = instance.sizes
+        self.capacities = instance.capacities
+        self.disks = sorted(self.capacities)
+        self.homes = homes
+        self.allowance = allowance
+        self.moved = 0
+        self.loads = dict.fromkeys(self.disks, 0)
+        self.on_disk: dict[int, set[int]] = {d: set() for d in self.disks}
+        active = stage.active_set
+        for f, d in self.assignment.items():
+            self.loads[d] += self.sizes[f]
+            if f in active:
+                self.on_disk[d].add(f)
+
+    def attach(self, f: int, d: int) -> float:
+        return self.weights.attach_cost(f, self.on_disk[d])
+
+    def neighbourhood(self) -> Iterator[tuple[float, tuple[tuple[int, int], ...], int]]:
+        """Every capacity- and allowance-feasible step as (objective delta,
+        step, files moved after it): single-file moves (file ascending, then
+        disk ascending), then pair swaps (pair-lexicographic). A step lists
+        (file, new disk). The generator must not be resumed after apply."""
+        assignment, loads = self.assignment, self.loads
+        sizes, capacities = self.sizes, self.capacities
+        homes, allowance, moved = self.homes, self.allowance, self.moved
+        for f in self.files:
+            src, home = assignment[f], homes.get(f)
+            detach = self.attach(f, src)
+            for dst in self.disks:
+                if dst == src or loads[dst] + sizes[f] > capacities[dst]:
+                    continue
+                after = moved
+                if home is not None:
+                    after += (dst != home) - (src != home)
+                    if after > allowance:
+                        continue
+                yield self.attach(f, dst) - detach, ((f, dst),), after
+        for a, b in combinations(self.files, 2):
+            da, db = assignment[a], assignment[b]
+            if da == db:
+                continue
+            if loads[da] - sizes[a] + sizes[b] > capacities[da]:
+                continue
+            if loads[db] - sizes[b] + sizes[a] > capacities[db]:
+                continue
+            after = moved
+            if homes:
+                ha, hb = homes.get(a), homes.get(b)
+                if ha is not None:
+                    after += (db != ha) - (da != ha)
+                if hb is not None:
+                    after += (da != hb) - (db != hb)
+                if after > allowance:
+                    continue
+            w_ab = self.weights.weight(a, b)
+            delta = (
+                self.attach(a, db)
+                - w_ab
+                + self.attach(b, da)
+                - w_ab
+                - self.attach(a, da)
+                - self.attach(b, db)
+            )
+            yield delta, ((a, db), (b, da)), after
+
+    def apply(self, step: tuple[tuple[int, int], ...], moved: int) -> None:
+        self.moved = moved
+        for f, dst in step:
+            src = self.assignment[f]
+            self.assignment[f] = dst
+            self.on_disk[src].discard(f)
+            self.on_disk[dst].add(f)
+            self.loads[src] -= self.sizes[f]
+            self.loads[dst] += self.sizes[f]
 
 
 def local_search(
@@ -344,110 +462,115 @@ def local_search(
     if not report.feasible:
         raise InfeasibleError("; ".join(report.violations))
 
-    sizes = instance.sizes
-    capacities = instance.capacities
     weights = PairWeights(stage)
-
     if pinned is not None:
         movable = sorted(set(stage.active_files) - set(pinned))
     else:
         movable = sorted(set(stage.active_files) & set(alloc.assignment))
-    assignment = dict(alloc.assignment)
-    disks = sorted(capacities)
-
-    loads = {d: 0 for d in disks}
-    for f, d in assignment.items():
-        loads[d] += sizes[f]
-    on_disk: dict[int, set[int]] = {d: set() for d in disks}
-    for f in movable:
-        on_disk[assignment[f]].add(f)
-    # Non-movable assigned files still interfere with movable ones.
-    fixed_on_disk: dict[int, set[int]] = {d: set() for d in disks}
-    for f, d in assignment.items():
-        if f in stage.active_set and f not in on_disk[d]:
-            fixed_on_disk[d].add(f)
-
-    def neighbours_on(f: int, d: int) -> float:
-        return weights.attach_cost(f, on_disk[d] | fixed_on_disk[d])
-
-    n = len(movable)
-    psi = weights.psi(
-        {d: sorted(on_disk[d] | fixed_on_disk[d]) for d in disks}
-    )
-    cap = _LOCAL_SEARCH_EVAL_FACTOR * n * n
+    state = _Placement(alloc.assignment, movable, stage, instance, weights, {}, 0)
+    psi = weights.psi(state.on_disk)
+    cap = _LOCAL_SEARCH_EVAL_FACTOR * len(movable) ** 2
     evals = 0
-    capped = False
 
-    improved = True
-    while improved and not capped:
-        improved = False
-        # Single-file moves.
-        for f in movable:
-            src = assignment[f]
-            detach = neighbours_on(f, src)
-            for dst in disks:
-                if dst == src:
-                    continue
-                if loads[dst] + sizes[f] > capacities[dst]:
-                    continue
-                evals += 1
-                delta = neighbours_on(f, dst) - detach
-                if delta < 0:
-                    assignment[f] = dst
-                    on_disk[src].discard(f)
-                    on_disk[dst].add(f)
-                    loads[src] -= sizes[f]
-                    loads[dst] += sizes[f]
-                    psi += delta
-                    improved = True
-                    break
-                if evals >= cap:
-                    capped = True
-                    break
-            if improved or capped:
-                break
-        if improved or capped:
-            continue
-        # Pair swaps.
-        for a, b in combinations(movable, 2):
-            da, db = assignment[a], assignment[b]
-            if da == db:
-                continue
-            if loads[da] - sizes[a] + sizes[b] > capacities[da]:
-                continue
-            if loads[db] - sizes[b] + sizes[a] > capacities[db]:
-                continue
+    while True:
+        for delta, step, moved in state.neighbourhood():
             evals += 1
-            w_ab = weights.weight(a, b)
-            delta = (
-                neighbours_on(a, db)
-                - w_ab
-                + neighbours_on(b, da)
-                - w_ab
-                - neighbours_on(a, da)
-                - neighbours_on(b, db)
+            if delta < 0 or evals >= cap:
+                break
+        else:
+            break
+        if delta >= 0:
+            log.warning(
+                "local search stopped at the evaluation cap (%d evaluations)", cap
             )
-            if delta < 0:
-                assignment[a], assignment[b] = db, da
-                on_disk[da].discard(a)
-                on_disk[db].add(a)
-                on_disk[db].discard(b)
-                on_disk[da].add(b)
-                loads[da] += sizes[b] - sizes[a]
-                loads[db] += sizes[a] - sizes[b]
-                psi += delta
-                improved = True
-                break
-            if evals >= cap:
-                capped = True
-                break
+            break
+        state.apply(step, moved)
+        psi += delta
 
-    if capped:
-        log.warning(
-            "local search stopped at the evaluation cap (%d evaluations)", cap
-        )
-    result = Allocation(assignment, degraded=alloc.degraded)
-    return result, psi
+    return Allocation(state.assignment, degraded=alloc.degraded), psi
+
+
+def _branch_and_bound(
+    files: Sequence[int],
+    fixed: Mapping[int, int],
+    pinned_loads: Mapping[int, int],
+    stage: Stage,
+    instance: Instance,
+    weights: PairWeights,
+    homes: Mapping[int, Optional[int]],
+    allowance: int,
+) -> Optional[tuple[list[int], float]]:
+    """Depth-first search over placements of ``files``, in the given order,
+    beside the ``fixed`` ones; returns (disk per file, objective), or None
+    when nothing fits.
+
+    A file counts as moved when it lands off its entry in ``homes``; at
+    most ``allowance`` files may move. Minimizes (objective, moves,
+    assignment vector): disks are tried ascending, so the first optimum
+    recorded is the lexicographically least. Prunes on capacity, on the
+    allowance, on the partial objective once an incumbent exists, and on
+    symmetry: an empty disk that holds no pinned file and is home to no
+    file still unplaced is interchangeable with an earlier such disk of
+    equal residual capacity.
+    """
+    sizes = instance.sizes
+    capacities = instance.capacities
+    disks = sorted(capacities)
+    loads = dict(pinned_loads)
+    n = len(files)
+    file_homes = [homes.get(f) for f in files]
+    # reserved[i]: disks never skipped as empty while files[i:] are unplaced.
+    reserved = [set(fixed.values())]
+    for home in reversed(file_homes):
+        reserved.append(reserved[-1] | {home})
+    reserved.reverse()
+
+    # Interference of pinned active files among themselves is a constant
+    # floor; interference with searched files accrues during the descent.
+    on_disk: dict[int, list[int]] = {d: [] for d in disks}
+    for f, d in fixed.items():
+        if f in stage.active_set:
+            on_disk[d].append(f)
+
+    best: Optional[list[int]] = None
+    best_psi = float("inf")
+    best_moves = 0
+    chosen: list[int] = []
+
+    def descend(i: int, partial: float, moves: int) -> None:
+        nonlocal best, best_psi, best_moves
+        if partial > best_psi or (partial == best_psi and moves >= best_moves):
+            return
+        if i == n:
+            best, best_psi, best_moves = chosen.copy(), partial, moves
+            return
+        f, home = files[i], file_homes[i]
+        size = sizes[f]
+        seen_empty: set[int] = set()
+        for d in disks:
+            if loads[d] + size > capacities[d]:
+                continue
+            used = moves
+            if home is not None and d != home:
+                used += 1
+                if used > allowance:
+                    continue
+            if not on_disk[d] and d not in reserved[i]:
+                key = capacities[d] - loads[d]
+                if key in seen_empty:
+                    continue
+                seen_empty.add(key)
+            step = weights.attach_cost(f, on_disk[d])
+            loads[d] += size
+            on_disk[d].append(f)
+            chosen.append(d)
+            descend(i + 1, partial + step, used)
+            chosen.pop()
+            on_disk[d].pop()
+            loads[d] -= size
+
+    descend(0, weights.psi(on_disk), 0)
+    return None if best is None else (best, best_psi)
 
 
 def exact_solve(
@@ -472,10 +595,8 @@ def exact_solve(
             "exact search only optimizes uniform costs; ordered-distance is "
             "evaluation-only"
         )
-    sizes = instance.sizes
-    capacities = instance.capacities
     fixed = _resolve_pinned(stage, None, pinned)
-    loads = _pinned_loads(fixed, sizes, capacities)
+    loads = _pinned_loads(fixed, instance.sizes, instance.capacities)
 
     files = [f for f in stage.active_files if f not in fixed]
     n = len(files)
@@ -484,68 +605,39 @@ def exact_solve(
             f"exact search over {n} files exceeds the cap of {cap}; "
             "raise the cap explicitly or use the heuristic path"
         )
-    weights = PairWeights(stage)
-    disks = sorted(capacities)
-
-    if n == 0:
-        alloc = Allocation(dict(fixed))
-        by_disk: dict[int, list[int]] = {}
-        for f, d in fixed.items():
-            if f in stage.active_set:
-                by_disk.setdefault(d, []).append(f)
-        return alloc, weights.psi(by_disk)
-
-    # Interference of pinned active files among themselves is a constant
-    # floor; interference with searched files accrues during the descent.
-    active_fixed: dict[int, list[int]] = {d: [] for d in disks}
-    for f, d in fixed.items():
-        if f in stage.active_set:
-            active_fixed[d].append(f)
-    base_psi = weights.psi(active_fixed)
-
-    best_assignment: Optional[list[int]] = None
-    best_psi = float("inf")
-    chosen: list[int] = []
-    on_disk: dict[int, list[int]] = {d: list(active_fixed[d]) for d in disks}
-    pinned_disks = set(fixed.values())
-
-    def descend(i: int, partial: float) -> None:
-        nonlocal best_assignment, best_psi
-        if best_assignment is not None and partial >= best_psi:
-            return
-        if i == n:
-            best_assignment = chosen.copy()
-            best_psi = partial
-            return
-        f = files[i]
-        size = sizes[f]
-        seen_empty: set[int] = set()
-        for d in disks:
-            if loads[d] + size > capacities[d]:
-                continue
-            # Empty unpinned disks of equal residual capacity are
-            # interchangeable until something lands on them.
-            if not on_disk[d] and d not in pinned_disks:
-                key = capacities[d] - loads[d]
-                if key in seen_empty:
-                    continue
-                seen_empty.add(key)
-            step = weights.attach_cost(f, on_disk[d])
-            loads[d] += size
-            on_disk[d].append(f)
-            chosen.append(d)
-            descend(i + 1, partial + step)
-            chosen.pop()
-            on_disk[d].pop()
-            loads[d] -= size
-
-    descend(0, base_psi)
-    if best_assignment is None:
+    found = _branch_and_bound(files, fixed, loads, stage, instance, PairWeights(stage), {}, n)
+    if found is None:
         raise InfeasibleError("no placement satisfies the disk capacities")
 
     assignment = dict(fixed)
-    assignment.update(zip(files, best_assignment))
-    return Allocation(assignment), best_psi
+    assignment.update(zip(files, found[0]))
+    return Allocation(assignment), found[1]
+
+
+def _solve_stage(
+    stage: Stage,
+    instance: Instance,
+    fixed: Mapping[int, int],
+    cap: int,
+    exact: Optional[bool] = None,
+) -> tuple[Allocation, float, bool]:
+    """(allocation, objective, certified) of one stage around the ``fixed``
+    files: enumeration unless ``exact`` is False, falling back to spreading
+    plus local search past the cap unless ``exact`` is True."""
+    if exact is None or exact:
+        try:
+            alloc, psi = exact_solve(stage, instance, cap=cap, pinned=fixed)
+            return alloc, psi, True
+        except EnumerationCapError:
+            if exact:
+                raise
+
+    relation = integrate_relations(stage)
+    free = [f for f in stage.active_files if f not in fixed]
+    communities = detect_communities(relation, free, instance.gamma)
+    seeded = spread_allocate(communities, instance, stage, pinned=fixed)
+    alloc, psi = local_search(seeded, stage, instance, pinned=fixed)
+    return alloc, psi, False
 
 
 def solve_stage(
@@ -564,20 +656,4 @@ def solve_stage(
     None tries enumeration first, falling back when the stage is too wide.
     """
     stage = instance.stage(stage_index)
-    fixed = _resolve_pinned(stage, previous, pinned)
-    if exact is None:
-        try:
-            alloc, psi = exact_solve(stage, instance, cap=cap, pinned=fixed)
-            return alloc, psi, True
-        except EnumerationCapError:
-            pass
-    elif exact:
-        alloc, psi = exact_solve(stage, instance, cap=cap, pinned=fixed)
-        return alloc, psi, True
-
-    relation = integrate_relations(stage)
-    free = [f for f in stage.active_files if f not in fixed]
-    communities = detect_communities(relation, free, instance.gamma)
-    seeded = spread_allocate(communities, instance, stage, pinned=fixed)
-    alloc, psi = local_search(seeded, stage, instance, pinned=fixed)
-    return alloc, psi, False
+    return _solve_stage(stage, instance, _resolve_pinned(stage, previous, pinned), cap, exact)

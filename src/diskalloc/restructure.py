@@ -4,6 +4,13 @@ Instead of re-solving a stage from scratch, restructuring starts from the
 allocation already on the disks and buys improvement with relocation moves,
 each priced at the instance's unit cost. The proximity rho of the result is
 its objective's excess over the stage's reference optimum.
+
+Restructuring reuses the allocator's search cores. Exact restructuring is
+the branch-and-bound of ``exact_solve``, symmetry prune included, run with
+each file's previous disk as its home and a move allowance. Greedy
+restructuring is local search's move/swap neighbourhood, taken with
+best-improvement instead of first-improvement under the move allowance.
+Files new to the stage are placed by ``spread_allocate``'s best-fit rule.
 """
 
 from __future__ import annotations
@@ -11,8 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
-from typing import Mapping, Optional, Sequence
+from typing import Collection, Mapping, Optional, Sequence
 
 from .errors import EnumerationCapError, InfeasibleError, ValidationError
 from .model import (
@@ -26,17 +32,29 @@ from .model import (
 from .allocator import (
     EXACT_CAP_DEFAULT,
     PairWeights,
+    _best_fit,
+    _branch_and_bound,
     _pinned_loads,
+    _Placement,
+    _solve_stage,
     exact_solve,
-    local_search,
-    spread_allocate,
 )
-from .relations import detect_communities, integrate_relations
 
 # Exact restructuring refuses search spaces larger than this many nodes.
 _RESTRUCTURE_SPACE_CAP = 5_000_000
 
 _EPS = 1e-9
+
+
+def _relocation_plan(
+    src: Mapping[int, int], dst: Mapping[int, int], files: Collection[int], unit_cost: float
+) -> RelocationPlan:
+    """One move per file of ``files`` whose disk differs between ``src``
+    and ``dst``, ordered by file id, each priced at ``unit_cost``."""
+    moves = tuple(
+        RelocationMove(f, src[f], dst[f]) for f in sorted(files) if src[f] != dst[f]
+    )
+    return RelocationPlan(moves, total_cost=len(moves) * float(unit_cost))
 
 
 def relocation_diff(src: Allocation, dst: Allocation, unit_cost: float = 1.0) -> RelocationPlan:
@@ -48,24 +66,7 @@ def relocation_diff(src: Allocation, dst: Allocation, unit_cost: float = 1.0) ->
     if src_files != dst_files:
         extra = sorted(src_files ^ dst_files)
         raise ValidationError(f"allocations cover different file sets: {extra}")
-    moves = tuple(
-        RelocationMove(f, src.assignment[f], dst.assignment[f])
-        for f in sorted(src_files)
-        if src.assignment[f] != dst.assignment[f]
-    )
-    return RelocationPlan(moves, total_cost=len(moves) * float(unit_cost))
-
-
-def _transition_plan(prev: Allocation, new: Allocation, unit_cost: float) -> RelocationPlan:
-    """Moves of the files present in both allocations; files appearing or
-    disappearing between stages are not relocations and carry no cost."""
-    common = sorted(set(prev.assignment) & set(new.assignment))
-    moves = tuple(
-        RelocationMove(f, prev.assignment[f], new.assignment[f])
-        for f in common
-        if prev.assignment[f] != new.assignment[f]
-    )
-    return RelocationPlan(moves, total_cost=len(moves) * float(unit_cost))
+    return _relocation_plan(src.assignment, dst.assignment, src_files, unit_cost)
 
 
 class RestructureMode(str, Enum):
@@ -114,47 +115,6 @@ def _move_allowance(budget: float, unit_cost: float, n_movable: int) -> int:
     if unit_cost <= 0:
         return n_movable
     return int(math.floor(budget / unit_cost + _EPS))
-
-
-def _reference_optimum(
-    problem: RestructuringProblem,
-    fixed: Mapping[int, int],
-    cap: int,
-) -> tuple[float, bool]:
-    """Stage optimum for proximity reporting: declared, or enumerated when
-    the stage fits the cap, or the heuristic's best (uncertified)."""
-    if problem.reference is not None:
-        return problem.reference, False
-    stage, instance = problem.stage, problem.instance
-    try:
-        _, psi_star = exact_solve(stage, instance, cap=cap, pinned=fixed)
-        return psi_star, True
-    except EnumerationCapError:
-        relation = integrate_relations(stage)
-        free = [f for f in stage.active_files if f not in fixed]
-        communities = detect_communities(relation, free, instance.gamma)
-        seeded = spread_allocate(communities, instance, stage, pinned=fixed)
-        _, psi = local_search(seeded, stage, instance, pinned=fixed)
-        return psi, False
-
-
-def _place_new_files(
-    files: Sequence[int],
-    assignment: dict[int, int],
-    loads: dict[int, int],
-    instance: Instance,
-) -> None:
-    """Initial spot for files with no previous disk: most residual capacity,
-    ties to the lowest disk id. Placement of a new file is not a move."""
-    sizes = instance.sizes
-    capacities = instance.capacities
-    for f in files:
-        fits = [d for d in sorted(capacities) if loads[d] + sizes[f] <= capacities[d]]
-        if not fits:
-            raise InfeasibleError(f"file {f} ({sizes[f]} tracks) fits on no disk")
-        best = max(fits, key=lambda d: (capacities[d] - loads[d], -d))
-        assignment[f] = best
-        loads[best] += sizes[f]
 
 
 def restructure_one_stage(
@@ -209,36 +169,47 @@ def restructure_one_stage(
     new_files = [f for f in searched if base[f] is None]
     m = _move_allowance(problem.budget, unit, len(based))
 
-    psi_star, certified = _reference_optimum(problem, fixed, cap)
+    if problem.reference is not None:
+        psi_star, certified = problem.reference, False
+    else:
+        _, psi_star, certified = _solve_stage(stage, instance, fixed, cap)
     weights = PairWeights(stage)
-    disks = sorted(capacities)
-
-    # Active pinned files contribute interference but never move.
-    active_fixed: dict[int, list[int]] = {d: [] for d in disks}
-    for f, d in fixed.items():
-        if f in active:
-            active_fixed[d].append(f)
-    base_psi = weights.psi(active_fixed)
 
     if mode is RestructureMode.EXACT:
         k = min(m, len(based))
-        gamma = max(len(disks), 1)
+        gamma = max(len(capacities), 1)
         space = math.comb(len(based), k) * max(gamma - 1, 1) ** k * gamma ** len(new_files)
         if space > _RESTRUCTURE_SPACE_CAP:
             raise EnumerationCapError(
                 f"exact restructuring space of {space} nodes exceeds the cap "
                 f"of {_RESTRUCTURE_SPACE_CAP}; use greedy mode"
             )
-        assignment = _restructure_exact(
-            searched, base, m, weights, sizes, capacities, loads, active_fixed, base_psi
-        )
+        found = _branch_and_bound(searched, fixed, loads, stage, instance, weights, base, m)
+        if found is None:
+            raise InfeasibleError("no placement within the move allowance fits the disks")
+        final = dict(fixed)
+        final.update(zip(searched, found[0]))
     else:
-        assignment = _restructure_greedy(
-            searched, base, m, weights, instance, loads, active_fixed
-        )
-
-    final = dict(fixed)
-    final.update(assignment)
+        # New files start where the best-fit rule puts them, move-free.
+        final = {**fixed, **{f: base[f] for f in based}}
+        disks = sorted(capacities)
+        for f in new_files:
+            d = _best_fit(sizes[f], disks, trial, capacities)
+            if d is None:
+                raise InfeasibleError(f"file {f} ({sizes[f]} tracks) fits on no disk")
+            final[f] = d
+            trial[d] += sizes[f]
+        state = _Placement(final, searched, stage, instance, weights, base, m)
+        # Best-improvement descent; ties go to the first step in scan order.
+        while True:
+            best_delta, best = 0.0, None
+            for delta, step, moved in state.neighbourhood():
+                if delta < best_delta:
+                    best_delta, best = delta, (step, moved)
+            if best is None:
+                break
+            state.apply(*best)
+        final = state.assignment
     alloc = Allocation(final)
 
     by_disk: dict[int, list[int]] = {}
@@ -247,19 +218,16 @@ def restructure_one_stage(
     psi = weights.psi(by_disk)
 
     if psi < psi_star:
-        if certified:
+        # The search and the reference sum the same pairs in different
+        # orders, so a certified optimum may sit above psi by rounding.
+        if certified and psi < psi_star - _EPS:
             raise AssertionError(
                 "restructuring beat a certified optimum; enumeration is broken"
             )
         psi_star = psi
     rho = psi - psi_star
 
-    moves = tuple(
-        RelocationMove(f, base[f], assignment[f])
-        for f in sorted(based)
-        if assignment[f] != base[f]
-    )
-    plan = RelocationPlan(moves, total_cost=len(moves) * unit)
+    plan = _relocation_plan(base, final, based, unit)
     if unit > 0 and plan.total_cost > problem.budget + _EPS:
         raise AssertionError("restructuring plan exceeds its budget")
     return RestructureResult(
@@ -270,196 +238,6 @@ def restructure_one_stage(
         certified=certified,
         plan=plan,
     )
-
-
-def _restructure_exact(
-    searched: Sequence[int],
-    base: Mapping[int, Optional[int]],
-    allowance: int,
-    weights: PairWeights,
-    sizes: Mapping[int, int],
-    capacities: Mapping[int, int],
-    pinned_loads: Mapping[int, int],
-    active_fixed: Mapping[int, list[int]],
-    base_psi: float,
-) -> dict[int, int]:
-    """Depth-first search over placements within the move allowance.
-
-    Minimizes (objective, moves used, assignment vector); leaves are
-    visited in ascending assignment order, so the first recorded optimum
-    is the lexicographically least.
-    """
-    files = list(searched)
-    n = len(files)
-    disks = sorted(capacities)
-    loads = dict(pinned_loads)
-    on_disk: dict[int, list[int]] = {d: list(active_fixed[d]) for d in disks}
-
-    best: Optional[list[int]] = None
-    best_psi = float("inf")
-    best_moves = 0
-    chosen: list[int] = []
-
-    def descend(i: int, partial: float, used: int) -> None:
-        nonlocal best, best_psi, best_moves
-        if best is not None and (
-            partial > best_psi or (partial == best_psi and used >= best_moves)
-        ):
-            return
-        if i == n:
-            best = chosen.copy()
-            best_psi = partial
-            best_moves = used
-            return
-        f = files[i]
-        size = sizes[f]
-        home = base[f]
-        for d in disks:
-            if loads[d] + size > capacities[d]:
-                continue
-            cost = 0 if home is None or d == home else 1
-            if used + cost > allowance:
-                continue
-            step = weights.attach_cost(f, on_disk[d])
-            loads[d] += size
-            on_disk[d].append(f)
-            chosen.append(d)
-            descend(i + 1, partial + step, used + cost)
-            chosen.pop()
-            on_disk[d].pop()
-            loads[d] -= size
-
-    descend(0, base_psi, 0)
-    if best is None:
-        raise InfeasibleError("no placement within the move allowance fits the disks")
-    return dict(zip(files, best))
-
-
-def _restructure_greedy(
-    searched: Sequence[int],
-    base: Mapping[int, Optional[int]],
-    allowance: int,
-    weights: PairWeights,
-    instance: Instance,
-    pinned_loads: Mapping[int, int],
-    active_fixed: Mapping[int, list[int]],
-) -> dict[int, int]:
-    """Best-improvement descent: apply the move or swap with the largest
-    objective drop whose result stays within the move allowance; ties go
-    to the first candidate in scan order (moves before swaps, ascending)."""
-    sizes = instance.sizes
-    capacities = instance.capacities
-    disks = sorted(capacities)
-
-    assignment: dict[int, int] = {}
-    loads = dict(pinned_loads)
-    for f in searched:
-        if base[f] is not None:
-            assignment[f] = base[f]
-            loads[base[f]] += sizes[f]
-    _place_new_files(
-        [f for f in searched if base[f] is None], assignment, loads, instance
-    )
-
-    on_disk: dict[int, set[int]] = {d: set(active_fixed[d]) for d in disks}
-    for f, d in assignment.items():
-        on_disk[d].add(f)
-
-    def moved_count() -> int:
-        return sum(1 for f in searched if base[f] is not None and assignment[f] != base[f])
-
-    def attach(f: int, d: int) -> float:
-        return weights.attach_cost(f, on_disk[d])
-
-    h = moved_count()
-    while True:
-        best_delta = 0.0
-        best_action = None
-        for f in searched:
-            src = assignment[f]
-            detach = attach(f, src)
-            for dst in disks:
-                if dst == src:
-                    continue
-                if loads[dst] + sizes[f] > capacities[dst]:
-                    continue
-                nh = h
-                if base[f] is not None:
-                    nh += (1 if dst != base[f] else 0) - (1 if src != base[f] else 0)
-                if nh > allowance:
-                    continue
-                delta = attach(f, dst) - detach
-                if delta < best_delta:
-                    best_delta = delta
-                    best_action = ("move", f, dst, nh)
-        for a, b in combinations(searched, 2):
-            da, db = assignment[a], assignment[b]
-            if da == db:
-                continue
-            if loads[da] - sizes[a] + sizes[b] > capacities[da]:
-                continue
-            if loads[db] - sizes[b] + sizes[a] > capacities[db]:
-                continue
-            nh = h
-            if base[a] is not None:
-                nh += (1 if db != base[a] else 0) - (1 if da != base[a] else 0)
-            if base[b] is not None:
-                nh += (1 if da != base[b] else 0) - (1 if db != base[b] else 0)
-            if nh > allowance:
-                continue
-            w_ab = weights.weight(a, b)
-            delta = (
-                attach(a, db)
-                - w_ab
-                + attach(b, da)
-                - w_ab
-                - attach(a, da)
-                - attach(b, db)
-            )
-            if delta < best_delta:
-                best_delta = delta
-                best_action = ("swap", a, b, nh)
-        if best_action is None:
-            break
-        if best_action[0] == "move":
-            _, f, dst, h = best_action
-            src = assignment[f]
-            assignment[f] = dst
-            on_disk[src].discard(f)
-            on_disk[dst].add(f)
-            loads[src] -= sizes[f]
-            loads[dst] += sizes[f]
-        else:
-            _, a, b, h = best_action
-            da, db = assignment[a], assignment[b]
-            assignment[a], assignment[b] = db, da
-            on_disk[da].discard(a)
-            on_disk[db].add(a)
-            on_disk[db].discard(b)
-            on_disk[da].add(b)
-            loads[da] += sizes[b] - sizes[a]
-            loads[db] += sizes[a] - sizes[b]
-    return assignment
-
-
-def _solve_fresh(
-    stage: Stage,
-    instance: Instance,
-    pinned: Mapping[int, int],
-    cap: int,
-) -> tuple[Allocation, float, float, bool]:
-    """Solve one stage from scratch: exact within the cap, heuristic past
-    it. Returns (allocation, objective, reference, certified)."""
-    try:
-        alloc, psi = exact_solve(stage, instance, cap=cap, pinned=pinned)
-        return alloc, psi, psi, True
-    except EnumerationCapError:
-        relation = integrate_relations(stage)
-        free = [f for f in stage.active_files if f not in pinned]
-        communities = detect_communities(relation, free, instance.gamma)
-        seeded = spread_allocate(communities, instance, stage, pinned=pinned)
-        alloc, psi = local_search(seeded, stage, instance, pinned=pinned)
-        return alloc, psi, psi, False
 
 
 def plan_trajectory(
@@ -506,10 +284,13 @@ def plan_trajectory(
     for pos, stage in enumerate(stages):
         pinned = {f: d for f, d in placed.items() if f not in stage.active_set}
         if pos == 0 or strategy is TrajectoryStrategy.INDEPENDENT_OPTIMAL:
-            alloc, psi, psi_star, cert = _solve_fresh(stage, instance, pinned, cap)
-            rho = psi - psi_star
+            alloc, psi, cert = _solve_stage(stage, instance, pinned, cap)
+            psi_star, rho = psi, 0.0
             if pos > 0:
-                plans.append(_transition_plan(allocations[-1], alloc, unit))
+                # Files entering or leaving between stages are not relocations.
+                prev = allocations[-1].assignment
+                common = set(prev) & set(alloc.assignment)
+                plans.append(_relocation_plan(prev, alloc.assignment, common, unit))
         else:
             problem = RestructuringProblem(
                 instance=instance,
