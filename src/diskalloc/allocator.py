@@ -10,7 +10,8 @@ The search cores here also serve budgeted restructuring. Exact
 restructuring and ``exact_solve`` share one branch-and-bound, symmetry
 prune included. Greedy restructuring is local search's move/swap
 neighbourhood with best-improvement under a move allowance. Files new to a
-restructured stage are placed by ``spread_allocate``'s best-fit rule.
+restructured stage are placed by ``spread_allocate``. Both descents ignore
+gains of at most ``_EPS``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import EnumerationCapError, InfeasibleError, ValidationError
 from .model import Allocation, CostModel, Instance, Pair, Stage, canonical_edge
-from .relations import Community, IntegratedRelation, detect_communities, integrate_relations
+from .relations import Community, detect_communities, integrate_relations
 
 log = logging.getLogger(__name__)
 
@@ -33,6 +34,11 @@ EXACT_CAP_DEFAULT = 12
 # Local search gives up after this multiple of n^2 neighbour evaluations.
 _LOCAL_SEARCH_EVAL_FACTOR = 10
 
+# Objective tolerance. Fractional weights summed in different orders differ
+# in the last bits; a descent that took that for a gain could swap one pair
+# back and forth forever.
+_EPS = 1e-9
+
 
 class PairWeights:
     """Interference weight of every unordered file pair of one stage.
@@ -42,15 +48,11 @@ class PairWeights:
     up on its unordered edge, whether or not the relation links the pair.
     """
 
-    def __init__(self, stage: Stage, relation: Optional[IntegratedRelation] = None):
-        if relation is None:
-            relation = integrate_relations(stage)
-        self.relation = relation
-        weights: dict[Pair, float] = {}
+    def __init__(self, stage: Stage):
         if stage.phi is None:
-            for edge in relation.edges:
-                weights[edge] = 1.0
+            weights = dict.fromkeys(integrate_relations(stage).edges, 1.0)
         else:
+            weights: dict[Pair, float] = {}
             for (a, b), w in stage.phi.items():
                 edge = canonical_edge(a, b)
                 weights[edge] = weights.get(edge, 0.0) + w
@@ -66,9 +68,6 @@ class PairWeights:
 
     def pairs(self) -> list[tuple[Pair, float]]:
         return sorted(self._weights.items())
-
-    def neighbours(self, f: int) -> Mapping[int, float]:
-        return self._adjacent.get(f, {})
 
     def attach_cost(self, f: int, others: Iterable[int]) -> float:
         """Cost added by placing ``f`` next to ``others`` on one disk."""
@@ -448,7 +447,8 @@ def local_search(
     Only the stage's active files move; any other assigned file acts as a
     capacity-consuming fixture. Scanning order is file ascending then disk
     ascending for moves, pair-lexicographic for swaps, restarting after
-    every accepted step, so the result is deterministic. Evaluation count
+    every accepted step, so the result is deterministic. A step counts as
+    an improvement only when it gains more than 1e-9. Evaluation count
     is capped at 10 n^2; hitting the cap logs a warning and returns the
     best allocation found.
     """
@@ -471,15 +471,16 @@ def local_search(
     psi = weights.psi(state.on_disk)
     cap = _LOCAL_SEARCH_EVAL_FACTOR * len(movable) ** 2
     evals = 0
+    gain = -_EPS
 
     while True:
         for delta, step, moved in state.neighbourhood():
             evals += 1
-            if delta < 0 or evals >= cap:
+            if delta < gain or evals >= cap:
                 break
         else:
             break
-        if delta >= 0:
+        if delta >= gain:
             log.warning(
                 "local search stopped at the evaluation cap (%d evaluations)", cap
             )
@@ -499,10 +500,10 @@ def _branch_and_bound(
     weights: PairWeights,
     homes: Mapping[int, Optional[int]],
     allowance: int,
-) -> Optional[tuple[list[int], float]]:
+) -> Optional[tuple[dict[int, int], float]]:
     """Depth-first search over placements of ``files``, in the given order,
-    beside the ``fixed`` ones; returns (disk per file, objective), or None
-    when nothing fits.
+    beside the ``fixed`` ones; returns (assignment of the fixed and searched
+    files, objective), or None when nothing fits.
 
     A file counts as moved when it lands off its entry in ``homes``; at
     most ``allowance`` files may move. Minimizes (objective, moves,
@@ -570,7 +571,7 @@ def _branch_and_bound(
             loads[d] -= size
 
     descend(0, weights.psi(on_disk), 0)
-    return None if best is None else (best, best_psi)
+    return None if best is None else ({**fixed, **dict(zip(files, best))}, best_psi)
 
 
 def exact_solve(
@@ -608,10 +609,7 @@ def exact_solve(
     found = _branch_and_bound(files, fixed, loads, stage, instance, PairWeights(stage), {}, n)
     if found is None:
         raise InfeasibleError("no placement satisfies the disk capacities")
-
-    assignment = dict(fixed)
-    assignment.update(zip(files, found[0]))
-    return Allocation(assignment), found[1]
+    return Allocation(found[0]), found[1]
 
 
 def _solve_stage(

@@ -192,7 +192,7 @@ def _cmd_evaluate(args) -> int:
     if not feasibility.feasible:
         raise InfeasibleError("; ".join(feasibility.violations))
     report = evaluate_objective(alloc, stage, instance.cost_model, sizes=instance.sizes)
-    print(evaluation_report(alloc, instance, args.stage))
+    print(evaluation_report(alloc, instance, args.stage, report))
     if args.output:
         doc = solution_from_allocation(alloc, args.stage, objective=report.value)
         write_document(emit_solution_document(doc), args.output)

@@ -202,19 +202,23 @@ def parse_instance_document(doc) -> Instance:
     return validate_instance(instance)
 
 
-def parse_instance(path) -> Instance:
-    """Read, parse, and validate an instance document from a file."""
+def _read_document(path, kind: str):
+    """Decoded JSON of the ``kind`` document file at ``path``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise DocumentError(f"cannot read instance file: {exc}") from exc
+        raise DocumentError(f"cannot read {kind} file: {exc}") from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return parse_instance_document(doc)
+
+
+def parse_instance(path) -> Instance:
+    """Read, parse, and validate an instance document from a file."""
+    return parse_instance_document(_read_document(path, "instance"))
 
 
 def emit_instance_document(instance: Instance) -> dict:
@@ -407,17 +411,7 @@ def parse_solution_document(doc) -> SolutionDocument:
 
 
 def parse_solution(path) -> SolutionDocument:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DocumentError(f"cannot read solution file: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(
-            f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    return parse_solution_document(doc)
+    return parse_solution_document(_read_document(path, "solution"))
 
 
 def emit_solution_document(solution: SolutionDocument) -> dict:

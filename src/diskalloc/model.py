@@ -317,33 +317,17 @@ def validate_instance(instance: Instance) -> Instance:
         for f in stage.active_files:
             if f not in file_ids:
                 raise ValidationError(f"stage {j}: active file {f} does not exist")
-        for a, b in sorted(stage.precedence):
-            if a == b:
-                raise ValidationError(f"stage {j}: precedence arc ({a}, {b}) is reflexive")
-            if a not in active or b not in active:
-                raise ValidationError(
-                    f"stage {j}: precedence arc ({a}, {b}) references an inactive file"
-                )
-        for a, b in sorted(stage.concurrency):
-            if a == b:
-                raise ValidationError(f"stage {j}: concurrency edge ({a}, {b}) is reflexive")
-            if a not in active or b not in active:
-                raise ValidationError(
-                    f"stage {j}: concurrency edge ({a}, {b}) references an inactive file"
-                )
-        if stage.e3_override is not None:
-            for a, b in sorted(stage.e3_override):
-                if a == b:
-                    raise ValidationError(
-                        f"stage {j}: integrated override edge ({a}, {b}) is reflexive"
-                    )
-                if a not in active or b not in active:
-                    raise ValidationError(
-                        f"stage {j}: integrated override edge ({a}, {b}) references "
-                        "an inactive file"
-                    )
-        if stage.phi is not None:
-            for (a, b), w in sorted(stage.phi.items()):
+        # Only movement probabilities carry a weight w; the rest are pair sets.
+        relations = (
+            ("precedence arc", dict.fromkeys(stage.precedence)),
+            ("concurrency edge", dict.fromkeys(stage.concurrency)),
+            ("integrated override edge", dict.fromkeys(stage.e3_override or ())),
+            ("movement probability entry", stage.phi or {}),
+        )
+        for kind, entries in relations:
+            for (a, b), w in sorted(entries.items()):
+                if a == b and w is None:
+                    raise ValidationError(f"stage {j}: {kind} ({a}, {b}) is reflexive")
                 if a == b:
                     raise ValidationError(
                         f"stage {j}: movement probability diagonal entry ({a}, {a}) "
@@ -351,13 +335,10 @@ def validate_instance(instance: Instance) -> Instance:
                     )
                 if a not in active or b not in active:
                     raise ValidationError(
-                        f"stage {j}: movement probability entry ({a}, {b}) references "
-                        "an inactive file"
+                        f"stage {j}: {kind} ({a}, {b}) references an inactive file"
                     )
-                if w < 0:
-                    raise ValidationError(
-                        f"stage {j}: movement probability entry ({a}, {b}) is negative"
-                    )
+                if w is not None and w < 0:
+                    raise ValidationError(f"stage {j}: {kind} ({a}, {b}) is negative")
 
     pc = instance.problem_class
     if pc.alpha != 1 or pc.beta != 1:

@@ -143,13 +143,14 @@ def emit_report(obj, instance: Optional[Instance] = None) -> str:
 
 
 def evaluation_report(
-    alloc: Allocation, instance: Instance, stage_index: int
+    alloc: Allocation, instance: Instance, stage_index: int, report: Optional[ObjectiveReport] = None
 ) -> str:
-    """Allocation layout plus its objective breakdown at one stage."""
-    stage = instance.stage(stage_index)
-    report = evaluate_objective(
-        alloc, stage, instance.cost_model, sizes=instance.sizes
-    )
+    """Allocation layout plus its objective breakdown at one stage. Pass
+    ``report`` when the caller has already evaluated the allocation."""
+    if report is None:
+        report = evaluate_objective(
+            alloc, instance.stage(stage_index), instance.cost_model, sizes=instance.sizes
+        )
     lines = [f"stage {stage_index}:"]
     lines.extend(allocation_lines(alloc.assignment, instance))
     lines.extend(objective_lines(report))

@@ -5,12 +5,14 @@ allocation already on the disks and buys improvement with relocation moves,
 each priced at the instance's unit cost. The proximity rho of the result is
 its objective's excess over the stage's reference optimum.
 
-Restructuring reuses the allocator's search cores. Exact restructuring is
-the branch-and-bound of ``exact_solve``, symmetry prune included, run with
-each file's previous disk as its home and a move allowance. Greedy
-restructuring is local search's move/swap neighbourhood, taken with
+This module holds only budget logic (move allowance, reference, space cap,
+plan, rho); every placement decision comes from the allocator. Exact
+restructuring is the branch-and-bound of ``exact_solve``, symmetry prune
+included, run with each file's previous disk as its home and a move
+allowance. Greedy restructuring places files new to the stage with
+``spread_allocate``, then takes local search's move/swap neighbourhood with
 best-improvement instead of first-improvement under the move allowance.
-Files new to the stage are placed by ``spread_allocate``'s best-fit rule.
+Both descents ignore gains of at most 1e-9.
 """
 
 from __future__ import annotations
@@ -30,20 +32,21 @@ from .model import (
     Trajectory,
 )
 from .allocator import (
+    _EPS,
     EXACT_CAP_DEFAULT,
     PairWeights,
-    _best_fit,
     _branch_and_bound,
     _pinned_loads,
     _Placement,
+    _resolve_pinned,
     _solve_stage,
     exact_solve,
+    spread_allocate,
 )
+from .relations import Community
 
 # Exact restructuring refuses search spaces larger than this many nodes.
 _RESTRUCTURE_SPACE_CAP = 5_000_000
-
-_EPS = 1e-9
 
 
 def _relocation_plan(
@@ -122,7 +125,6 @@ def restructure_one_stage(
     mode: RestructureMode = RestructureMode.EXACT,
     *,
     cap: int = EXACT_CAP_DEFAULT,
-    pinned: Optional[Mapping[int, int]] = None,
 ) -> RestructureResult:
     """Best allocation reachable from the previous one within the budget.
 
@@ -130,43 +132,39 @@ def restructure_one_stage(
     number of moved files within the allowance, minimizing (objective, move
     count, assignment) lexicographically. Greedy mode repeatedly applies
     the single move or disk swap that most reduces the objective while the
-    result stays within the allowance.
+    result stays within the allowance; steps that gain no more than 1e-9
+    are ignored.
 
     Files of the previous allocation that are inactive in the target stage
     hold their disks and are never moved. Active files absent from the
     previous allocation are placed fresh; placing them costs nothing.
+    Greedy mode places them with ``spread_allocate`` before its descent.
     """
     mode = RestructureMode(mode)
     instance, stage, previous = problem.instance, problem.stage, problem.previous
     sizes = instance.sizes
     capacities = instance.capacities
     unit = instance.relocation_unit_cost
-    active = stage.active_set
 
-    fixed = {f: d for f, d in previous.assignment.items() if f not in active}
-    if pinned is not None:
-        for f, d in pinned.items():
-            fixed[int(f)] = int(d)
+    fixed = _resolve_pinned(stage, previous, None)
     loads = _pinned_loads(fixed, sizes, capacities)
 
-    searched = [f for f in stage.active_files if f not in fixed]
+    searched = stage.active_files
     base = {f: previous.assignment.get(f) for f in searched}
+
+    based = [f for f in searched if base[f] is not None]
+    new_files = [f for f in searched if base[f] is None]
 
     # The unmodified allocation must fit; a previous allocation that
     # overfills a disk for this stage is rejected outright.
     trial = dict(loads)
-    for f in searched:
+    for f in based:
         d = base[f]
-        if d is None:
-            continue
         if d not in capacities:
             raise ValidationError(f"previous allocation puts file {f} on unknown disk {d}")
         trial[d] += sizes[f]
         if trial[d] > capacities[d]:
             raise InfeasibleError("previous allocation infeasible for stage")
-
-    based = [f for f in searched if base[f] is not None]
-    new_files = [f for f in searched if base[f] is None]
     m = _move_allowance(problem.budget, unit, len(based))
 
     if problem.reference is not None:
@@ -187,30 +185,23 @@ def restructure_one_stage(
         found = _branch_and_bound(searched, fixed, loads, stage, instance, weights, base, m)
         if found is None:
             raise InfeasibleError("no placement within the move allowance fits the disks")
-        final = dict(fixed)
-        final.update(zip(searched, found[0]))
+        final = found[0]
     else:
-        # New files start where the best-fit rule puts them, move-free.
-        final = {**fixed, **{f: base[f] for f in based}}
-        disks = sorted(capacities)
-        for f in new_files:
-            d = _best_fit(sizes[f], disks, trial, capacities)
-            if d is None:
-                raise InfeasibleError(f"file {f} ({sizes[f]} tracks) fits on no disk")
-            final[f] = d
-            trial[d] += sizes[f]
-        state = _Placement(final, searched, stage, instance, weights, base, m)
-        # Best-improvement descent; ties go to the first step in scan order.
+        # New files start where spreading puts them, move-free.
+        start = {**fixed, **{f: base[f] for f in based}}
+        seeded = spread_allocate([Community((f,)) for f in new_files], instance, stage, pinned=start)
+        state = _Placement(seeded.assignment, searched, stage, instance, weights, base, m)
+        # Best-improvement descent; a step must beat the best so far by more
+        # than _EPS, so ties go to the first step in scan order.
         while True:
-            best_delta, best = 0.0, None
+            bar, best = -_EPS, None
             for delta, step, moved in state.neighbourhood():
-                if delta < best_delta:
-                    best_delta, best = delta, (step, moved)
+                if delta < bar:
+                    bar, best = delta - _EPS, (step, moved)
             if best is None:
                 break
             state.apply(*best)
         final = state.assignment
-    alloc = Allocation(final)
 
     by_disk: dict[int, list[int]] = {}
     for f in stage.active_files:
@@ -231,7 +222,7 @@ def restructure_one_stage(
     if unit > 0 and plan.total_cost > problem.budget + _EPS:
         raise AssertionError("restructuring plan exceeds its budget")
     return RestructureResult(
-        allocation=alloc,
+        allocation=Allocation(final),
         proximity=rho,
         objective=psi,
         reference=psi_star,
@@ -273,7 +264,6 @@ def plan_trajectory(
                 f"transition), got {got}"
             )
 
-    placed: dict[int, int] = {}
     allocations: list[Allocation] = []
     plans: list[RelocationPlan] = []
     objectives: list[float] = []
@@ -281,29 +271,25 @@ def plan_trajectory(
     proximities: list[float] = []
     certified: list[bool] = []
 
+    # Files inactive in a stage hold their disks from the allocation before,
+    # so each allocation covers every file placed before it.
     for pos, stage in enumerate(stages):
-        pinned = {f: d for f, d in placed.items() if f not in stage.active_set}
-        if pos == 0 or strategy is TrajectoryStrategy.INDEPENDENT_OPTIMAL:
-            alloc, psi, cert = _solve_stage(stage, instance, pinned, cap)
+        previous = allocations[-1] if allocations else None
+        if previous is None or strategy is TrajectoryStrategy.INDEPENDENT_OPTIMAL:
+            alloc, psi, cert = _solve_stage(stage, instance, _resolve_pinned(stage, previous, None), cap)
             psi_star, rho = psi, 0.0
-            if pos > 0:
-                # Files entering or leaving between stages are not relocations.
-                prev = allocations[-1].assignment
-                common = set(prev) & set(alloc.assignment)
-                plans.append(_relocation_plan(prev, alloc.assignment, common, unit))
+            if previous is not None:
+                # Files entering the stage are placed, not relocated.
+                prev = previous.assignment
+                plans.append(_relocation_plan(prev, alloc.assignment, prev, unit))
         else:
             problem = RestructuringProblem(
                 instance=instance,
                 stage=stage,
-                previous=allocations[-1],
+                previous=previous,
                 budget=float(budgets[pos - 1]),
             )
-            extra = {
-                f: d
-                for f, d in pinned.items()
-                if f not in allocations[-1].assignment
-            }
-            result = restructure_one_stage(problem, mode, cap=cap, pinned=extra)
+            result = restructure_one_stage(problem, mode, cap=cap)
             alloc = result.allocation
             psi, psi_star = result.objective, result.reference
             rho, cert = result.proximity, result.certified
@@ -313,7 +299,6 @@ def plan_trajectory(
         optima.append(psi_star)
         proximities.append(rho)
         certified.append(cert)
-        placed.update(alloc.assignment)
 
     return Trajectory(
         strategy=strategy.value,

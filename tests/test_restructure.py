@@ -27,7 +27,7 @@ from diskalloc import (
     validate_instance,
 )
 from diskalloc.generator import generate_instance
-from diskalloc.allocator import exact_solve
+from diskalloc.allocator import _Placement, exact_solve, local_search
 
 import reference_data as ref
 from naive import naive_restructure
@@ -211,6 +211,58 @@ def test_fractional_phi_ties_with_a_certified_optimum_do_not_raise():
                 assert result.proximity <= 1e-9
 
 
+def _dense_phi_instance(seed):
+    doc = generate_instance(6, 2, 2, 0.5, (1, 2), 1.5, seed)
+    rng = random.Random(seed)
+    for raw in doc["stages"]:
+        raw["phi"] = [
+            [0.0 if i == j else rng.choice([0.1, 0.2, 0.3]) for j in range(6)]
+            for i in range(6)
+        ]
+    return parse_instance_document(doc)
+
+
+@pytest.fixture
+def strict_descent(monkeypatch):
+    """Fail any descent that returns to a placement it already held.
+
+    A descent that only takes real gains never revisits a placement; one
+    that takes rounding noise for a gain can swap a pair back and forth
+    forever, and this turns that loop into a failure."""
+    apply = _Placement.apply
+
+    def checked(self, step, moved):
+        seen = self.__dict__.setdefault("seen", {tuple(sorted(self.assignment.items()))})
+        apply(self, step, moved)
+        now = tuple(sorted(self.assignment.items()))
+        assert now not in seen, f"descent revisited {now}"
+        seen.add(now)
+
+    monkeypatch.setattr(_Placement, "apply", checked)
+
+
+@pytest.mark.parametrize("descent", ["greedy", "local_search"])
+def test_descents_ignore_rounding_gains_on_fractional_phi(strict_descent, descent):
+    # Seed 1 is a stage on which greedy restructuring used to swap one pair
+    # back and forth on deltas of -2.2e-16 and -4.4e-16 without end.
+    for seed in range(8):
+        inst = _dense_phi_instance(seed)
+        previous, _ = exact_solve(inst.stage(1), inst)
+        stage = inst.stage(2)
+        if descent == "local_search":
+            alloc, psi = local_search(previous, stage, inst)
+            assert psi == pytest.approx(evaluate_objective(alloc, stage).value)
+            continue
+        result = restructure_one_stage(
+            RestructuringProblem(instance=inst, stage=stage, previous=previous, budget=6.0),
+            RestructureMode.GREEDY,
+        )
+        if seed == 1:
+            assert result.objective == pytest.approx(2.1)
+            assert result.proximity == 0.0
+            assert len(result.plan.moves) == 2
+
+
 def test_capacity_variant_needs_only_one_move(instance):
     import json
 
@@ -377,21 +429,40 @@ def test_trajectories_handle_files_entering_and_leaving():
             stages=(
                 Stage(index=1, active_files=(1, 2, 3), concurrency=frozenset({(2, 3)})),
                 Stage(index=2, active_files=(1, 2, 4), concurrency=frozenset({(1, 2)})),
+                Stage(index=3, active_files=(1, 3, 4), concurrency=frozenset({(3, 4)})),
             ),
         )
     )
     seq = plan_trajectory(
-        inst, TrajectoryStrategy.SEQUENTIAL_RESTRUCTURED, budgets=(0.0,)
+        inst, TrajectoryStrategy.SEQUENTIAL_RESTRUCTURED, budgets=(0.0, 2.0)
     )
     assert dict(seq.allocations[1].assignment) == {1: 1, 2: 1, 3: 2, 4: 2}
     assert seq.plans[0].moves == ()  # placing file 4 is not a relocation
-    assert seq.objectives == (0.0, 1.0)
+    assert [(m.file, m.src, m.dst) for m in seq.plans[1].moves] == [(1, 1, 2), (3, 2, 1)]
+    assert seq.objectives == (0.0, 1.0, 0.0)
+
+    greedy = plan_trajectory(
+        inst,
+        TrajectoryStrategy.SEQUENTIAL_RESTRUCTURED,
+        budgets=(0.0, 2.0),
+        mode=RestructureMode.GREEDY,
+    )
+    assert greedy.allocations == seq.allocations
 
     ind = plan_trajectory(inst, TrajectoryStrategy.INDEPENDENT_OPTIMAL)
     assert dict(ind.allocations[1].assignment) == {1: 1, 2: 2, 3: 2, 4: 1}
     assert [m.file for m in ind.plans[0].moves] == [2]
-    assert ind.total_modification_cost == 1.0
-    assert ind.objectives == (0.0, 0.0)
+    assert ind.plans[0].total_cost == 1.0
+    assert [m.file for m in ind.plans[1].moves] == [3, 4]
+    assert ind.total_modification_cost == 3.0
+    assert ind.objectives == (0.0, 0.0, 0.0)
+
+    # File 3 sits out stage 2 and re-enters at stage 3: each allocation
+    # covers every file placed before it, and file 3 holds its disk between.
+    for traj in (seq, greedy, ind):
+        for before, after in zip(traj.allocations, traj.allocations[1:]):
+            assert set(before.assignment) <= set(after.assignment)
+        assert traj.allocations[1].assignment[3] == traj.allocations[0].assignment[3]
 
 
 # --- recorded replay -----------------------------------------------------
