@@ -11,7 +11,8 @@ restructuring and ``exact_solve`` share one branch-and-bound, symmetry
 prune included. Greedy restructuring is local search's move/swap
 neighbourhood with best-improvement under a move allowance. Files new to a
 restructured stage are placed by ``spread_allocate``. Both descents ignore
-gains of at most ``_EPS``.
+gains of at most ``_EPS``, and the branch-and-bound counts objectives
+within ``_EPS`` of each other as equal.
 """
 
 from __future__ import annotations
@@ -507,12 +508,12 @@ def _branch_and_bound(
 
     A file counts as moved when it lands off its entry in ``homes``; at
     most ``allowance`` files may move. Minimizes (objective, moves,
-    assignment vector): disks are tried ascending, so the first optimum
-    recorded is the lexicographically least. Prunes on capacity, on the
-    allowance, on the partial objective once an incumbent exists, and on
-    symmetry: an empty disk that holds no pinned file and is home to no
-    file still unplaced is interchangeable with an earlier such disk of
-    equal residual capacity.
+    assignment vector), objectives within ``_EPS`` counting as equal: disks
+    are tried ascending, so the first optimum recorded is the
+    lexicographically least. Prunes on capacity, on the allowance, on the
+    partial objective once an incumbent exists, and on symmetry: an empty
+    disk that holds no pinned file and is home to no file still unplaced is
+    interchangeable with an earlier such disk of equal residual capacity.
     """
     sizes = instance.sizes
     capacities = instance.capacities
@@ -536,14 +537,17 @@ def _branch_and_bound(
     best: Optional[list[int]] = None
     best_psi = float("inf")
     best_moves = 0
+    # Objectives in [tie, above] tie with the incumbent's.
+    above = tie = float("inf")
     chosen: list[int] = []
 
     def descend(i: int, partial: float, moves: int) -> None:
-        nonlocal best, best_psi, best_moves
-        if partial > best_psi or (partial == best_psi and moves >= best_moves):
+        nonlocal best, best_psi, best_moves, above, tie
+        if partial > above or (partial >= tie and moves >= best_moves):
             return
         if i == n:
             best, best_psi, best_moves = chosen.copy(), partial, moves
+            above, tie = partial + _EPS, partial - _EPS
             return
         f, home = files[i], file_homes[i]
         size = sizes[f]
@@ -587,7 +591,8 @@ def exact_solve(
     Searches files ascending over disks ascending, pruning on capacity, on
     partial objective once an incumbent exists, and on symmetry between
     empty disks of equal residual capacity. Among minimum-objective
-    placements it returns the lexicographically least assignment vector.
+    placements (to within ``_EPS``) it returns the lexicographically least
+    assignment vector.
     Raises EnumerationCapError beyond ``cap`` active files.
     """
     model = CostModel(model)
@@ -644,8 +649,6 @@ def solve_stage(
     *,
     exact: Optional[bool] = None,
     cap: int = EXACT_CAP_DEFAULT,
-    previous: Optional[Allocation] = None,
-    pinned: Optional[Mapping[int, int]] = None,
 ) -> tuple[Allocation, float, bool]:
     """One-stop single-stage solve: (allocation, objective, certified).
 
@@ -653,5 +656,4 @@ def solve_stage(
     ``exact=False`` forces the spreading heuristic plus local search, and
     None tries enumeration first, falling back when the stage is too wide.
     """
-    stage = instance.stage(stage_index)
-    return _solve_stage(stage, instance, _resolve_pinned(stage, previous, pinned), cap, exact)
+    return _solve_stage(instance.stage(stage_index), instance, {}, cap, exact)

@@ -12,17 +12,12 @@ import sys
 from typing import Optional, Sequence
 
 from .allocator import EXACT_CAP_DEFAULT, evaluate_objective, check_allocation_feasible, exact_solve, solve_stage
-from .errors import (
-    DocumentError,
-    EnumerationCapError,
-    InfeasibleError,
-    ValidationError,
-)
+from .errors import DiskAllocError, InfeasibleError, ValidationError
 from .generator import generate_instance
 from .io import (
     SolutionDocument,
     SolutionStage,
-    SolutionTransition,
+    _plan_solution,
     allocation_from_solution_stage,
     dump_document,
     emit_solution_document,
@@ -156,28 +151,21 @@ def _parse_budgets(raw: Optional[str]) -> Optional[list[float]]:
         ) from None
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args):
     instance = parse_instance(args.instance)
-    exact: Optional[bool] = None
-    if args.exact:
-        exact = True
-    elif args.local_search:
-        exact = False
+    exact = True if args.exact else False if args.local_search else None
     alloc, psi, certified = solve_stage(
         instance, args.stage, exact=exact, cap=EXACT_CAP_DEFAULT
     )
-    if args.dump_relations:
-        print(relations_report(instance, args.stage))
-    print(evaluation_report(alloc, instance, args.stage))
+    text = [relations_report(instance, args.stage)] if args.dump_relations else []
+    text.append(evaluation_report(alloc, instance, args.stage))
     if not certified:
-        print("objective is heuristic, not certified optimal")
-    if args.output:
-        doc = solution_from_allocation(alloc, args.stage, objective=psi)
-        write_document(emit_solution_document(doc), args.output)
-    return 0
+        text.append("objective is heuristic, not certified optimal")
+    doc = solution_from_allocation(alloc, args.stage, objective=psi)
+    return "\n".join(text), lambda: emit_solution_document(doc)
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args):
     instance = parse_instance(args.instance)
     solution = parse_solution(args.solution)
     stage = instance.stage(args.stage)
@@ -192,108 +180,68 @@ def _cmd_evaluate(args) -> int:
     if not feasibility.feasible:
         raise InfeasibleError("; ".join(feasibility.violations))
     report = evaluate_objective(alloc, stage, instance.cost_model, sizes=instance.sizes)
-    print(evaluation_report(alloc, instance, args.stage, report))
-    if args.output:
-        doc = solution_from_allocation(alloc, args.stage, objective=report.value)
-        write_document(emit_solution_document(doc), args.output)
-    return 0
+    doc = solution_from_allocation(alloc, args.stage, objective=report.value)
+    text = evaluation_report(alloc, instance, args.stage, report)
+    return text, lambda: emit_solution_document(doc)
 
 
-def _cmd_diff(args) -> int:
+def _cmd_diff(args):
     src = _single_stage(parse_solution(args.src), "--from solution")
     dst = _single_stage(parse_solution(args.dst), "--to solution")
     plan = relocation_diff(
         allocation_from_solution_stage(src), allocation_from_solution_stage(dst)
     )
-    print(diff_report(plan))
-    if args.output:
-        doc = SolutionDocument(
-            stages=(),
-            transitions=(
-                SolutionTransition(
-                    from_stage=src.index,
-                    to_stage=dst.index,
-                    moves=plan.moves,
-                    h=plan.total_cost,
-                ),
-            ),
-            total_modification_cost=plan.total_cost,
-        )
-        write_document(emit_solution_document(doc), args.output)
-    return 0
+    # Two solutions of one stage diff fine, but only a transition between
+    # two stages makes a document, so build it only for --output.
+    return diff_report(plan), lambda: emit_solution_document(
+        _plan_solution(src.index, dst.index, plan)
+    )
 
 
-def _cmd_restructure(args) -> int:
+def _cmd_restructure(args):
     instance = parse_instance(args.instance)
     previous_stage = _single_stage(parse_solution(args.previous), "--previous solution")
-    previous = allocation_from_solution_stage(previous_stage)
     problem = RestructuringProblem(
         instance=instance,
         stage=instance.stage(args.stage),
-        previous=previous,
+        previous=allocation_from_solution_stage(previous_stage),
         budget=args.budget,
     )
     result = restructure_one_stage(problem, RestructureMode(args.mode))
-    doc = SolutionDocument(
-        stages=(
-            SolutionStage(
-                index=args.stage,
-                assignment=result.allocation.assignment,
-                objective=result.objective,
-                rho=result.proximity,
-            ),
-        ),
-        transitions=(
-            SolutionTransition(
-                from_stage=previous_stage.index,
-                to_stage=args.stage,
-                moves=result.plan.moves,
-                h=result.plan.total_cost,
-            ),
-        ),
-        total_modification_cost=result.plan.total_cost,
-    )
-    print(solution_report(doc, instance))
+    stages = solution_from_allocation(
+        result.allocation, args.stage, objective=result.objective, rho=result.proximity
+    ).stages
+    doc = _plan_solution(previous_stage.index, args.stage, result.plan, stages)
+    text = solution_report(doc, instance)
     if not result.certified:
-        print("reference optimum is heuristic, not certified")
-    if args.output:
-        write_document(emit_solution_document(doc), args.output)
-    return 0
+        text += "\nreference optimum is heuristic, not certified"
+    return text, lambda: emit_solution_document(doc)
 
 
-def _cmd_trajectory(args) -> int:
+def _cmd_trajectory(args):
     instance = parse_instance(args.instance)
     strategy = _STRATEGIES[args.strategy]
     budgets = _parse_budgets(args.budgets)
+    text = ""
     if strategy is TrajectoryStrategy.PAPER_REPLAY:
-        stage_optimal, restructured = paper_replay_trajectories(instance)
-        print(trajectory_report(stage_optimal, instance))
-        print()
-        print(trajectory_report(restructured, instance))
-        traj = restructured
+        stage_optimal, traj = paper_replay_trajectories(instance)
+        text = trajectory_report(stage_optimal, instance) + "\n\n"
     else:
         traj = plan_trajectory(
             instance, strategy, budgets, mode=RestructureMode(args.mode)
         )
-        print(trajectory_report(traj, instance))
-    if args.output:
-        doc = solution_from_trajectory(traj)
-        write_document(emit_solution_document(doc), args.output)
-    return 0
+    text += trajectory_report(traj, instance)
+    return text, lambda: emit_solution_document(solution_from_trajectory(traj))
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
     instance = parse_instance(args.instance)
-    stage = instance.stage(args.stage)
-    alloc, psi = exact_solve(stage, instance)
+    alloc, psi = exact_solve(instance.stage(args.stage), instance)
     doc = solution_from_allocation(alloc, args.stage, objective=psi, rho=0.0)
-    print(solution_report(doc, instance))
-    if args.output:
-        write_document(emit_solution_document(doc), args.output)
-    return 0
+    return solution_report(doc, instance), lambda: emit_solution_document(doc)
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args):
     doc = generate_instance(
         n_files=args.n_files,
         gamma=args.gamma,
@@ -303,13 +251,12 @@ def _cmd_generate(args) -> int:
         capacity_slack=args.capacity_slack,
         seed=args.seed,
     )
-    if args.output:
-        write_document(doc, args.output)
-    else:
-        print(dump_document(doc))
-    return 0
+    return None if args.output else dump_document(doc), lambda: doc
 
 
+# Each handler maps parsed arguments to (stdout text or None, a function
+# returning the --output document); run_command prints, writes, and picks
+# the exit code.
 _COMMANDS = {
     "solve": _cmd_solve,
     "evaluate": _cmd_evaluate,
@@ -329,11 +276,16 @@ def run_command(argv: Sequence[str]) -> int:
     except SystemExit as exc:  # argparse handles usage and --help itself
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        text, document = _COMMANDS[args.command](args)
+        if text is not None:
+            print(text)
+        if args.output:
+            write_document(document(), args.output)
+        return 0
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DocumentError, ValidationError, EnumerationCapError) as exc:
+    except DiskAllocError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

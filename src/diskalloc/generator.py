@@ -34,6 +34,8 @@ def generate_instance(
     lo, hi = (int(size_range[0]), int(size_range[1]))
     if not 1 <= lo <= hi:
         raise ValidationError("size range must satisfy 1 <= low <= high")
+    if not math.isfinite(capacity_slack):
+        raise ValidationError("capacity slack must be finite")
     if capacity_slack < 1.0:
         raise ValidationError("capacity slack below 1.0 cannot fit the files")
 

@@ -9,6 +9,7 @@ the same holds for solution documents.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -50,7 +51,13 @@ def _as_int(value, path: str) -> int:
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DocumentError(f"expected number, got {type(value).__name__}", path)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise DocumentError(f"expected a finite number, got {number}", path)
+    return number
 
 
 def _check_keys(obj: Mapping, allowed: set[str], required: set[str], path: str):
@@ -473,15 +480,21 @@ def solution_from_trajectory(traj: Trajectory) -> SolutionDocument:
         )
     )
     transitions = tuple(
-        SolutionTransition(
-            from_stage=traj.stage_indices[i],
-            to_stage=traj.stage_indices[i + 1],
-            moves=plan.moves,
-            h=plan.total_cost,
-        )
+        _transition(traj.stage_indices[i], traj.stage_indices[i + 1], plan)
         for i, plan in enumerate(traj.plans)
     )
     return SolutionDocument(stages, transitions, traj.total_modification_cost)
+
+
+def _transition(from_stage: int, to_stage: int, plan: RelocationPlan) -> SolutionTransition:
+    return SolutionTransition(from_stage, to_stage, plan.moves, plan.total_cost)
+
+
+def _plan_solution(
+    from_stage: int, to_stage: int, plan: RelocationPlan, stages: Sequence[SolutionStage] = ()
+) -> SolutionDocument:
+    """``stages`` reached by one relocation plan between two stages."""
+    return SolutionDocument(stages, (_transition(from_stage, to_stage, plan),), plan.total_cost)
 
 
 def allocation_from_solution_stage(stage: SolutionStage) -> Allocation:
@@ -490,7 +503,10 @@ def allocation_from_solution_stage(stage: SolutionStage) -> Allocation:
 
 def write_document(doc: dict, path) -> None:
     """Write a document dict as stable, human-diffable JSON."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n", encoding="utf-8")
+    try:
+        Path(path).write_text(dump_document(doc) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise DocumentError(f"cannot write output file: {exc}") from exc
 
 
 def dump_document(doc: dict) -> str:

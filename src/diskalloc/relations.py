@@ -173,6 +173,31 @@ class Condensation:
         return self.groups.get(rep, (rep,))
 
 
+def _merge_files(stage: Stage, rep: int, gone: int) -> Stage:
+    """``stage`` with file ``gone`` relabelled ``rep``. Pairs that collapse
+    onto one file drop out; probabilities of pairs that coincide add up."""
+
+    def relabel(weights: Mapping[Pair, float]) -> dict[Pair, float]:
+        out: dict[Pair, float] = {}
+        for (a, b), w in weights.items():
+            a, b = (rep if a == gone else a), (rep if b == gone else b)
+            if a != b:
+                out[(a, b)] = out.get((a, b), 0.0) + w
+        return out
+
+    def edges(pairs):
+        return None if pairs is None else relabel(dict.fromkeys(pairs, 0.0))
+
+    return Stage(
+        index=stage.index,
+        active_files=tuple(f for f in stage.active_files if f != gone),
+        precedence=edges(stage.precedence),
+        concurrency=edges(stage.concurrency),
+        phi=None if stage.phi is None else relabel(stage.phi),
+        e3_override=edges(stage.e3_override),
+    )
+
+
 def condense_files(stage: Stage, sizes: Mapping[int, int], threshold: int) -> Condensation:
     """Repeatedly merge the cheapest related file pair that fits the threshold.
 
@@ -188,70 +213,21 @@ def condense_files(stage: Stage, sizes: Mapping[int, int], threshold: int) -> Co
 
     cur_sizes = {int(f): int(sizes[f]) for f in stage.active_files}
     groups: dict[int, list[int]] = {f: [f] for f in cur_sizes}
-    precedence = set(stage.precedence)
-    concurrency = set(stage.concurrency)
-    override = set(stage.e3_override) if stage.e3_override is not None else None
-    phi = dict(stage.phi) if stage.phi is not None else None
-
-    def integrated_edges() -> set[Pair]:
-        if override is not None:
-            return set(override)
-        edges = {canonical_edge(a, b) for a, b in precedence}
-        edges.update(concurrency)
-        return edges
-
-    def relabel(x: int, rep: int, gone: int) -> int:
-        return rep if x == gone else x
-
     while True:
         candidates = [
             (cur_sizes[a] + cur_sizes[b], a, b)
-            for a, b in integrated_edges()
+            for a, b in integrate_relations(stage).edges
             if cur_sizes[a] + cur_sizes[b] <= threshold
         ]
         if not candidates:
             break
-        _, a, b = min(candidates)
-        rep, gone = (a, b) if a < b else (b, a)
-
+        _, rep, gone = min(candidates)  # integrated edges run (low, high)
         groups[rep] = sorted(groups[rep] + groups.pop(gone))
-        cur_sizes[rep] = cur_sizes[rep] + cur_sizes.pop(gone)
+        cur_sizes[rep] += cur_sizes.pop(gone)
+        stage = _merge_files(stage, rep, gone)
 
-        precedence = {
-            (relabel(x, rep, gone), relabel(y, rep, gone))
-            for x, y in precedence
-            if relabel(x, rep, gone) != relabel(y, rep, gone)
-        }
-        concurrency = {
-            canonical_edge(relabel(x, rep, gone), relabel(y, rep, gone))
-            for x, y in concurrency
-            if relabel(x, rep, gone) != relabel(y, rep, gone)
-        }
-        if override is not None:
-            override = {
-                canonical_edge(relabel(x, rep, gone), relabel(y, rep, gone))
-                for x, y in override
-                if relabel(x, rep, gone) != relabel(y, rep, gone)
-            }
-        if phi is not None:
-            merged: dict[Pair, float] = {}
-            for (x, y), w in phi.items():
-                x2, y2 = relabel(x, rep, gone), relabel(y, rep, gone)
-                if x2 == y2:
-                    continue
-                merged[(x2, y2)] = merged.get((x2, y2), 0.0) + w
-            phi = merged
-
-    new_stage = Stage(
-        index=stage.index,
-        active_files=tuple(sorted(cur_sizes)),
-        precedence=frozenset(precedence),
-        concurrency=frozenset(concurrency),
-        phi=phi,
-        e3_override=frozenset(override) if override is not None else None,
-    )
     return Condensation(
-        stage=new_stage,
+        stage=stage,
         groups={f: tuple(g) for f, g in sorted(groups.items()) if len(g) > 1},
         sizes=dict(sorted(cur_sizes.items())),
     )

@@ -60,6 +60,11 @@ def _move_lines(moves, indent: str = "  ") -> list[str]:
     ]
 
 
+def _transition_lines(from_stage: int, to_stage: int, cost: float, moves) -> list[str]:
+    head = f"transition {from_stage} -> {to_stage} (modification cost {_fmt(cost)}):"
+    return [head, *(_move_lines(moves) or ["  no moves"])]
+
+
 def solution_report(doc: SolutionDocument, instance: Optional[Instance] = None) -> str:
     lines: list[str] = []
     for s in doc.stages:
@@ -74,11 +79,7 @@ def solution_report(doc: SolutionDocument, instance: Optional[Instance] = None) 
         lines.append(header)
         lines.extend(allocation_lines(s.assignment, instance))
     for t in doc.transitions:
-        lines.append(
-            f"transition {t.from_stage} -> {t.to_stage} "
-            f"(modification cost {_fmt(t.h)}):"
-        )
-        lines.extend(_move_lines(t.moves) or ["  no moves"])
+        lines.extend(_transition_lines(t.from_stage, t.to_stage, t.h, t.moves))
     if doc.total_modification_cost is not None:
         lines.append(f"total modification cost {_fmt(doc.total_modification_cost)}")
     return "\n".join(lines)
@@ -95,12 +96,8 @@ def trajectory_report(traj: Trajectory, instance: Optional[Instance] = None) -> 
         )
         lines.extend(allocation_lines(traj.allocations[pos].assignment, instance))
         if pos < len(traj.plans):
-            plan = traj.plans[pos]
-            lines.append(
-                f"transition {j} -> {traj.stage_indices[pos + 1]} "
-                f"(modification cost {_fmt(plan.total_cost)}):"
-            )
-            lines.extend(_move_lines(plan.moves) or ["  no moves"])
+            plan, nxt = traj.plans[pos], traj.stage_indices[pos + 1]
+            lines.extend(_transition_lines(j, nxt, plan.total_cost, plan.moves))
     lines.append(f"total modification cost {_fmt(traj.total_modification_cost)}")
     return "\n".join(lines)
 

@@ -97,8 +97,8 @@ class RestructuringProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "budget", float(self.budget))
-        if self.budget < 0:
-            raise ValidationError("restructuring budget must be non-negative")
+        if not 0 <= self.budget < math.inf:
+            raise ValidationError("restructuring budget must be non-negative and finite")
         if self.reference is not None:
             object.__setattr__(self, "reference", float(self.reference))
 

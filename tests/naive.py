@@ -6,7 +6,9 @@ pruned search, all-pairs loops instead of adjacency maps) so agreement is
 meaningful. Slow on purpose; only for small cases.
 """
 
+from fractions import Fraction
 from itertools import product
+from math import lcm
 
 
 def naive_integrated(stage):
@@ -89,6 +91,34 @@ def naive_exact(stage, instance, pinned=None):
     if best is None:
         return None
     return best[1], best[0][0]
+
+
+def naive_exact_decimal(stage, instance):
+    """``naive_exact`` for explicit ``phi``, in exact decimal arithmetic.
+
+    Each weight counts as the decimal it prints as, ``Fraction(repr(w))``,
+    so placements whose weights add up to the same decimal tie exactly and
+    the lexicographically least of them wins; float sums of the same
+    weights taken in different orders can differ in the last bits. Returns
+    (assignment, psi as a Fraction), or None when nothing fits.
+    """
+    weights = {pair: Fraction(repr(w)) for pair, w in stage.phi.items()}
+    # Scaled to a common denominator, every objective is an exact integer.
+    scale = lcm(*(w.denominator for w in weights.values()))
+    scaled = [(a, b, int(w * scale)) for (a, b), w in weights.items()]
+    files = sorted(stage.active_files)
+    disks = sorted(d.id for d in instance.disks)
+    best = None
+    for combo in product(disks, repeat=len(files)):
+        assignment = dict(zip(files, combo))
+        if not _fits(assignment, instance.sizes, instance.capacities):
+            continue
+        psi = sum(w for a, b, w in scaled if assignment[a] == assignment[b])
+        if best is None or (psi, combo) < best[0]:
+            best = ((psi, combo), assignment)
+    if best is None:
+        return None
+    return best[1], Fraction(best[0][0], scale)
 
 
 def naive_restructure(stage, instance, previous, budget, pinned=None):

@@ -1,6 +1,8 @@
 """Objective evaluation, spreading, local search, and exact enumeration."""
 
+import dataclasses
 import logging
+import random
 
 import pytest
 
@@ -28,7 +30,7 @@ from diskalloc import (
 from diskalloc.generator import generate_instance
 
 import reference_data as ref
-from naive import naive_exact, naive_psi
+from naive import naive_exact, naive_exact_decimal, naive_psi
 
 
 def communities_for(instance, index):
@@ -376,6 +378,37 @@ def test_exact_minimizes_weighted_objective():
     naive_assignment, naive_value = naive_exact(stage, inst)
     assert psi == pytest.approx(naive_value)
     assert dict(alloc.assignment) == naive_assignment
+
+
+def test_exact_tie_break_holds_under_fractional_phi():
+    """Float sums of the same weights in different orders differ in the
+    last bits; the search must still return the lexicographically least
+    of the placements whose objectives are equal in decimal."""
+    mismatches = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        n_files, gamma = rng.choice((5, 6, 7)), rng.choice((2, 3))
+        doc = generate_instance(n_files, gamma, 1, 0.4, (1, 2), 1.5, seed)
+        inst = parse_instance_document(doc)
+        files = inst.stage(1).active_files
+        phi = {
+            (a, b): rng.choice((0, 0.1, 0.2, 0.3, 0.7))
+            for a in files
+            for b in files
+            if a != b
+        }
+        stage = dataclasses.replace(inst.stage(1), phi=phi)
+        inst = dataclasses.replace(inst, stages=(stage,))
+        brute = naive_exact_decimal(stage, inst)
+        if brute is None:
+            with pytest.raises(InfeasibleError):
+                exact_solve(stage, inst)
+            continue
+        alloc, psi = exact_solve(stage, inst)
+        assert psi == pytest.approx(float(brute[1]), abs=1e-9)
+        if dict(alloc.assignment) != brute[0]:
+            mismatches.append(seed)
+    assert mismatches == []
 
 
 def test_exact_respects_pins():

@@ -244,6 +244,18 @@ def test_restructure_zero_budget_reports_no_moves(capsys, tmp_path):
     assert "  no moves" in out
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf"])
+def test_restructure_rejects_a_non_finite_budget(capsys, tmp_path, budget):
+    previous = write_stage_doc(tmp_path / "x1.json", ref.X1, 1)
+    code, out, err = run(
+        capsys,
+        "restructure", "--instance", INSTANCE, "--stage", "2",
+        "--previous", previous, "--budget", budget,
+    )
+    assert code == 2 and out == ""
+    assert err == "error: restructuring budget must be non-negative and finite\n"
+
+
 # --- trajectory ----------------------------------------------------------
 
 
@@ -358,6 +370,28 @@ def test_missing_instance_file_exits_2(capsys):
     code, _, err = run(capsys, "solve", "--instance", "/nonexistent.json", "--stage", "1")
     assert code == 2
     assert "cannot read instance file" in err
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(
+        capsys, "oracle", "--instance", INSTANCE, "--stage", "1", "--output", str(target)
+    )
+    assert code == 2
+    assert out.startswith("stage 1: objective 0.0")  # the report still prints
+    assert err.startswith("error: cannot write output file: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_output_onto_a_directory_exits_2(capsys, tmp_path):
+    code, out, err = run(
+        capsys,
+        "generate", "--n-files", "6", "--gamma", "2", "--n-stages", "2",
+        "--edge-density", "0.3", "--size-range", "1", "2",
+        "--capacity-slack", "1.4", "--seed", "11", "--output", str(tmp_path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write output file: ")
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -167,6 +167,31 @@ def test_phi_matrix_rejects_non_numbers():
     assert "stages[0].phi[0][1]: expected number" in parse_error(doc)
 
 
+def _set_unit_cost(doc, value):
+    doc["relocation_unit_cost"] = value
+
+
+def _set_phi_cell(doc, value):
+    matrix = [[0.0] * 8 for _ in range(8)]
+    matrix[0][1] = value
+    doc["stages"][0]["phi"] = matrix
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400], ids=["NaN", "Infinity", "huge"])
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (_set_unit_cost, "relocation_unit_cost"),
+        (_set_phi_cell, "stages[0].phi[0][1]"),
+    ],
+    ids=["relocation_unit_cost", "phi"],
+)
+def test_instance_numbers_must_be_finite(edit, path, value):
+    doc = bundled_doc()
+    edit(doc, value)
+    assert f"{path}: expected a finite number" in parse_error(doc)
+
+
 def test_e3_override_round_trips():
     doc = bundled_doc()
     inst = parse_instance_document(doc)
@@ -231,6 +256,14 @@ def test_solution_document_parses():
 def test_solution_document_round_trips():
     sol = parse_solution_document(solution_doc())
     assert parse_solution_document(emit_solution_document(sol)) == sol
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+def test_solution_objective_must_be_finite(value):
+    doc = solution_doc()
+    doc["stages"][1]["objective"] = value
+    with pytest.raises(DocumentError, match=r"stages\[1\]\.objective: expected a finite number"):
+        parse_solution_document(doc)
 
 
 def test_solution_rejects_non_numeric_keys():
@@ -379,6 +412,8 @@ def test_generator_density_extremes():
         (dict(size_range=(3, 2)), "1 <= low <= high"),
         (dict(capacity_slack=0.9), "slack below 1.0"),
         (dict(n_files=1, gamma=2, size_range=(1, 1), capacity_slack=1.0), "positive share"),
+        (dict(capacity_slack=float("nan")), "slack must be finite"),
+        (dict(capacity_slack=float("inf")), "slack must be finite"),
     ],
 )
 def test_generator_rejects_bad_parameters(overrides, message):
