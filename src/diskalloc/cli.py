@@ -188,11 +188,16 @@ def _cmd_evaluate(args):
 def _cmd_diff(args):
     src = _single_stage(parse_solution(args.src), "--from solution")
     dst = _single_stage(parse_solution(args.dst), "--to solution")
+    if args.output and src.index == dst.index:
+        raise ValidationError(
+            f"--output needs solutions of two different stages: a plan "
+            f"within stage {src.index} has no document form"
+        )
     plan = relocation_diff(
         allocation_from_solution_stage(src), allocation_from_solution_stage(dst)
     )
-    # Two solutions of one stage diff fine, but only a transition between
-    # two stages makes a document, so build it only for --output.
+    # Without --output, two solutions of one stage still diff, so the
+    # document is built only when --output asks for it.
     return diff_report(plan), lambda: emit_solution_document(
         _plan_solution(src.index, dst.index, plan)
     )

@@ -25,3 +25,8 @@ class InfeasibleError(DiskAllocError):
 
 class EnumerationCapError(DiskAllocError):
     """An exact enumeration was asked to search a space above its cap."""
+
+
+class InternalError(DiskAllocError):
+    """A solver broke one of its own invariants; the result cannot be
+    trusted. Reported like any other error, never as a traceback."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Mapping, Optional, Sequence
 
-from .errors import EnumerationCapError, InfeasibleError, ValidationError
+from .errors import EnumerationCapError, InfeasibleError, InternalError, ValidationError
 from .model import (
     Allocation,
     Instance,
@@ -212,7 +212,7 @@ def restructure_one_stage(
         # The search and the reference sum the same pairs in different
         # orders, so a certified optimum may sit above psi by rounding.
         if certified and psi < psi_star - _EPS:
-            raise AssertionError(
+            raise InternalError(
                 "restructuring beat a certified optimum; enumeration is broken"
             )
         psi_star = psi
@@ -220,7 +220,7 @@ def restructure_one_stage(
 
     plan = _relocation_plan(base, final, based, unit)
     if unit > 0 and plan.total_cost > problem.budget + _EPS:
-        raise AssertionError("restructuring plan exceeds its budget")
+        raise InternalError("restructuring plan exceeds its budget")
     return RestructureResult(
         allocation=Allocation(final),
         proximity=rho,

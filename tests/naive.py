@@ -2,8 +2,9 @@
 
 Deliberately written with different algorithms and data layouts than the
 package (union-find instead of DFS, full cartesian products instead of
-pruned search, all-pairs loops instead of adjacency maps) so agreement is
-meaningful. Slow on purpose; only for small cases.
+pruned search, all-pairs loops instead of adjacency maps, descents that
+recount every delta from the assignment instead of keeping connection
+tables) so agreement is meaningful. Slow on purpose; only for small cases.
 """
 
 from fractions import Fraction
@@ -158,3 +159,106 @@ def naive_restructure(stage, instance, previous, budget, pinned=None):
     if best is None:
         return None
     return best[1], best[0][0], best[0][1]
+
+
+def _incident_edges(stage):
+    """Related pairs of a uniform stage, listed under each of their files."""
+    incident = {}
+    for a, b in naive_integrated(stage):
+        incident.setdefault(a, []).append((a, b))
+        incident.setdefault(b, []).append((a, b))
+    return incident
+
+
+def _step_delta(assignment, step, incident):
+    """Objective change of a step: every related pair with a moved file,
+    counted before and after from the assignments themselves."""
+    new = dict(step)
+    pairs = {p for f in new for p in incident.get(f, ())}
+    return float(
+        sum(
+            (new.get(a, assignment[a]) == new.get(b, assignment[b]))
+            - (assignment[a] == assignment[b])
+            for a, b in pairs
+        )
+    )
+
+
+def _feasible_steps(assignment, files, instance, homes, allowance):
+    """(step, files moved after it) in the solvers' scan order: moves by
+    file then disk, then swaps by pair. Loads come from the whole
+    assignment; a file counts as moved while it is off its home."""
+    sizes, capacities = instance.sizes, instance.capacities
+    disks = sorted(capacities)
+    loads = dict.fromkeys(disks, 0)
+    for f, d in assignment.items():
+        loads[d] += sizes[f]
+    moved = sum(1 for f, h in homes.items() if assignment[f] != h)
+
+    def off(f, d):
+        return f in homes and d != homes[f]
+
+    for f in files:
+        src = assignment[f]
+        for dst in disks:
+            if dst == src or loads[dst] + sizes[f] > capacities[dst]:
+                continue
+            after = moved + off(f, dst) - off(f, src)
+            if after <= allowance:
+                yield ((f, dst),), after
+    for i, a in enumerate(files):
+        for b in files[i + 1 :]:
+            da, db = assignment[a], assignment[b]
+            if da == db:
+                continue
+            if loads[da] - sizes[a] + sizes[b] > capacities[da]:
+                continue
+            if loads[db] - sizes[b] + sizes[a] > capacities[db]:
+                continue
+            after = moved + off(a, db) - off(a, da) + off(b, da) - off(b, db)
+            if after <= allowance:
+                yield ((a, db), (b, da)), after
+
+
+def naive_local_search(assignment, stage, instance, files, factor):
+    """First-improvement descent on a uniform stage, restarting from the
+    first file after every step. Only ``files`` move. Every feasible step
+    looked at counts as one evaluation; once the count reaches
+    ``factor * len(files) ** 2`` the step in hand is taken if it gains and
+    the descent ends otherwise. Returns (assignment, psi)."""
+    assignment = dict(assignment)
+    files = sorted(files)
+    incident = _incident_edges(stage)
+    cap = factor * len(files) ** 2
+    evals = 0
+    while True:
+        taken = None
+        for step, _ in _feasible_steps(assignment, files, instance, {}, len(files)):
+            evals += 1
+            delta = _step_delta(assignment, step, incident)
+            if delta < -1e-9 or evals >= cap:
+                taken = step, delta
+                break
+        if taken is None or taken[1] >= -1e-9:
+            return assignment, naive_psi(assignment, stage)
+        assignment.update(taken[0])
+
+
+def naive_greedy_descent(previous, stage, instance, allowance):
+    """Best-improvement descent on a uniform stage from ``previous``, which
+    must place every active file. Active files move; each counts against
+    ``allowance`` while it is off its previous disk. The first step in scan
+    order with the largest gain wins. Returns (assignment, psi)."""
+    assignment = dict(previous)
+    files = sorted(stage.active_files)
+    homes = {f: assignment[f] for f in files}
+    incident = _incident_edges(stage)
+    while True:
+        best = None
+        for step, _ in _feasible_steps(assignment, files, instance, homes, allowance):
+            delta = _step_delta(assignment, step, incident)
+            if delta < -1e-9 and (best is None or delta < best[1]):
+                best = step, delta
+        if best is None:
+            return assignment, naive_psi(assignment, stage)
+        assignment.update(best[0])

@@ -197,6 +197,23 @@ def test_diff_rejects_multi_stage_documents(capsys, tmp_path):
     assert "exactly one stage entry" in err
 
 
+def test_diff_output_of_one_stage_fails_before_printing(capsys, tmp_path):
+    src = write_stage_doc(tmp_path / "a.json", ref.X1, 1)
+    dst = write_stage_doc(tmp_path / "b.json", ref.X2_AFTER_RECORDED_MOVES, 1)
+    out_path = tmp_path / "plan.json"
+    code, out, err = run(
+        capsys, "diff", "--from", src, "--to", dst, "--output", str(out_path)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "no document form" in err
+    assert not out_path.exists()
+    # Without --output the same plan prints as before.
+    code, out, _ = run(capsys, "diff", "--from", src, "--to", dst)
+    assert code == 0
+    assert out.splitlines()[0] == "3 moves, modification cost 3.0"
+
+
 # --- restructure ---------------------------------------------------------
 
 
@@ -254,6 +271,28 @@ def test_restructure_rejects_a_non_finite_budget(capsys, tmp_path, budget):
     )
     assert code == 2 and out == ""
     assert err == "error: restructuring budget must be non-negative and finite\n"
+
+
+def test_broken_invariant_exits_2_without_a_traceback(capsys, tmp_path, monkeypatch):
+    from diskalloc import restructure
+
+    solve = restructure._solve_stage
+
+    def inflated(*args, **kwargs):
+        alloc, psi, certified = solve(*args, **kwargs)
+        assert certified
+        return alloc, psi + 1.0, certified
+
+    # A certified reference above the true optimum: the search beats it.
+    monkeypatch.setattr(restructure, "_solve_stage", inflated)
+    previous = write_stage_doc(tmp_path / "x1.json", ref.X1, 1)
+    code, out, err = run(
+        capsys,
+        "restructure", "--instance", INSTANCE, "--stage", "2",
+        "--previous", previous, "--budget", "2",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: restructuring beat a certified optimum; enumeration is broken\n"
 
 
 # --- trajectory ----------------------------------------------------------

@@ -1,0 +1,153 @@
+"""The move/swap descents against independent oracles.
+
+Local search and greedy restructuring share ``allocator._Placement``,
+which keeps a connection table instead of rescanning disks. These tests
+hold it to the scan order, evaluation count and cap of ``tests/naive.py``,
+which recounts every delta from the assignment, and bound the rounding
+drift of its incremental sums under fractional ``phi``.
+"""
+
+import logging
+import random
+
+import pytest
+
+from diskalloc import allocator
+from diskalloc.allocator import _EPS, _Placement, evaluate_objective, local_search
+from diskalloc.generator import generate_instance
+from diskalloc.io import parse_instance_document
+from diskalloc.model import Allocation
+from diskalloc.restructure import RestructureMode, RestructuringProblem, restructure_one_stage
+
+from naive import naive_greedy_descent, naive_local_search
+
+
+def _uniform_case(seed):
+    """A one-stage uniform instance of 20-60 files on 3-6 tightly sized
+    disks, some files inactive, and a random placement of every file."""
+    rng = random.Random(seed)
+    n = rng.randint(20, 60)
+    doc = generate_instance(
+        n, rng.randint(3, 6), 1, rng.uniform(0.03, 0.15), (1, 3), rng.uniform(1.03, 1.3), seed
+    )
+    raw = doc["stages"][0]
+    inactive = set(rng.sample(range(1, n + 1), rng.randint(0, n // 5)))
+    raw["active_files"] = [f for f in raw["active_files"] if f not in inactive]
+    for key in ("precedence", "concurrency"):
+        raw[key] = [e for e in raw[key] if not inactive & set(e)]
+    inst = parse_instance_document(doc)
+    return inst, _random_placement(inst, rng), rng
+
+
+def _dense_phi_case(seed):
+    """A one-stage instance of 15-30 files whose every pair carries a
+    3-decimal fractional weight, and a random placement of every file."""
+    rng = random.Random(seed)
+    n = rng.randint(15, 30)
+    doc = generate_instance(n, rng.randint(3, 5), 1, 0.0, (1, 3), rng.uniform(1.1, 1.5), seed)
+    doc["stages"][0]["phi"] = [
+        [0.0 if i == j else round(rng.uniform(0.0, 0.3), 3) for j in range(n)]
+        for i in range(n)
+    ]
+    inst = parse_instance_document(doc)
+    return inst, _random_placement(inst, rng), rng
+
+
+def _random_placement(inst, rng):
+    """Every file on a random disk it fits, largest files first."""
+    sizes, capacities = inst.sizes, inst.capacities
+    for _ in range(100):
+        loads = dict.fromkeys(capacities, 0)
+        assignment = {}
+        for f in sorted(sizes, key=lambda f: (-sizes[f], rng.random())):
+            fits = [d for d in sorted(capacities) if loads[d] + sizes[f] <= capacities[d]]
+            if not fits:
+                break
+            assignment[f] = rng.choice(fits)
+            loads[assignment[f]] += sizes[f]
+        else:
+            return assignment
+    raise AssertionError("no random placement fits")
+
+
+_FACTOR = allocator._LOCAL_SEARCH_EVAL_FACTOR
+
+
+# Lowered factors make the cap fire at varied points of a scan.
+@pytest.mark.parametrize("factor", [_FACTOR, 1, 0.3, 0.1])
+def test_local_search_follows_the_naive_scan(monkeypatch, caplog, factor):
+    monkeypatch.setattr(allocator, "_LOCAL_SEARCH_EVAL_FACTOR", factor)
+    caplog.set_level(logging.WARNING, logger=allocator.__name__)
+    for seed in range(40):
+        inst, assignment, rng = _uniform_case(seed)
+        stage = inst.stage(1)
+        pinned = None
+        files = stage.active_files
+        if seed % 2:
+            pinned = {f: assignment[f] for f in rng.sample(files, len(files) // 6)}
+            files = [f for f in files if f not in pinned]
+        alloc, psi = local_search(Allocation(assignment), stage, inst, pinned=pinned)
+        want, want_psi = naive_local_search(assignment, stage, inst, files, factor)
+        assert (dict(alloc.assignment), psi) == (want, want_psi), seed
+    cap_hits = sum("evaluation cap" in r.getMessage() for r in caplog.records)
+    assert (cap_hits > 0) == (factor < _FACTOR)
+
+
+def test_greedy_restructure_follows_the_naive_scan():
+    for seed in range(40):
+        inst, assignment, rng = _uniform_case(seed)
+        stage = inst.stage(1)
+        n = len(stage.active_files)
+        allowance = rng.choice([1, 2, rng.randint(1, n), n])
+        problem = RestructuringProblem(
+            instance=inst,
+            stage=stage,
+            previous=Allocation(assignment),
+            budget=float(allowance),
+            reference=0.0,
+        )
+        result = restructure_one_stage(problem, RestructureMode.GREEDY)
+        want, want_psi = naive_greedy_descent(assignment, stage, inst, allowance)
+        assert (dict(result.allocation.assignment), result.objective) == (want, want_psi), seed
+
+
+@pytest.fixture
+def checked_tables(monkeypatch):
+    """Check every connection-table entry against a from-scratch sum after
+    each applied step; returns the list of steps applied."""
+    apply = _Placement.apply
+    steps = []
+
+    def checked(self, step, moved):
+        apply(self, step, moved)
+        for f, row in self.conn.items():
+            for d, value in row.items():
+                scratch = self.weights.attach_cost(f, self.on_disk[d])
+                assert abs(value - scratch) <= _EPS, (f, d, value, scratch)
+        steps.append(step)
+
+    monkeypatch.setattr(_Placement, "apply", checked)
+    return steps
+
+
+@pytest.mark.parametrize("descent", ["greedy", "local_search"])
+def test_connection_tables_stay_exact_on_fractional_phi(checked_tables, descent):
+    for seed in range(20):
+        inst, assignment, rng = _dense_phi_case(seed)
+        stage = inst.stage(1)
+        if descent == "local_search":
+            alloc, psi = local_search(Allocation(assignment), stage, inst)
+        else:
+            n = len(stage.active_files)
+            problem = RestructuringProblem(
+                instance=inst,
+                stage=stage,
+                previous=Allocation(assignment),
+                budget=float(rng.randint(1, n)),
+                reference=0.0,
+            )
+            result = restructure_one_stage(problem, RestructureMode.GREEDY)
+            alloc, psi = result.allocation, result.objective
+        value = evaluate_objective(alloc, stage).value
+        assert abs(psi - value) <= _EPS * max(1.0, abs(psi)), seed
+    assert checked_tables
