@@ -523,9 +523,20 @@ def _branch_and_bound(
     assignment vector), objectives within ``_EPS`` counting as equal: disks
     are tried ascending, so the first optimum recorded is the
     lexicographically least. Prunes on capacity, on the allowance, on the
-    partial objective once an incumbent exists, and on symmetry: an empty
-    disk that holds no pinned file and is home to no file still unplaced is
-    interchangeable with an earlier such disk of equal residual capacity.
+    partial objective once an incumbent exists, on symmetry (an empty disk
+    that holds no pinned file and is home to no file still unplaced is
+    interchangeable with an earlier such disk of equal residual capacity),
+    and on an admissible lower bound.
+
+    The bound keeps ``conn[i][d]``, the summed weight from ``files[i]`` to
+    the active files now on disk ``d`` (the connection table of
+    ``_Placement``), so placing a file costs one lookup. Each unplaced file
+    adds at least its cheapest entry, ``low[i]``, because weights are
+    non-negative and later placements only raise ``conn``; capacity and
+    the allowance are ignored, which only loosens the bound. A subtree is
+    cut when partial objective plus the summed ``low`` of its unplaced
+    files, less ``_EPS`` for rounding, fails the incumbent test: none of its
+    leaves could be accepted, so cutting it changes no result.
     """
     sizes = instance.sizes
     capacities = instance.capacities
@@ -546,6 +557,19 @@ def _branch_and_bound(
         if f in stage.active_set:
             on_disk[d].append(f)
 
+    conn = [{d: weights.attach_cost(f, on_disk[d]) for d in disks} for f in files]
+    low = [min(row.values(), default=0.0) for row in conn]
+    # later[i]: (j, weight) for each neighbour files[j] placed after files[i].
+    position = {f: i for i, f in enumerate(files)}
+    later = [
+        [
+            (position[g], w)
+            for g, w in weights._adjacent.get(f, {}).items()
+            if position.get(g, -1) > i
+        ]
+        for i, f in enumerate(files)
+    ]
+
     best: Optional[list[int]] = None
     best_psi = float("inf")
     best_moves = 0
@@ -553,16 +577,19 @@ def _branch_and_bound(
     above = tie = float("inf")
     chosen: list[int] = []
 
-    def descend(i: int, partial: float, moves: int) -> None:
+    def descend(i: int, partial: float, bound: float, moves: int) -> None:
         nonlocal best, best_psi, best_moves, above, tie
         if partial > above or (partial >= tie and moves >= best_moves):
+            return
+        floor = partial + bound - _EPS
+        if floor > above or (floor >= tie and moves >= best_moves):
             return
         if i == n:
             best, best_psi, best_moves = chosen.copy(), partial, moves
             above, tie = partial + _EPS, partial - _EPS
             return
-        f, home = files[i], file_homes[i]
-        size = sizes[f]
+        home, size, cost = file_homes[i], sizes[files[i]], conn[i]
+        rest = bound - low[i]
         seen_empty: set[int] = set()
         for d in disks:
             if loads[d] + size > capacities[d]:
@@ -577,16 +604,31 @@ def _branch_and_bound(
                 if key in seen_empty:
                     continue
                 seen_empty.add(key)
-            step = weights.attach_cost(f, on_disk[d])
+            # Saved entries are restored, not subtracted back, so sibling
+            # subtrees see no rounding drift.
+            saved_conn, saved_low, child = [], [], rest
+            for j, w in later[i]:
+                row = conn[j]
+                c = row[d]
+                saved_conn.append((row, c))
+                row[d] = c + w
+                if c == low[j]:
+                    saved_low.append((j, c))
+                    low[j] = min(row.values())
+                    child += low[j] - c
             loads[d] += size
-            on_disk[d].append(f)
+            on_disk[d].append(files[i])
             chosen.append(d)
-            descend(i + 1, partial + step, used)
+            descend(i + 1, partial + cost[d], child, used)
             chosen.pop()
             on_disk[d].pop()
             loads[d] -= size
+            for row, c in saved_conn:
+                row[d] = c
+            for j, c in saved_low:
+                low[j] = c
 
-    descend(0, weights.psi(on_disk), 0)
+    descend(0, weights.psi(on_disk), sum(low), 0)
     return None if best is None else ({**fixed, **dict(zip(files, best))}, best_psi)
 
 
@@ -601,10 +643,12 @@ def exact_solve(
     """Provably minimal placement by depth-first enumeration.
 
     Searches files ascending over disks ascending, pruning on capacity, on
-    partial objective once an incumbent exists, and on symmetry between
-    empty disks of equal residual capacity. Among minimum-objective
-    placements (to within ``_EPS``) it returns the lexicographically least
-    assignment vector.
+    partial objective once an incumbent exists, on symmetry between empty
+    disks of equal residual capacity, and on a lower bound: partial
+    objective plus, for each unplaced file, its summed weight to the disk
+    where that weight is least. Among minimum-objective placements (to
+    within ``_EPS``) it returns the lexicographically least assignment
+    vector; the bound prunes only subtrees that hold no such placement.
     Raises EnumerationCapError beyond ``cap`` active files.
     """
     model = CostModel(model)

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
 from .allocator import EXACT_CAP_DEFAULT, evaluate_objective, check_allocation_feasible, exact_solve, solve_stage
-from .errors import DiskAllocError, InfeasibleError, ValidationError
+from .errors import DiskAllocError, EnumerationCapError, InfeasibleError, ValidationError
 from .generator import generate_instance
 from .io import (
     SolutionDocument,
@@ -151,12 +152,26 @@ def _parse_budgets(raw: Optional[str]) -> Optional[list[float]]:
         ) from None
 
 
+@contextmanager
+def _cap_hint():
+    """Rephrase exact search's cap refusal for the command line, where no
+    option raises the cap: the way out is the heuristic ``solve``."""
+    try:
+        yield
+    except EnumerationCapError as exc:
+        reason = str(exc).partition(";")[0]
+        raise EnumerationCapError(
+            f"{reason}; run solve without --exact for a heuristic allocation"
+        ) from None
+
+
 def _cmd_solve(args):
     instance = parse_instance(args.instance)
     exact = True if args.exact else False if args.local_search else None
-    alloc, psi, certified = solve_stage(
-        instance, args.stage, exact=exact, cap=EXACT_CAP_DEFAULT
-    )
+    with _cap_hint():
+        alloc, psi, certified = solve_stage(
+            instance, args.stage, exact=exact, cap=EXACT_CAP_DEFAULT
+        )
     text = [relations_report(instance, args.stage)] if args.dump_relations else []
     text.append(evaluation_report(alloc, instance, args.stage))
     if not certified:
@@ -241,7 +256,8 @@ def _cmd_trajectory(args):
 
 def _cmd_oracle(args):
     instance = parse_instance(args.instance)
-    alloc, psi = exact_solve(instance.stage(args.stage), instance)
+    with _cap_hint():
+        alloc, psi = exact_solve(instance.stage(args.stage), instance)
     doc = solution_from_allocation(alloc, args.stage, objective=psi, rho=0.0)
     return solution_report(doc, instance), lambda: emit_solution_document(doc)
 

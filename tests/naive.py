@@ -94,19 +94,24 @@ def naive_exact(stage, instance, pinned=None):
     return best[1], best[0][0]
 
 
+def _decimal_weights(stage):
+    """(a, b, weight) for each ``phi`` entry, scaled to exact integers, and
+    the scale. Each weight counts as the decimal it prints as,
+    ``Fraction(repr(w))``."""
+    weights = {pair: Fraction(repr(w)) for pair, w in stage.phi.items()}
+    scale = lcm(*(w.denominator for w in weights.values()))
+    return [(a, b, int(w * scale)) for (a, b), w in weights.items()], scale
+
+
 def naive_exact_decimal(stage, instance):
     """``naive_exact`` for explicit ``phi``, in exact decimal arithmetic.
 
-    Each weight counts as the decimal it prints as, ``Fraction(repr(w))``,
-    so placements whose weights add up to the same decimal tie exactly and
+    Placements whose weights add up to the same decimal tie exactly and
     the lexicographically least of them wins; float sums of the same
     weights taken in different orders can differ in the last bits. Returns
     (assignment, psi as a Fraction), or None when nothing fits.
     """
-    weights = {pair: Fraction(repr(w)) for pair, w in stage.phi.items()}
-    # Scaled to a common denominator, every objective is an exact integer.
-    scale = lcm(*(w.denominator for w in weights.values()))
-    scaled = [(a, b, int(w * scale)) for (a, b), w in weights.items()]
+    scaled, scale = _decimal_weights(stage)
     files = sorted(stage.active_files)
     disks = sorted(d.id for d in instance.disks)
     best = None
@@ -122,12 +127,13 @@ def naive_exact_decimal(stage, instance):
     return best[1], Fraction(best[0][0], scale)
 
 
-def naive_restructure(stage, instance, previous, budget, pinned=None):
-    """Best (psi, moves, assignment) placement within the move allowance.
+def _reachable(stage, instance, previous, budget, pinned=None):
+    """(assignment, moves, combo) of every placement that fits the disks
+    and moves at most the budget's allowance of files.
 
     Move counting matches the package contract: files of the previous
     allocation inactive in the stage are pinned; new active files place
-    freely. Returns (assignment, psi, moves) or None.
+    freely.
     """
     unit = instance.relocation_unit_cost
     active = set(stage.active_files)
@@ -139,7 +145,6 @@ def naive_restructure(stage, instance, previous, budget, pinned=None):
     else:
         allowance = int(budget / unit + 1e-9)
     disks = sorted(d.id for d in instance.disks)
-    best = None
     for combo in product(disks, repeat=len(files)):
         assignment = dict(fixed)
         assignment.update(zip(files, combo))
@@ -148,17 +153,38 @@ def naive_restructure(stage, instance, previous, budget, pinned=None):
             for f in files
             if f in previous.assignment and assignment[f] != previous.assignment[f]
         )
-        if moves > allowance:
-            continue
-        if not _fits(assignment, instance.sizes, instance.capacities):
-            continue
-        psi = naive_psi(assignment, stage)
-        key = (psi, moves, combo)
+        if moves <= allowance and _fits(assignment, instance.sizes, instance.capacities):
+            yield assignment, moves, combo
+
+
+def naive_restructure(stage, instance, previous, budget, pinned=None):
+    """Best (psi, moves, assignment) placement within the move allowance.
+    Returns (assignment, psi, moves) or None."""
+    best = None
+    for assignment, moves, combo in _reachable(stage, instance, previous, budget, pinned):
+        key = (naive_psi(assignment, stage), moves, combo)
         if best is None or key < best[0]:
             best = (key, assignment)
     if best is None:
         return None
     return best[1], best[0][0], best[0][1]
+
+
+def naive_restructure_decimal(stage, instance, previous, budget):
+    """``naive_restructure`` for explicit ``phi``, in exact decimal
+    arithmetic as in ``naive_exact_decimal``: objectives equal in decimal
+    tie exactly, and fewer moves, then the lexicographically least
+    placement, win. Returns (assignment, psi as a Fraction, moves) or None.
+    """
+    scaled, scale = _decimal_weights(stage)
+    best = None
+    for assignment, moves, combo in _reachable(stage, instance, previous, budget):
+        psi = sum(w for a, b, w in scaled if assignment[a] == assignment[b])
+        if best is None or (psi, moves, combo) < best[0]:
+            best = ((psi, moves, combo), assignment)
+    if best is None:
+        return None
+    return best[1], Fraction(best[0][0], scale), best[0][1]
 
 
 def _incident_edges(stage):

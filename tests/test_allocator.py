@@ -411,6 +411,32 @@ def test_exact_tie_break_holds_under_fractional_phi():
     assert mismatches == []
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_exact_agrees_with_brute_force_around_pinned_files(seed):
+    # Pinned active files start the search's connection table non-zero,
+    # and slack near 1.0 makes capacity, which the search's lower bound
+    # ignores, keep files off their cheapest disks.
+    rng = random.Random(seed)
+    density, slack = rng.choice((0.35, 0.5, 0.7)), rng.uniform(1.0, 1.3)
+    doc = generate_instance(8 + seed % 2, 3, 1, density, (1, 2), slack, seed)
+    inst = parse_instance_document(doc)
+    stage = inst.stage(1)
+    loads = dict.fromkeys(inst.capacities, 0)
+    pinned = {}
+    for f in rng.sample(stage.active_files, rng.choice((1, 2, 3))):
+        room = [d for d in loads if loads[d] + inst.sizes[f] <= inst.capacities[d]]
+        pinned[f] = rng.choice(room)
+        loads[pinned[f]] += inst.sizes[f]
+    brute = naive_exact(stage, inst, pinned=pinned)
+    if brute is None:
+        with pytest.raises(InfeasibleError):
+            exact_solve(stage, inst, pinned=pinned)
+        return
+    alloc, psi = exact_solve(stage, inst, pinned=pinned)
+    assert psi == brute[1]
+    assert dict(alloc.assignment) == brute[0]
+
+
 def test_exact_respects_pins():
     inst = small_instance()
     stage = inst.stage(1)

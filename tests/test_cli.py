@@ -98,6 +98,20 @@ def test_solve_exact_surfaces_the_enumeration_cap(capsys, tmp_path):
     assert "exceeds the cap" in err
 
 
+@pytest.mark.parametrize("command", [["solve", "--exact"], ["oracle"]])
+def test_cap_refusal_names_only_what_the_cli_offers(capsys, tmp_path, command):
+    doc = generate_instance(13, 2, 1, 0.2, (1, 1), 1.5, 3)
+    path = tmp_path / "wide.json"
+    write_document(doc, path)
+    code, out, err = run(
+        capsys, command[0], "--instance", str(path), "--stage", "1", *command[1:]
+    )
+    assert code == 2 and out == ""
+    assert "exceeds the cap of 12" in err
+    assert "raise the cap" not in err  # no option raises it
+    assert "solve without --exact" in err
+
+
 def test_solve_exact_and_local_search_conflict(capsys):
     code, _, err = run(
         capsys,

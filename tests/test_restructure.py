@@ -30,7 +30,7 @@ from diskalloc.generator import generate_instance
 from diskalloc.allocator import _Placement, exact_solve, local_search
 
 import reference_data as ref
-from naive import naive_restructure
+from naive import naive_restructure, naive_restructure_decimal
 
 
 def problem(instance, index, previous, budget, **kw):
@@ -209,6 +209,32 @@ def test_fractional_phi_ties_with_a_certified_optimum_do_not_raise():
             assert 0.0 <= result.proximity
             if budget == 7.0:  # every file may move: an optimum is reachable
                 assert result.proximity <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_exact_restructure_matches_decimal_brute_force_on_fractional_phi(seed):
+    # Objectives equal in decimal can differ in the last bits as floats, so
+    # only an exact oracle checks that near-ties go to fewer moves and then
+    # to the lexicographically least placement.
+    n = 5 + seed % 3
+    doc = generate_instance(n, 3, 2, 0.4, (1, 2), 1.4, 300 + seed)
+    rng = random.Random(seed)
+    for raw in doc["stages"]:
+        raw["phi"] = [
+            [0.0 if i == j else round(rng.uniform(0, 0.3), 3) for j in range(n)]
+            for i in range(n)
+        ]
+    inst = parse_instance_document(doc)
+    previous, _ = exact_solve(inst.stage(1), inst)
+    stage = inst.stage(2)
+    for budget in range(n + 1):
+        result = restructure_one_stage(
+            RestructuringProblem(instance=inst, stage=stage, previous=previous, budget=budget)
+        )
+        assignment, psi, moves = naive_restructure_decimal(stage, inst, previous, budget)
+        assert result.objective == pytest.approx(float(psi), abs=1e-9)
+        assert len(result.plan.moves) == moves
+        assert dict(result.allocation.assignment) == assignment
 
 
 def _dense_phi_instance(seed):
