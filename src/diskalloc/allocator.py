@@ -32,6 +32,9 @@ log = logging.getLogger(__name__)
 # callers must opt in explicitly.
 EXACT_CAP_DEFAULT = 12
 
+# The branch-and-bound refuses to enter more search nodes than this.
+_NODE_BUDGET = 5_000_000
+
 # Local search gives up after this multiple of n^2 neighbour evaluations.
 _LOCAL_SEARCH_EVAL_FACTOR = 10
 
@@ -537,6 +540,9 @@ def _branch_and_bound(
     cut when partial objective plus the summed ``low`` of its unplaced
     files, less ``_EPS`` for rounding, fails the incumbent test: none of its
     leaves could be accepted, so cutting it changes no result.
+
+    A loop over per-level generators, not recursion, runs the search, so
+    any depth fits; past ``_NODE_BUDGET`` nodes it raises EnumerationCapError.
     """
     sizes = instance.sizes
     capacities = instance.capacities
@@ -577,17 +583,9 @@ def _branch_and_bound(
     above = tie = float("inf")
     chosen: list[int] = []
 
-    def descend(i: int, partial: float, bound: float, moves: int) -> None:
-        nonlocal best, best_psi, best_moves, above, tie
-        if partial > above or (partial >= tie and moves >= best_moves):
-            return
-        floor = partial + bound - _EPS
-        if floor > above or (floor >= tie and moves >= best_moves):
-            return
-        if i == n:
-            best, best_psi, best_moves = chosen.copy(), partial, moves
-            above, tie = partial + _EPS, partial - _EPS
-            return
+    def children(i: int, partial: float, bound: float, moves: int):
+        """Place files[i] on each disk in turn, yielding the child (partial,
+        bound, moves) and undoing the placement when resumed."""
         home, size, cost = file_homes[i], sizes[files[i]], conn[i]
         rest = bound - low[i]
         seen_empty: set[int] = set()
@@ -604,6 +602,9 @@ def _branch_and_bound(
                 if key in seen_empty:
                     continue
                 seen_empty.add(key)
+            child_partial = partial + cost[d]
+            if child_partial > above or (child_partial >= tie and used >= best_moves):
+                continue
             # Saved entries are restored, not subtracted back, so sibling
             # subtrees see no rounding drift.
             saved_conn, saved_low, child = [], [], rest
@@ -619,7 +620,7 @@ def _branch_and_bound(
             loads[d] += size
             on_disk[d].append(files[i])
             chosen.append(d)
-            descend(i + 1, partial + cost[d], child, used)
+            yield child_partial, child, used
             chosen.pop()
             on_disk[d].pop()
             loads[d] -= size
@@ -628,7 +629,28 @@ def _branch_and_bound(
             for j, c in saved_low:
                 low[j] = c
 
-    descend(0, weights.psi(on_disk), sum(low), 0)
+    # stack[i] yields the nodes with files[:i] placed.
+    budget, nodes = _NODE_BUDGET, 0
+    stack = [iter([(weights.psi(on_disk), sum(low), 0)])]
+    while stack:
+        for partial, bound, moves in stack[-1]:
+            nodes += 1
+            if nodes > budget:
+                raise EnumerationCapError(
+                    f"exact search passed its budget of {budget} nodes; use "
+                    "greedy mode to restructure or the heuristic path to solve"
+                )
+            floor = partial + bound - _EPS
+            if floor > above or (floor >= tie and moves >= best_moves):
+                continue
+            if len(stack) > n:
+                best, best_psi, best_moves = chosen.copy(), partial, moves
+                above, tie = partial + _EPS, partial - _EPS
+                continue
+            stack.append(children(len(stack) - 1, partial, bound, moves))
+            break
+        else:
+            stack.pop()
     return None if best is None else ({**fixed, **dict(zip(files, best))}, best_psi)
 
 
@@ -649,7 +671,8 @@ def exact_solve(
     where that weight is least. Among minimum-objective placements (to
     within ``_EPS``) it returns the lexicographically least assignment
     vector; the bound prunes only subtrees that hold no such placement.
-    Raises EnumerationCapError beyond ``cap`` active files.
+    Raises EnumerationCapError beyond ``cap`` active files, up front, or
+    once the search has entered more than ``_NODE_BUDGET`` nodes.
     """
     model = CostModel(model)
     if model is not CostModel.UNIFORM:

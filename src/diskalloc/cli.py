@@ -154,8 +154,9 @@ def _parse_budgets(raw: Optional[str]) -> Optional[list[float]]:
 
 @contextmanager
 def _cap_hint():
-    """Rephrase exact search's cap refusal for the command line, where no
-    option raises the cap: the way out is the heuristic ``solve``."""
+    """Rephrase exact search's refusals, at the cap or the node budget, for
+    the command line, where no option raises either: the way out is the
+    heuristic ``solve``."""
     try:
         yield
     except EnumerationCapError as exc:

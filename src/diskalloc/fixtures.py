@@ -51,10 +51,6 @@ STAGE_OPTIMAL_MOVES = (
     ((4, 2, 3), (5, 3, 2), (3, 2, 1), (1, 1, 2)),
 )
 
-STAGE_OPTIMAL_TRANSITION_COSTS = (3.0, 4.0)
-STAGE_OPTIMAL_TOTAL_COST = 7.0
-STAGE_OPTIMAL_OBJECTIVES = (0.0, 0.0, 0.0)
-
 # Recorded restructured chain: stages two and three limited to a
 # modification budget of 2.0 each, trading objective 1.0 for cheaper moves.
 RESTRUCTURED_ASSIGNMENTS = (
@@ -67,8 +63,3 @@ RESTRUCTURED_MOVES = (
     ((1, 1, 2), (5, 2, 1)),
     ((3, 3, 2), (2, 2, 3)),
 )
-
-RESTRUCTURED_TRANSITION_COSTS = (2.0, 2.0)
-RESTRUCTURED_TOTAL_COST = 4.0
-RESTRUCTURED_OBJECTIVES = (0.0, 1.0, 1.0)
-RESTRUCTURED_PROXIMITIES = (0.0, 1.0, 1.0)

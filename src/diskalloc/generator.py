@@ -42,6 +42,8 @@ def generate_instance(
     rng = random.Random(seed)
     sizes = [rng.randint(lo, hi) for _ in range(n_files)]
     total = sum(sizes)
+    if not math.isfinite(capacity_slack * total):
+        raise ValidationError(f"capacity slack times {total} tracks overflows")
     total_capacity = math.ceil(capacity_slack * total)
     if total_capacity < gamma:
         raise ValidationError(

@@ -90,39 +90,36 @@ def _components(adjacency: Mapping[int, frozenset[int]]) -> list[tuple[int, ...]
     return comps
 
 
-def _peel(component: tuple[int, ...], adjacency: Mapping[int, frozenset[int]], limit: int) -> list[tuple[int, ...]]:
-    """Split one oversized component into pieces of at most ``limit`` members.
+def _peel(
+    components: Iterable[tuple[int, ...]], adjacency: Mapping[int, frozenset[int]], limit: int
+) -> list[tuple[int, ...]]:
+    """Split components into pieces of at most ``limit`` members, sorted.
 
-    Greedy peeling: seed a piece with the lowest-degree member (ties by id),
-    grow it by the lowest-degree neighbour of the piece so far, and once the
-    piece reaches the limit recurse on the components the remainder falls
-    apart into. Keeps tightly linked files together as long as they fit.
+    Greedy peeling over a worklist: a component that fits is a piece.
+    Otherwise seed a piece with its lowest-degree member (ties by id), grow
+    it by the lowest-degree neighbour of the piece so far until it reaches
+    the limit, and push the components the remainder falls apart into.
+    Keeps tightly linked files together as long as they fit.
     """
-    if len(component) <= limit:
-        return [component]
-    members = set(component)
-    degree = {f: len(adjacency[f] & members) for f in component}
-
-    seed = min(component, key=lambda f: (degree[f], f))
-    piece = [seed]
-    in_piece = {seed}
-    while len(piece) < limit:
-        frontier = set()
-        for f in piece:
-            frontier.update(adjacency[f] & members - in_piece)
-        if not frontier:
-            break
-        nxt = min(frontier, key=lambda f: (degree[f], f))
-        piece.append(nxt)
-        in_piece.add(nxt)
-
-    rest = members - in_piece
-    pieces = [tuple(sorted(piece))]
-    if rest:
-        sub_adj = {f: adjacency[f] & rest for f in rest}
-        for comp in _components(sub_adj):
-            pieces.extend(_peel(comp, adjacency, limit))
-    return pieces
+    pieces: list[tuple[int, ...]] = []
+    work = list(components)
+    while work:
+        component = work.pop()
+        if len(component) <= limit:
+            pieces.append(component)
+            continue
+        members = set(component)
+        degree = {f: len(adjacency[f] & members) for f in component}
+        piece = {min(component, key=lambda f: (degree[f], f))}
+        while len(piece) < limit:
+            frontier = set().union(*(adjacency[f] for f in piece)) & members - piece
+            if not frontier:
+                break
+            piece.add(min(frontier, key=lambda f: (degree[f], f)))
+        pieces.append(tuple(sorted(piece)))
+        rest = members - piece
+        work.extend(_components({f: adjacency[f] & rest for f in rest}))
+    return sorted(pieces)
 
 
 def split_oversized_component(
@@ -133,8 +130,7 @@ def split_oversized_component(
         raise ValidationError("need at least one disk to split against")
     component = tuple(sorted({int(f) for f in component}))
     adjacency = relation.adjacency(component)
-    pieces = _peel(component, adjacency, gamma)
-    return [Community(p) for p in sorted(pieces)]
+    return [Community(p) for p in _peel([component], adjacency, gamma)]
 
 
 def detect_communities(
@@ -147,12 +143,8 @@ def detect_communities(
     """
     if gamma < 1:
         raise ValidationError("need at least one disk to detect communities against")
-    active = sorted({int(f) for f in active})
-    adjacency = relation.adjacency(active)
-    out: list[Community] = []
-    for comp in _components(adjacency):
-        out.extend(split_oversized_component(comp, relation, gamma))
-    return sorted(out, key=lambda c: c.members)
+    adjacency = relation.adjacency({int(f) for f in active})
+    return [Community(p) for p in _peel(_components(adjacency), adjacency, gamma)]
 
 
 @dataclass(frozen=True)

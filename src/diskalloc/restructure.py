@@ -5,14 +5,14 @@ allocation already on the disks and buys improvement with relocation moves,
 each priced at the instance's unit cost. The proximity rho of the result is
 its objective's excess over the stage's reference optimum.
 
-This module holds only budget logic (move allowance, reference, space cap,
-plan, rho); every placement decision comes from the allocator. Exact
+This module holds only budget logic (move allowance, reference, plan,
+rho); every placement decision comes from the allocator. Exact
 restructuring is the branch-and-bound of ``exact_solve``, symmetry prune
-included, run with each file's previous disk as its home and a move
-allowance. Greedy restructuring places files new to the stage with
-``spread_allocate``, then takes local search's move/swap neighbourhood with
-best-improvement instead of first-improvement under the move allowance.
-Both descents ignore gains of at most 1e-9.
+and node budget included, run with each file's previous disk as its home
+and a move allowance. Greedy restructuring places files new to the stage
+with ``spread_allocate``, then takes local search's move/swap
+neighbourhood with best-improvement instead of first-improvement under the
+move allowance. Both descents ignore gains of at most 1e-9.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Mapping, Optional, Sequence
 
-from .errors import EnumerationCapError, InfeasibleError, InternalError, ValidationError
+from .errors import InfeasibleError, InternalError, ValidationError
 from .model import (
     Allocation,
     Instance,
@@ -44,9 +44,6 @@ from .allocator import (
     spread_allocate,
 )
 from .relations import Community
-
-# Exact restructuring refuses search spaces larger than this many nodes.
-_RESTRUCTURE_SPACE_CAP = 5_000_000
 
 
 def _relocation_plan(
@@ -114,10 +111,10 @@ class RestructureResult:
 
 
 def _move_allowance(budget: float, unit_cost: float, n_movable: int) -> int:
-    """Integer move allowance; free relocations unlock every movable file."""
+    """Whole moves the budget buys, at most ``n_movable`` (all when free)."""
     if unit_cost <= 0:
         return n_movable
-    return int(math.floor(budget / unit_cost + _EPS))
+    return int(min(budget / unit_cost + _EPS, n_movable))
 
 
 def restructure_one_stage(
@@ -130,7 +127,8 @@ def restructure_one_stage(
 
     Exact mode enumerates every capacity-feasible placement that keeps the
     number of moved files within the allowance, minimizing (objective, move
-    count, assignment) lexicographically. Greedy mode repeatedly applies
+    count, assignment) lexicographically, and raises EnumerationCapError
+    past the branch-and-bound's node budget. Greedy mode repeatedly applies
     the single move or disk swap that most reduces the objective while the
     result stays within the allowance; steps that gain no more than 1e-9
     are ignored.
@@ -174,14 +172,6 @@ def restructure_one_stage(
     weights = PairWeights(stage)
 
     if mode is RestructureMode.EXACT:
-        k = min(m, len(based))
-        gamma = max(len(capacities), 1)
-        space = math.comb(len(based), k) * max(gamma - 1, 1) ** k * gamma ** len(new_files)
-        if space > _RESTRUCTURE_SPACE_CAP:
-            raise EnumerationCapError(
-                f"exact restructuring space of {space} nodes exceeds the cap "
-                f"of {_RESTRUCTURE_SPACE_CAP}; use greedy mode"
-            )
         found = _branch_and_bound(searched, fixed, loads, stage, instance, weights, base, m)
         if found is None:
             raise InfeasibleError("no placement within the move allowance fits the disks")

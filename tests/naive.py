@@ -43,6 +43,36 @@ def naive_components(nodes, edges):
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 
+def naive_communities(nodes, edges, gamma):
+    """Components split recursively into pieces of at most ``gamma`` files.
+
+    An oversized component gives up one piece: its member of least
+    (degree within the component, id), grown one file at a time by the
+    least such neighbour of the piece. The remainder's components are split
+    the same way. Returns every piece, sorted."""
+    linked = {(a, b) for a, b in edges} | {(b, a) for a, b in edges}
+
+    def split(comp):
+        if len(comp) <= gamma:
+            return [comp]
+        degree = {f: sum((f, g) in linked for g in comp) for f in comp}
+        piece = [min(comp, key=lambda f: (degree[f], f))]
+        while len(piece) < gamma:
+            frontier = [
+                g for g in comp if g not in piece and any((f, g) in linked for f in piece)
+            ]
+            if not frontier:
+                break
+            piece.append(min(frontier, key=lambda f: (degree[f], f)))
+        rest = [f for f in comp if f not in piece]
+        pieces = [tuple(sorted(piece))]
+        for sub in naive_components(rest, edges):
+            pieces.extend(split(sub))
+        return pieces
+
+    return sorted(p for comp in naive_components(nodes, edges) for p in split(comp))
+
+
 def naive_psi(assignment, stage):
     """Objective by scanning every ordered file pair."""
     active = sorted(stage.active_files)

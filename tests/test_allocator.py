@@ -536,6 +536,56 @@ def test_solve_stage_forced_exact_respects_cap(instance):
         solve_stage(instance, 1, exact=True, cap=3)
 
 
+def test_node_budget_counts_every_node_entered(monkeypatch):
+    import diskalloc.allocator as mod
+
+    inst = validate_instance(
+        Instance(
+            files=(FileSpec(1, 1), FileSpec(2, 1)),
+            disks=(DiskSpec(1, 5),),
+            stages=(Stage(index=1, active_files=(1, 2)),),
+        )
+    )
+    # The root, file 1 placed, and the leaf with both files placed.
+    monkeypatch.setattr(mod, "_NODE_BUDGET", 3)
+    assert exact_solve(inst.stage(1), inst) == (Allocation({1: 1, 2: 1}), 0.0)
+    monkeypatch.setattr(mod, "_NODE_BUDGET", 2)
+    with pytest.raises(EnumerationCapError, match="budget of 2 nodes"):
+        exact_solve(inst.stage(1), inst)
+
+
+def test_node_budget_refusal_falls_back_unless_exact_is_forced(instance, monkeypatch):
+    import diskalloc.allocator as mod
+
+    monkeypatch.setattr(mod, "_NODE_BUDGET", 5)
+    with pytest.raises(EnumerationCapError, match="greedy"):
+        solve_stage(instance, 2, exact=True)
+    alloc, psi, certified = solve_stage(instance, 2)
+    assert not certified and psi == 0.0
+    assert dict(alloc.assignment) == ref.X2
+
+
+def test_no_package_function_calls_itself():
+    # Searches run as loops, so their depth is not bounded by the recursion
+    # limit.
+    import ast
+    import pathlib
+
+    import diskalloc
+
+    for path in sorted(pathlib.Path(diskalloc.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(fn):
+                if not isinstance(call, ast.Call):
+                    continue
+                callee = call.func  # a plain name, or a method called on self
+                if isinstance(callee, ast.Attribute) and getattr(callee.value, "id", "") == "self":
+                    callee = ast.Name(callee.attr)
+                assert getattr(callee, "id", None) != fn.name, f"{path.name}: {fn.name} calls itself"
+
+
 # --- determinism under disk relabeling -----------------------------------
 
 

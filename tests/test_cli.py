@@ -112,6 +112,18 @@ def test_cap_refusal_names_only_what_the_cli_offers(capsys, tmp_path, command):
     assert "solve without --exact" in err
 
 
+def test_node_budget_refusal_names_only_what_the_cli_offers(capsys, monkeypatch):
+    import diskalloc.allocator as mod
+
+    monkeypatch.setattr(mod, "_NODE_BUDGET", 1)
+    code, out, err = run(capsys, "oracle", "--instance", INSTANCE, "--stage", "1")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: exact search passed its budget of 1 nodes; "
+        "run solve without --exact for a heuristic allocation\n"
+    )
+
+
 def test_solve_exact_and_local_search_conflict(capsys):
     code, _, err = run(
         capsys,
@@ -285,6 +297,25 @@ def test_restructure_rejects_a_non_finite_budget(capsys, tmp_path, budget):
     )
     assert code == 2 and out == ""
     assert err == "error: restructuring budget must be non-negative and finite\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("restructure", "--stage", "2", "--budget", "1e308"),
+        ("trajectory", "--strategy", "sequential", "--budgets", "1e308,1e308"),
+    ],
+)
+def test_budget_past_the_float_range_in_moves_exits_0(capsys, tmp_path, command):
+    doc = json.loads(paper_example_path().read_text())
+    doc["relocation_unit_cost"] = 0.5  # 1e308 / 0.5 overflows to inf
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(doc))
+    previous = write_stage_doc(tmp_path / "x1.json", ref.X1, 1)
+    extra = ("--previous", previous) if command[0] == "restructure" else ()
+    code, out, err = run(capsys, command[0], "--instance", str(path), *command[1:], *extra)
+    assert code == 0 and err == ""
+    assert "objective 0.0" in out
 
 
 def test_broken_invariant_exits_2_without_a_traceback(capsys, tmp_path, monkeypatch):

@@ -414,6 +414,7 @@ def test_generator_density_extremes():
         (dict(n_files=1, gamma=2, size_range=(1, 1), capacity_slack=1.0), "positive share"),
         (dict(capacity_slack=float("nan")), "slack must be finite"),
         (dict(capacity_slack=float("inf")), "slack must be finite"),
+        (dict(capacity_slack=1e308), "overflows"),
     ],
 )
 def test_generator_rejects_bad_parameters(overrides, message):

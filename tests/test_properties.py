@@ -11,7 +11,7 @@ from diskalloc import (
     relocation_diff,
 )
 
-from naive import naive_integrated
+from naive import naive_components, naive_integrated
 from property_suite import run_property_suite
 
 settings.register_profile("suite", derandomize=True, max_examples=60)
@@ -59,6 +59,7 @@ def test_communities_partition_the_active_files(data, gamma):
     for community in communities:
         assert len(community) <= gamma
         assert list(community.members) == sorted(community.members)
+        assert len(naive_components(community.members, relation.edges)) == 1
         seen.extend(community.members)
     assert sorted(seen) == ids  # disjoint cover
 

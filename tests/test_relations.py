@@ -1,5 +1,9 @@
 """Relation integration, communities, splitting, and condensation."""
 
+import random
+import sys
+import traceback
+
 import pytest
 
 from diskalloc import (
@@ -16,7 +20,7 @@ from diskalloc import (
 )
 
 import reference_data as ref
-from naive import naive_components, naive_integrated
+from naive import naive_communities, naive_components, naive_integrated
 
 
 @pytest.mark.parametrize(
@@ -126,6 +130,41 @@ def test_split_pieces_never_exceed_gamma():
         pieces = split_oversized_component(tuple(range(1, 9)), relation, gamma)
         assert all(len(p) <= gamma for p in pieces)
         assert sorted(f for p in pieces for f in p.members) == list(range(1, 9))
+
+
+def peel_graphs():
+    """(files, edges) of random graphs, paths, stars and cliques."""
+    rng = random.Random(5)
+    for n in range(1, 13):
+        files = list(range(1, n + 1))
+        pairs = [(a, b) for a in files for b in files if a < b]
+        yield files, [(a, a + 1) for a in files[:-1]]
+        yield files, [(1, b) for b in files[1:]]
+        yield files, pairs
+        for density in (0.15, 0.3, 0.6):
+            for _ in range(4):
+                yield files, [p for p in pairs if rng.random() < density]
+
+
+@pytest.mark.parametrize("gamma", [1, 2, 3, 4])
+def test_communities_match_the_naive_recursive_peel(gamma):
+    for files, edges in peel_graphs():
+        relation = IntegratedRelation(frozenset(edges))
+        got = [c.members for c in detect_communities(relation, files, gamma)]
+        assert got == naive_communities(files, edges, gamma), (files, edges)
+
+
+def test_peeling_runs_deeper_than_the_recursion_limit():
+    # A path of 2k files on two disks peels into k pieces, one after another.
+    files = range(1, 601)
+    relation = IntegratedRelation(frozenset((f, f + 1) for f in files[:-1]))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(traceback.extract_stack()) + 100)
+    try:
+        communities = detect_communities(relation, files, 2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [c.members for c in communities] == [(f, f + 1) for f in files[::2]]
 
 
 def test_detect_communities_rejects_zero_disks():

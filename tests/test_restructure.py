@@ -360,15 +360,42 @@ def test_restructure_rejects_negative_budget(instance):
 
 
 def test_exact_mode_refuses_oversized_spaces(instance, monkeypatch):
-    import diskalloc.restructure as mod
+    import diskalloc.allocator as mod
 
-    monkeypatch.setattr(mod, "_RESTRUCTURE_SPACE_CAP", 1)
+    monkeypatch.setattr(mod, "_NODE_BUDGET", 1)
     with pytest.raises(EnumerationCapError, match="greedy"):
         restructure_one_stage(problem(instance, 2, ref.X1, 2.0))
     result = restructure_one_stage(
         problem(instance, 2, ref.X1, 2.0), RestructureMode.GREEDY
     )
     assert result.objective == 0.0
+
+
+def test_exact_restructuring_searches_deeper_than_the_recursion_limit():
+    # Budget 0 pins 1100 searched files to their disks: one path of 1100
+    # levels, more than Python's default recursion limit.
+    inst = parse_instance_document(generate_instance(1100, 4, 2, 0.002, (1, 1), 2.0, 1))
+    previous = {f: f % 4 + 1 for f in inst.stage(2).active_files}
+    result = restructure_one_stage(problem(inst, 2, previous, 0.0, reference=0.0))
+    assert dict(result.allocation.assignment) == previous
+    assert result.plan.moves == ()
+
+
+@pytest.mark.parametrize("mode", list(RestructureMode))
+def test_budget_overflowing_the_allowance_unlocks_every_file(mode):
+    import json
+
+    from diskalloc import paper_example_path
+
+    doc = json.loads(paper_example_path().read_text())
+    results = []
+    # 2.0 / 1e-320 overflows to inf; a free move is the same unlimited case.
+    for unit in (1e-320, 0.0):
+        doc["relocation_unit_cost"] = unit
+        inst = parse_instance_document(doc)
+        results.append(restructure_one_stage(problem(inst, 2, ref.X1, 2.0), mode))
+    assert results[0].allocation == results[1].allocation
+    assert results[0].plan.moves == results[1].plan.moves
 
 
 def test_declared_reference_skips_enumeration(instance):
