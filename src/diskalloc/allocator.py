@@ -19,12 +19,16 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import EnumerationCapError, InfeasibleError, ValidationError
 from .model import Allocation, CostModel, Instance, Pair, Stage, canonical_edge
-from .relations import Community, detect_communities, integrate_relations
+from .relations import (
+    Community,
+    IntegratedRelation,
+    detect_communities,
+    integrate_relations,
+)
 
 log = logging.getLogger(__name__)
 
@@ -52,9 +56,12 @@ class PairWeights:
     up on its unordered edge, whether or not the relation links the pair.
     """
 
-    def __init__(self, stage: Stage):
+    def __init__(self, stage: Stage, relation: Optional[IntegratedRelation] = None):
+        """``relation``, when given, is the stage's integrated relation."""
         if stage.phi is None:
-            weights = dict.fromkeys(integrate_relations(stage).edges, 1.0)
+            if relation is None:
+                relation = integrate_relations(stage)
+            weights = dict.fromkeys(relation.edges, 1.0)
         else:
             weights: dict[Pair, float] = {}
             for (a, b), w in stage.phi.items():
@@ -349,6 +356,19 @@ class _Placement:
     active files on disk ``d`` (Kernighan and Lin's gain bookkeeping), so
     evaluating a step costs O(1) and applying one costs O(deg) per moved
     file.
+
+    A file is settled when ``conn[f][own disk] == 0.0``. A swap of settled
+    ``a`` and ``b`` cannot gain: its delta is ``(conn[a][db] - w_ab) +
+    (conn[b][da] - w_ab)`` less two exact zeros, and each of ``conn[a][db]``
+    and ``conn[b][da]`` sums ``w_ab`` with other non-negative weights.
+    Where the table holds those sums exactly, as under uniform weights,
+    each bracket rounds to at least 0.0, because float subtraction and
+    addition are monotone. Under fractional weights an entry may drift
+    below its exact sum by rounding in the incremental updates, so the
+    computed delta may fall below zero by about twice that drift. The
+    drift stays many orders of magnitude under ``_EPS`` (tests hold the
+    table to from-scratch sums), so such a swap never passes the gain
+    test, and the neighbourhood only counts it.
     """
 
     def __init__(
@@ -382,56 +402,98 @@ class _Placement:
             for f in files
         }
 
-    def neighbourhood(self) -> Iterator[tuple[float, tuple[tuple[int, int], ...], int]]:
-        """Every capacity- and allowance-feasible step as (objective delta,
-        step, files moved after it): single-file moves (file ascending, then
-        disk ascending), then pair swaps (pair-lexicographic). A step lists
-        (file, new disk). The generator must not be resumed after apply."""
+    def neighbourhood(
+        self,
+    ) -> Iterator[tuple[float, tuple[tuple[int, int], ...], int, int]]:
+        """The steps that gain more than ``_EPS``, in scan order, as
+        (objective delta, step, files moved after it, steps seen).
+
+        The scan covers every capacity- and allowance-feasible step:
+        single-file moves (file ascending, then disk ascending), then pair
+        swaps (pair-lexicographic). A step lists (file, new disk). Steps
+        seen counts the feasible steps scanned since the previous item,
+        the yielded one included. When non-gaining steps follow the last
+        gaining one, a final item ``(0.0, (), moved, count)`` reports them.
+        The generator must not be resumed after apply.
+
+        Two exact filters count steps without computing their deltas. A
+        file without a home is quiet when its cheapest disk beats its own
+        by at most ``_EPS``: float subtraction is monotone, so none of its
+        moves can gain, and its feasible moves come from a per-scan count
+        of the disks its size fits. A swap of two settled files cannot
+        gain either; see the class docstring.
+        """
         assignment, loads, conn = self.assignment, self.loads, self.conn
-        sizes, capacities = self.sizes, self.capacities
+        sizes, capacities, disks = self.sizes, self.capacities, self.disks
         homes, allowance, moved = self.homes, self.allowance, self.moved
         adjacent = self.weights._adjacent
+        seen = 0
+        fits: dict[int, int] = {}  # size -> disks with room for it
         for f in self.files:
-            src, home = assignment[f], homes.get(f)
+            src, home, size = assignment[f], homes.get(f), sizes[f]
             conn_f = conn[f]
             detach = conn_f[src]
-            for dst in self.disks:
-                if dst == src or loads[dst] + sizes[f] > capacities[dst]:
+            if home is None and min(conn_f.values()) - detach >= -_EPS:
+                if size not in fits:
+                    fits[size] = sum(loads[d] + size <= capacities[d] for d in disks)
+                seen += fits[size] - (loads[src] + size <= capacities[src])
+                continue
+            for dst in disks:
+                if dst == src or loads[dst] + size > capacities[dst]:
                     continue
                 after = moved
                 if home is not None:
                     after += (dst != home) - (src != home)
                     if after > allowance:
                         continue
-                yield conn_f[dst] - detach, ((f, dst),), after
-        for a, b in combinations(self.files, 2):
-            da, db = assignment[a], assignment[b]
-            if da == db:
-                continue
-            if loads[da] - sizes[a] + sizes[b] > capacities[da]:
-                continue
-            if loads[db] - sizes[b] + sizes[a] > capacities[db]:
-                continue
-            after = moved
-            if homes:
-                ha, hb = homes.get(a), homes.get(b)
-                if ha is not None:
-                    after += (db != ha) - (da != ha)
-                if hb is not None:
-                    after += (da != hb) - (db != hb)
-                if after > allowance:
+                seen += 1
+                delta = conn_f[dst] - detach
+                if delta < -_EPS:
+                    yield delta, ((f, dst),), after, seen
+                    seen = 0
+
+        files = self.files
+        disk_of = [assignment[f] for f in files]
+        # room[i]: tracks free on files[i]'s disk once files[i] leaves it.
+        room = [capacities[d] - loads[d] + sizes[f] for f, d in zip(files, disk_of)]
+        size_of = [sizes[f] for f in files]
+        home_of = [homes.get(f) for f in files]
+        settled = [conn[f][d] == 0.0 for f, d in zip(files, disk_of)]
+        for i, a in enumerate(files):
+            da, room_a, size_a, ha = disk_of[i], room[i], size_of[i], home_of[i]
+            conn_a, adjacent_a, settled_a = conn[a], adjacent.get(a, {}), settled[i]
+            for j in range(i + 1, len(files)):
+                db = disk_of[j]
+                if db == da or size_of[j] > room_a or size_a > room[j]:
                     continue
-            conn_a, conn_b = conn[a], conn[b]
-            w_ab = adjacent.get(a, {}).get(b, 0.0)
-            delta = (
-                conn_a[db]
-                - w_ab
-                + conn_b[da]
-                - w_ab
-                - conn_a[da]
-                - conn_b[db]
-            )
-            yield delta, ((a, db), (b, da)), after
+                after = moved
+                if homes:
+                    hb = home_of[j]
+                    if ha is not None:
+                        after += (db != ha) - (da != ha)
+                    if hb is not None:
+                        after += (da != hb) - (db != hb)
+                    if after > allowance:
+                        continue
+                seen += 1
+                if settled_a and settled[j]:
+                    continue
+                b = files[j]
+                conn_b = conn[b]
+                w_ab = adjacent_a.get(b, 0.0)
+                delta = (
+                    conn_a[db]
+                    - w_ab
+                    + conn_b[da]
+                    - w_ab
+                    - conn_a[da]
+                    - conn_b[db]
+                )
+                if delta < -_EPS:
+                    yield delta, ((a, db), (b, da)), after, seen
+                    seen = 0
+        if seen:
+            yield 0.0, (), moved, seen
 
     def apply(self, step: tuple[tuple[int, int], ...], moved: int) -> None:
         self.moved = moved
@@ -463,10 +525,13 @@ def local_search(
     capacity-consuming fixture. Scanning order is file ascending then disk
     ascending for moves, pair-lexicographic for swaps, restarting after
     every accepted step, so the result is deterministic. A step counts as
-    an improvement only when it gains more than 1e-9. Evaluation count
-    is capped at 10 n^2; hitting the cap logs a warning and returns the
-    best allocation found. Each evaluation costs O(1) and each accepted
-    step O(deg) per moved file, from ``_Placement``'s connection table.
+    an improvement only when it gains more than 1e-9. Every feasible step
+    scanned counts as one evaluation, capped at 10 n^2; hitting the cap
+    logs a warning and returns the best allocation found. Only steps that
+    can gain have their delta computed, each in O(1) from ``_Placement``'s
+    connection table; the others are counted (see
+    ``_Placement.neighbourhood``). Each accepted step costs O(deg) per
+    moved file.
     """
     model = CostModel(model)
     if model is not CostModel.UNIFORM:
@@ -474,11 +539,21 @@ def local_search(
             "local search only optimizes uniform costs; ordered-distance is "
             "evaluation-only"
         )
+    return _local_search(alloc, stage, instance, PairWeights(stage), pinned)
+
+
+def _local_search(
+    alloc: Allocation,
+    stage: Stage,
+    instance: Instance,
+    weights: PairWeights,
+    pinned: Optional[Mapping[int, int]],
+) -> tuple[Allocation, float]:
+    """``local_search`` under uniform costs with the stage's ``weights``."""
     report = check_allocation_feasible(alloc, stage, instance)
     if not report.feasible:
         raise InfeasibleError("; ".join(report.violations))
 
-    weights = PairWeights(stage)
     if pinned is not None:
         movable = sorted(set(stage.active_files) - set(pinned))
     else:
@@ -487,19 +562,20 @@ def local_search(
     psi = weights.psi(state.on_disk)
     cap = _LOCAL_SEARCH_EVAL_FACTOR * len(movable) ** 2
     evals = 0
-    gain = -_EPS
 
     while True:
-        for delta, step, moved in state.neighbourhood():
-            evals += 1
-            if delta < gain or evals >= cap:
-                break
-        else:
-            break
-        if delta >= gain:
+        # Only the first gaining step of each scan is taken.
+        delta, step, moved, seen = next(state.neighbourhood(), (0.0, (), 0, 0))
+        evals += seen
+        # A scan step by step would have stopped at the cap on a step that
+        # does not gain, before reaching this item's gaining step, if any.
+        gaining = 1 if step else 0
+        if seen > gaining and evals - gaining >= cap:
             log.warning(
                 "local search stopped at the evaluation cap (%d evaluations)", cap
             )
+            break
+        if not step:
             break
         state.apply(step, moved)
         psi += delta
@@ -718,7 +794,8 @@ def _solve_stage(
     free = [f for f in stage.active_files if f not in fixed]
     communities = detect_communities(relation, free, instance.gamma)
     seeded = spread_allocate(communities, instance, stage, pinned=fixed)
-    alloc, psi = local_search(seeded, stage, instance, pinned=fixed)
+    weights = PairWeights(stage, relation)
+    alloc, psi = _local_search(seeded, stage, instance, weights, fixed)
     return alloc, psi, False
 
 

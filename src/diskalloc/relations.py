@@ -9,6 +9,7 @@ repeatedly peeling low-degree members into sub-communities that fit.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -69,56 +70,42 @@ class Community:
         return len(self.members)
 
 
-def _components(adjacency: Mapping[int, frozenset[int]]) -> list[tuple[int, ...]]:
-    """Connected components, each sorted, ordered by smallest member."""
-    seen: set[int] = set()
-    comps: list[tuple[int, ...]] = []
-    for start in sorted(adjacency):
-        if start in seen:
-            continue
-        stack = [start]
-        comp = []
-        seen.add(start)
-        while stack:
-            f = stack.pop()
-            comp.append(f)
-            for g in sorted(adjacency[f], reverse=True):
-                if g not in seen:
-                    seen.add(g)
-                    stack.append(g)
-        comps.append(tuple(sorted(comp)))
-    return comps
+def _peel(adjacency: Mapping[int, frozenset[int]], limit: int) -> list[tuple[int, ...]]:
+    """Split the graph into pieces of at most ``limit`` members, sorted.
 
-
-def _peel(
-    components: Iterable[tuple[int, ...]], adjacency: Mapping[int, frozenset[int]], limit: int
-) -> list[tuple[int, ...]]:
-    """Split components into pieces of at most ``limit`` members, sorted.
-
-    Greedy peeling over a worklist: a component that fits is a piece.
-    Otherwise seed a piece with its lowest-degree member (ties by id), grow
-    it by the lowest-degree neighbour of the piece so far until it reaches
-    the limit, and push the components the remainder falls apart into.
-    Keeps tightly linked files together as long as they fit.
+    Greedy peeling from one min-heap of (degree among the files not yet
+    peeled, id): seed a piece with the least entry, grow it by the
+    lowest-degree neighbour of the piece so far until it reaches the
+    limit or has no neighbour left, then remove it and lower its
+    neighbours' degrees. Degrees stay frozen while a piece grows. Pieces
+    never cross components, and the least entry of the whole graph is the
+    least of its own component, so this peels each component as if it
+    were alone; a component that fits becomes one piece. Keeps tightly
+    linked files together as long as they fit.
     """
+    degree = {f: len(ns) for f, ns in adjacency.items()}
+    heap = [(d, f) for f, d in degree.items()]
+    heapq.heapify(heap)
     pieces: list[tuple[int, ...]] = []
-    work = list(components)
-    while work:
-        component = work.pop()
-        if len(component) <= limit:
-            pieces.append(component)
+    while heap:
+        d, seed = heapq.heappop(heap)
+        if degree.get(seed) != d:  # peeled already, or a stale degree
             continue
-        members = set(component)
-        degree = {f: len(adjacency[f] & members) for f in component}
-        piece = {min(component, key=lambda f: (degree[f], f))}
-        while len(piece) < limit:
-            frontier = set().union(*(adjacency[f] for f in piece)) & members - piece
-            if not frontier:
-                break
-            piece.add(min(frontier, key=lambda f: (degree[f], f)))
+        piece = {seed}
+        frontier = {g for g in adjacency[seed] if g in degree}
+        while frontier and len(piece) < limit:
+            f = min(frontier, key=lambda g: (degree[g], g))
+            piece.add(f)
+            frontier |= {g for g in adjacency[f] if g in degree}
+            frontier -= piece
+        for f in piece:
+            del degree[f]
+        for f in piece:
+            for g in adjacency[f]:
+                if g in degree:
+                    degree[g] -= 1
+                    heapq.heappush(heap, (degree[g], g))
         pieces.append(tuple(sorted(piece)))
-        rest = members - piece
-        work.extend(_components({f: adjacency[f] & rest for f in rest}))
     return sorted(pieces)
 
 
@@ -129,8 +116,9 @@ def split_oversized_component(
     if gamma < 1:
         raise ValidationError("need at least one disk to split against")
     component = tuple(sorted({int(f) for f in component}))
-    adjacency = relation.adjacency(component)
-    return [Community(p) for p in _peel([component], adjacency, gamma)]
+    if len(component) <= gamma:  # fits whole, even when disconnected
+        return [Community(component)]
+    return [Community(p) for p in _peel(relation.adjacency(component), gamma)]
 
 
 def detect_communities(
@@ -144,7 +132,7 @@ def detect_communities(
     if gamma < 1:
         raise ValidationError("need at least one disk to detect communities against")
     adjacency = relation.adjacency({int(f) for f in active})
-    return [Community(p) for p in _peel(_components(adjacency), adjacency, gamma)]
+    return [Community(p) for p in _peel(adjacency, gamma)]
 
 
 @dataclass(frozen=True)

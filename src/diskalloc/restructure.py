@@ -185,7 +185,7 @@ def restructure_one_stage(
         # than _EPS, so ties go to the first step in scan order.
         while True:
             bar, best = -_EPS, None
-            for delta, step, moved in state.neighbourhood():
+            for delta, step, moved, _ in state.neighbourhood():
                 if delta < bar:
                     bar, best = delta - _EPS, (step, moved)
             if best is None:

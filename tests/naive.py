@@ -240,7 +240,7 @@ def _step_delta(assignment, step, incident):
     )
 
 
-def _feasible_steps(assignment, files, instance, homes, allowance):
+def naive_feasible_steps(assignment, files, instance, homes, allowance):
     """(step, files moved after it) in the solvers' scan order: moves by
     file then disk, then swaps by pair. Loads come from the whole
     assignment; a file counts as moved while it is off its home."""
@@ -289,7 +289,7 @@ def naive_local_search(assignment, stage, instance, files, factor):
     evals = 0
     while True:
         taken = None
-        for step, _ in _feasible_steps(assignment, files, instance, {}, len(files)):
+        for step, _ in naive_feasible_steps(assignment, files, instance, {}, len(files)):
             evals += 1
             delta = _step_delta(assignment, step, incident)
             if delta < -1e-9 or evals >= cap:
@@ -311,7 +311,7 @@ def naive_greedy_descent(previous, stage, instance, allowance):
     incident = _incident_edges(stage)
     while True:
         best = None
-        for step, _ in _feasible_steps(assignment, files, instance, homes, allowance):
+        for step, _ in naive_feasible_steps(assignment, files, instance, homes, allowance):
             delta = _step_delta(assignment, step, incident)
             if delta < -1e-9 and (best is None or delta < best[1]):
                 best = step, delta

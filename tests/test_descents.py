@@ -1,10 +1,12 @@
 """The move/swap descents against independent oracles.
 
 Local search and greedy restructuring share ``allocator._Placement``,
-which keeps a connection table instead of rescanning disks. These tests
-hold it to the scan order, evaluation count and cap of ``tests/naive.py``,
-which recounts every delta from the assignment, and bound the rounding
-drift of its incremental sums under fractional ``phi``.
+which keeps a connection table instead of rescanning disks and computes
+deltas only for steps that can gain. These tests hold it to the scan
+order, evaluation count and cap of ``tests/naive.py``, which recounts
+every delta from the assignment, hold each scan to an enumeration of
+every feasible step, and bound the rounding drift of its incremental sums
+under fractional ``phi``.
 """
 
 import logging
@@ -13,13 +15,19 @@ import random
 import pytest
 
 from diskalloc import allocator
-from diskalloc.allocator import _EPS, _Placement, evaluate_objective, local_search
+from diskalloc.allocator import (
+    _EPS,
+    PairWeights,
+    _Placement,
+    evaluate_objective,
+    local_search,
+)
 from diskalloc.generator import generate_instance
 from diskalloc.io import parse_instance_document
 from diskalloc.model import Allocation
 from diskalloc.restructure import RestructureMode, RestructuringProblem, restructure_one_stage
 
-from naive import naive_greedy_descent, naive_local_search
+from naive import naive_feasible_steps, naive_greedy_descent, naive_local_search
 
 
 def _uniform_case(seed):
@@ -109,6 +117,71 @@ def test_greedy_restructure_follows_the_naive_scan():
         result = restructure_one_stage(problem, RestructureMode.GREEDY)
         want, want_psi = naive_greedy_descent(assignment, stage, inst, allowance)
         assert (dict(result.allocation.assignment), result.objective) == (want, want_psi), seed
+
+
+def _scan_states(case, with_homes):
+    """(placement, instance, homes, allowance) of 30 seeds of ``case``,
+    each after a few random feasible steps and a few first-improvement
+    steps, so the table has been updated in place and files sit off their
+    homes. With homes, three files in four have one and the allowance
+    varies."""
+    for seed in range(30):
+        inst, assignment, rng = case(seed)
+        stage = inst.stage(1)
+        files = sorted(stage.active_files)
+        homes, allowance = {}, 0
+        if with_homes:
+            homes = {f: assignment[f] for f in files if rng.random() < 0.75}
+            allowance = rng.choice([1, 2, len(homes)])
+        state = _Placement(assignment, files, stage, inst, PairWeights(stage), homes, allowance)
+        for _ in range(rng.randint(0, 3)):
+            steps = list(naive_feasible_steps(state.assignment, files, inst, homes, allowance))
+            if steps:
+                state.apply(*rng.choice(steps))
+        for _ in range(rng.randint(0, 40)):
+            item = next(state.neighbourhood(), None)
+            if item is None or not item[1]:
+                break
+            state.apply(item[1], item[2])
+        yield state, inst, homes, allowance
+
+
+def _table_delta(state, step):
+    """A step's delta from the connection table, in the expression and
+    summation order of the neighbourhood."""
+    conn = state.conn
+    if len(step) == 1:
+        ((f, dst),) = step
+        return conn[f][dst] - conn[f][state.assignment[f]]
+    (a, db), (b, da) = step
+    w_ab = state.weights._adjacent.get(a, {}).get(b, 0.0)
+    return conn[a][db] - w_ab + conn[b][da] - w_ab - conn[a][da] - conn[b][db]
+
+
+@pytest.mark.parametrize("with_homes", [False, True])
+@pytest.mark.parametrize("case", [_uniform_case, _dense_phi_case])
+def test_neighbourhood_yields_every_gaining_step_and_counts_the_rest(case, with_homes):
+    skipped = 0
+    for state, inst, homes, allowance in _scan_states(case, with_homes):
+        want, total = [], 0
+        steps = naive_feasible_steps(state.assignment, state.files, inst, homes, allowance)
+        for step, after in steps:
+            total += 1
+            delta = _table_delta(state, step)
+            if delta < -_EPS:
+                want.append((total, delta, step, after))
+        got, position = [], 0
+        for delta, step, after, seen in state.neighbourhood():
+            assert seen > 0
+            position += seen
+            got.append((position, delta, step, after))
+        # Only the last item may report non-gaining steps alone.
+        if got and not got[-1][2]:
+            assert got.pop()[1:] == (0.0, (), state.moved)
+        assert got == want
+        assert position == total
+        skipped += total - len(want)
+    assert skipped
 
 
 @pytest.fixture

@@ -123,6 +123,19 @@ def test_split_tolerates_small_components():
     assert [c.members for c in split_oversized_component((1, 2), relation, 3)] == [(1, 2)]
 
 
+def test_split_keeps_a_disconnected_component_that_fits_whole():
+    # Peeling would seed with the isolated file 3 and split it off.
+    relation = IntegratedRelation(frozenset({(1, 2)}))
+    pieces = split_oversized_component((3, 1, 2), relation, 3)
+    assert [c.members for c in pieces] == [(1, 2, 3)]
+
+
+def test_split_of_an_oversized_disconnected_component_peels_each_part():
+    relation = IntegratedRelation(frozenset({(1, 2), (2, 3), (4, 5)}))
+    pieces = split_oversized_component((1, 2, 3, 4, 5, 6), relation, 2)
+    assert [c.members for c in pieces] == [(1, 2), (3,), (4, 5), (6,)]
+
+
 def test_split_pieces_never_exceed_gamma():
     edges = frozenset({(a, b) for a in range(1, 9) for b in range(a + 1, 9)})
     relation = IntegratedRelation(edges)
