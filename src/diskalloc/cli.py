@@ -29,6 +29,7 @@ from .io import (
     write_document,
 )
 from .report import (
+    _solution_text,
     diff_report,
     evaluation_report,
     relations_report,
@@ -141,6 +142,15 @@ def _single_stage(doc: SolutionDocument, label: str) -> SolutionStage:
     return doc.stages[0]
 
 
+def _check_plan_output(args, from_stage: int, to_stage: int) -> None:
+    """Refuse ``--output`` for a plan within one stage before any work."""
+    if args.output and from_stage == to_stage:
+        raise ValidationError(
+            f"--output needs solutions of two different stages: a plan "
+            f"within stage {from_stage} has no document form"
+        )
+
+
 def _parse_budgets(raw: Optional[str]) -> Optional[list[float]]:
     if raw is None:
         return None
@@ -204,11 +214,7 @@ def _cmd_evaluate(args):
 def _cmd_diff(args):
     src = _single_stage(parse_solution(args.src), "--from solution")
     dst = _single_stage(parse_solution(args.dst), "--to solution")
-    if args.output and src.index == dst.index:
-        raise ValidationError(
-            f"--output needs solutions of two different stages: a plan "
-            f"within stage {src.index} has no document form"
-        )
+    _check_plan_output(args, src.index, dst.index)
     plan = relocation_diff(
         allocation_from_solution_stage(src), allocation_from_solution_stage(dst)
     )
@@ -222,6 +228,7 @@ def _cmd_diff(args):
 def _cmd_restructure(args):
     instance = parse_instance(args.instance)
     previous_stage = _single_stage(parse_solution(args.previous), "--previous solution")
+    _check_plan_output(args, previous_stage.index, args.stage)
     problem = RestructuringProblem(
         instance=instance,
         stage=instance.stage(args.stage),
@@ -229,14 +236,17 @@ def _cmd_restructure(args):
         budget=args.budget,
     )
     result = restructure_one_stage(problem, RestructureMode(args.mode))
+    plan = result.plan
     stages = solution_from_allocation(
         result.allocation, args.stage, objective=result.objective, rho=result.proximity
     ).stages
-    doc = _plan_solution(previous_stage.index, args.stage, result.plan, stages)
-    text = solution_report(doc, instance)
+    transition = (previous_stage.index, args.stage, plan.total_cost, plan.moves)
+    text = _solution_text(stages, [transition], plan.total_cost, instance)
     if not result.certified:
         text += "\nreference optimum is heuristic, not certified"
-    return text, lambda: emit_solution_document(doc)
+    return text, lambda: emit_solution_document(
+        _plan_solution(previous_stage.index, args.stage, plan, stages)
+    )
 
 
 def _cmd_trajectory(args):

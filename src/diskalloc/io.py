@@ -30,14 +30,9 @@ from .model import (
 )
 
 
-def _expect(value, types, path: str):
-    if not isinstance(value, types):
-        names = (
-            "/".join(t.__name__ for t in types)
-            if isinstance(types, tuple)
-            else types.__name__
-        )
-        raise DocumentError(f"expected {names}, got {type(value).__name__}", path)
+def _expect(value, kind: type, path: str):
+    if not isinstance(value, kind):
+        raise DocumentError(f"expected {kind.__name__}, got {type(value).__name__}", path)
     return value
 
 
@@ -60,13 +55,59 @@ def _as_number(value, path: str) -> float:
     return number
 
 
-def _check_keys(obj: Mapping, allowed: set[str], required: set[str], path: str):
-    unknown = set(obj) - allowed
+def _optional_number(value, path: str) -> Optional[float]:
+    """An absent or null number reads as None."""
+    return None if value is None else _as_number(value, path)
+
+
+def _object(raw, path: str, allowed, required) -> dict:
+    """A JSON object holding only ``allowed`` keys and every ``required`` one."""
+    _expect(raw, dict, path)
+    unknown = raw.keys() - allowed
     if unknown:
-        raise DocumentError(f"unknown field {sorted(unknown)[0]!r}", path)
-    missing = required - set(obj)
+        raise DocumentError(f"unknown field {min(unknown)!r}", path)
+    missing = required - raw.keys()
     if missing:
-        raise DocumentError(f"missing required field {sorted(missing)[0]!r}", path)
+        raise DocumentError(f"missing required field {min(missing)!r}", path)
+    return raw
+
+
+def _int_record(raw, path: str, *fields: str) -> list[int]:
+    """The integer values of a JSON object with exactly ``fields``, in order."""
+    _object(raw, path, fields, fields)
+    return [_as_int(raw[key], f"{path}.{key}") for key in fields]
+
+
+def _int_list(raw, path: str) -> list[int]:
+    return [_as_int(v, f"{path}[{k}]") for k, v in enumerate(_expect(raw, list, path))]
+
+
+def _id_map(raw, path: str, field: str, kind: str, read) -> dict:
+    """``raw[field]``, a JSON object keyed by ``kind`` ids written as
+    canonical decimals, so no two keys name one id; ``read(value, path)``
+    reads each value."""
+    path = f"{path}.{field}"
+    entries = {}
+    for key, value in _expect(raw[field], dict, path).items():
+        try:
+            ident = int(key)
+        except ValueError:
+            ident = None
+        if ident is None or key != str(ident):
+            canonical = "" if ident is None else "canonical "
+            raise DocumentError(f"{field} key {key!r} is not a {canonical}{kind} id", path)
+        entries[ident] = read(value, f"{path}[{key}]")
+    return entries
+
+
+def _unique(values: Sequence[int], what: str, path_of) -> None:
+    """Reject the first of ``values`` that repeats an earlier one; its path
+    is ``path_of(position)``."""
+    seen = set()
+    for k, value in enumerate(values):
+        if value in seen:
+            raise DocumentError(f"{what} {value} appears twice", path_of(k))
+        seen.add(value)
 
 
 def _parse_pair_list(raw, path: str) -> list[tuple[int, int]]:
@@ -111,9 +152,9 @@ def _parse_phi(raw, active: Sequence[int], path: str) -> Optional[dict[tuple[int
 
 def parse_instance_document(doc) -> Instance:
     """Build a validated Instance from a decoded JSON document."""
-    _expect(doc, dict, "instance")
-    _check_keys(
+    _object(
         doc,
+        "instance",
         allowed={
             "files",
             "disks",
@@ -124,42 +165,28 @@ def parse_instance_document(doc) -> Instance:
             "task_digraphs",
         },
         required={"files", "disks", "stages"},
-        path="instance",
     )
-
-    files = []
-    _expect(doc["files"], list, "files")
-    for i, raw in enumerate(doc["files"]):
-        path = f"files[{i}]"
-        _expect(raw, dict, path)
-        _check_keys(raw, {"id", "size"}, {"id", "size"}, path)
-        files.append(FileSpec(_as_int(raw["id"], f"{path}.id"), _as_int(raw["size"], f"{path}.size")))
-
-    disks = []
-    _expect(doc["disks"], list, "disks")
-    for i, raw in enumerate(doc["disks"]):
-        path = f"disks[{i}]"
-        _expect(raw, dict, path)
-        _check_keys(raw, {"id", "capacity"}, {"id", "capacity"}, path)
-        disks.append(
-            DiskSpec(_as_int(raw["id"], f"{path}.id"), _as_int(raw["capacity"], f"{path}.capacity"))
-        )
+    files = [
+        FileSpec(*_int_record(raw, f"files[{i}]", "id", "size"))
+        for i, raw in enumerate(_expect(doc["files"], list, "files"))
+    ]
+    disks = [
+        DiskSpec(*_int_record(raw, f"disks[{i}]", "id", "capacity"))
+        for i, raw in enumerate(_expect(doc["disks"], list, "disks"))
+    ]
 
     stages = []
-    _expect(doc["stages"], list, "stages")
-    for i, raw in enumerate(doc["stages"]):
+    for i, raw in enumerate(_expect(doc["stages"], list, "stages")):
         path = f"stages[{i}]"
-        _expect(raw, dict, path)
-        _check_keys(
+        _object(
             raw,
+            path,
             allowed={"index", "active_files", "precedence", "concurrency", "phi", "e3_override"},
             required={"index", "active_files"},
-            path=path,
         )
-        active = [
-            _as_int(f, f"{path}.active_files[{k}]")
-            for k, f in enumerate(_expect(raw["active_files"], list, f"{path}.active_files"))
-        ]
+        active = _int_list(raw["active_files"], f"{path}.active_files")
+        # phi's rows follow the sorted list, so a repeat would shift them
+        _unique(active, "file", lambda k: f"{path}.active_files[{k}]")
         precedence = _parse_pair_list(raw.get("precedence", []), f"{path}.precedence")
         concurrency = _parse_pair_list(raw.get("concurrency", []), f"{path}.concurrency")
         phi = _parse_phi(raw.get("phi", "uniform"), active, f"{path}.phi")
@@ -177,8 +204,7 @@ def parse_instance_document(doc) -> Instance:
             )
         )
 
-    cost_model_raw = doc.get("cost_model", "uniform")
-    _expect(cost_model_raw, str, "cost_model")
+    cost_model_raw = _expect(doc.get("cost_model", "uniform"), str, "cost_model")
     try:
         cost_model = CostModel(cost_model_raw)
     except ValueError:
@@ -188,13 +214,8 @@ def parse_instance_document(doc) -> Instance:
 
     problem_class = None
     if "problem_class" in doc:
-        raw = doc["problem_class"]
-        _expect(raw, dict, "problem_class")
-        _check_keys(raw, {"alpha", "beta", "gamma"}, {"alpha", "beta", "gamma"}, "problem_class")
         problem_class = ProblemClass(
-            _as_int(raw["alpha"], "problem_class.alpha"),
-            _as_int(raw["beta"], "problem_class.beta"),
-            _as_int(raw["gamma"], "problem_class.gamma"),
+            *_int_record(doc["problem_class"], "problem_class", "alpha", "beta", "gamma")
         )
 
     instance = Instance(
@@ -318,90 +339,49 @@ class SolutionDocument:
 
 
 def parse_solution_document(doc) -> SolutionDocument:
-    _expect(doc, dict, "solution")
-    _check_keys(
+    _object(
         doc,
+        "solution",
         allowed={"stages", "transitions", "total_modification_cost"},
         required={"stages"},
-        path="solution",
     )
     stages = []
-    _expect(doc["stages"], list, "stages")
-    for i, raw in enumerate(doc["stages"]):
+    for i, raw in enumerate(_expect(doc["stages"], list, "stages")):
         path = f"stages[{i}]"
-        _expect(raw, dict, path)
-        _check_keys(
+        _object(
             raw,
+            path,
             allowed={"index", "assignment", "ordering", "objective", "rho"},
             required={"index", "assignment"},
-            path=path,
         )
-        _expect(raw["assignment"], dict, f"{path}.assignment")
-        assignment = {}
-        for key, disk in raw["assignment"].items():
-            try:
-                f = int(key)
-            except ValueError:
-                raise DocumentError(
-                    f"assignment key {key!r} is not a file id", f"{path}.assignment"
-                ) from None
-            assignment[f] = _as_int(disk, f"{path}.assignment[{key}]")
+        assignment = _id_map(raw, path, "assignment", "file", _as_int)
         ordering = None
-        if "ordering" in raw and raw["ordering"] is not None:
-            _expect(raw["ordering"], dict, f"{path}.ordering")
-            ordering = {}
-            for key, seq in raw["ordering"].items():
-                try:
-                    d = int(key)
-                except ValueError:
-                    raise DocumentError(
-                        f"ordering key {key!r} is not a disk id", f"{path}.ordering"
-                    ) from None
-                _expect(seq, list, f"{path}.ordering[{key}]")
-                ordering[d] = tuple(
-                    _as_int(f, f"{path}.ordering[{key}][{k}]") for k, f in enumerate(seq)
-                )
-        objective = None
-        if "objective" in raw and raw["objective"] is not None:
-            objective = _as_number(raw["objective"], f"{path}.objective")
-        rho = None
-        if "rho" in raw and raw["rho"] is not None:
-            rho = _as_number(raw["rho"], f"{path}.rho")
+        if raw.get("ordering") is not None:
+            ordering = _id_map(raw, path, "ordering", "disk", _int_list)
+        # Keyword arguments run in order: the index is read after the other
+        # fields, which fixes the error a document with several faults gets.
         stages.append(
             SolutionStage(
-                index=_as_int(raw["index"], f"{path}.index"),
                 assignment=assignment,
                 ordering=ordering,
-                objective=objective,
-                rho=rho,
+                objective=_optional_number(raw.get("objective"), f"{path}.objective"),
+                rho=_optional_number(raw.get("rho"), f"{path}.rho"),
+                index=_as_int(raw["index"], f"{path}.index"),
             )
         )
 
+    _unique([s.index for s in stages], "stage", lambda k: f"stages[{k}].index")
+
     transitions = []
-    raw_transitions = doc.get("transitions", [])
-    _expect(raw_transitions, list, "transitions")
-    for i, raw in enumerate(raw_transitions):
+    for i, raw in enumerate(_expect(doc.get("transitions", []), list, "transitions")):
         path = f"transitions[{i}]"
-        _expect(raw, dict, path)
-        _check_keys(
-            raw,
-            allowed={"from_stage", "to_stage", "moves", "h"},
-            required={"from_stage", "to_stage", "moves", "h"},
-            path=path,
-        )
-        moves = []
-        _expect(raw["moves"], list, f"{path}.moves")
-        for k, m in enumerate(raw["moves"]):
-            mpath = f"{path}.moves[{k}]"
-            _expect(m, dict, mpath)
-            _check_keys(m, {"file", "from", "to"}, {"file", "from", "to"}, mpath)
-            moves.append(
-                RelocationMove(
-                    _as_int(m["file"], f"{mpath}.file"),
-                    _as_int(m["from"], f"{mpath}.from"),
-                    _as_int(m["to"], f"{mpath}.to"),
-                )
-            )
+        fields = ("from_stage", "to_stage", "moves", "h")
+        _object(raw, path, fields, fields)
+        moves = [
+            RelocationMove(*_int_record(m, f"{path}.moves[{k}]", "file", "from", "to"))
+            for k, m in enumerate(_expect(raw["moves"], list, f"{path}.moves"))
+        ]
+        _unique([m.file for m in moves], "file", lambda k: f"{path}.moves[{k}].file")
         transitions.append(
             SolutionTransition(
                 from_stage=_as_int(raw["from_stage"], f"{path}.from_stage"),
@@ -411,9 +391,7 @@ def parse_solution_document(doc) -> SolutionDocument:
             )
         )
 
-    total = None
-    if "total_modification_cost" in doc and doc["total_modification_cost"] is not None:
-        total = _as_number(doc["total_modification_cost"], "total_modification_cost")
+    total = _optional_number(doc.get("total_modification_cost"), "total_modification_cost")
     return SolutionDocument(tuple(stages), tuple(transitions), total)
 
 

@@ -66,8 +66,16 @@ def _transition_lines(from_stage: int, to_stage: int, cost: float, moves) -> lis
 
 
 def solution_report(doc: SolutionDocument, instance: Optional[Instance] = None) -> str:
+    transitions = [(t.from_stage, t.to_stage, t.h, t.moves) for t in doc.transitions]
+    return _solution_text(doc.stages, transitions, doc.total_modification_cost, instance)
+
+
+def _solution_text(stages, transitions, total: Optional[float], instance: Optional[Instance]) -> str:
+    """Stage entries, then each (from stage, to stage, cost, moves)
+    transition, then the total; a transition within one stage, which has no
+    document form, renders like any other."""
     lines: list[str] = []
-    for s in doc.stages:
+    for s in stages:
         header = f"stage {s.index}:"
         details = []
         if s.objective is not None:
@@ -78,10 +86,10 @@ def solution_report(doc: SolutionDocument, instance: Optional[Instance] = None) 
             header += " " + ", ".join(details)
         lines.append(header)
         lines.extend(allocation_lines(s.assignment, instance))
-    for t in doc.transitions:
-        lines.extend(_transition_lines(t.from_stage, t.to_stage, t.h, t.moves))
-    if doc.total_modification_cost is not None:
-        lines.append(f"total modification cost {_fmt(doc.total_modification_cost)}")
+    for transition in transitions:
+        lines.extend(_transition_lines(*transition))
+    if total is not None:
+        lines.append(f"total modification cost {_fmt(total)}")
     return "\n".join(lines)
 
 

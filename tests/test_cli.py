@@ -287,6 +287,30 @@ def test_restructure_zero_budget_reports_no_moves(capsys, tmp_path):
     assert "  no moves" in out
 
 
+def test_restructure_onto_the_previous_solutions_own_stage(capsys, tmp_path):
+    previous = write_stage_doc(tmp_path / "x2.json", ref.X2, 1)
+    argv = (
+        "restructure", "--instance", INSTANCE, "--stage", "1",
+        "--previous", previous, "--budget", "2",
+    )
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[0] == "stage 1: objective 0.0, rho 0.0"
+    assert "transition 1 -> 1 (modification cost 2.0):" in out
+    assert "  file 2: disk 1 -> disk 3" in out
+    assert out.splitlines()[-1] == "total modification cost 2.0"
+    # As with diff, --output fails before printing: such a plan has no
+    # document form.
+    out_path = tmp_path / "restr.json"
+    code, out, err = run(capsys, *argv, "--output", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --output needs solutions of two different stages: "
+        "a plan within stage 1 has no document form\n"
+    )
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("budget", ["nan", "inf"])
 def test_restructure_rejects_a_non_finite_budget(capsys, tmp_path, budget):
     previous = write_stage_doc(tmp_path / "x1.json", ref.X1, 1)

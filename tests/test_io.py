@@ -19,6 +19,7 @@ from diskalloc import (
     paper_example_path,
     parse_instance,
     parse_instance_document,
+    parse_solution,
     parse_solution_document,
     plan_trajectory,
     solution_from_allocation,
@@ -140,6 +141,20 @@ def test_phi_matrix_round_trips():
     phi = dict(inst.stage(1).phi)
     assert phi == {(1, 2): 0.5, (2, 1): 0.25, (3, 2): 0.125}
     assert parse_instance_document(emit_instance_document(inst)) == inst
+
+
+def test_active_files_are_unique():
+    # phi rows follow the listed files, so a repeat would put the weights
+    # on the wrong pairs: this one read as {(1, 2): 0.3, (2, 1): 0.6}
+    doc = bundled_doc()
+    doc["stages"] = [
+        {
+            "index": 1,
+            "active_files": [1, 1, 2],
+            "phi": [[0.0, 0.0, 0.1], [0.0, 0.0, 0.3], [0.4, 0.6, 0.0]],
+        }
+    ]
+    assert parse_error(doc) == "stages[0].active_files[1]: file 1 appears twice"
 
 
 def test_phi_matrix_shape_is_enforced():
@@ -271,6 +286,48 @@ def test_solution_rejects_non_numeric_keys():
     doc["stages"][0]["assignment"]["one"] = 1
     with pytest.raises(DocumentError, match="is not a file id"):
         parse_solution_document(doc)
+
+
+@pytest.mark.parametrize(
+    "field, entries, message",
+    [
+        ("assignment", {"1": 1, "01": 2, " 2": 1, "3_0": 2}, "assignment key '01' is not a canonical file id"),
+        ("assignment", {"1": 1, " 2": 1}, "assignment key ' 2' is not a canonical file id"),
+        ("assignment", {"1": 1, "3_0": 2}, "assignment key '3_0' is not a canonical file id"),
+        ("assignment", {"+1": 1}, "assignment key '+1' is not a canonical file id"),
+        ("assignment", {"-0": 1}, "assignment key '-0' is not a canonical file id"),
+        ("ordering", {"1": [1], "01": [2]}, "ordering key '01' is not a canonical disk id"),
+    ],
+)
+def test_solution_id_keys_must_be_canonical(field, entries, message):
+    doc = solution_doc()
+    doc["stages"][0][field] = entries
+    with pytest.raises(DocumentError) as info:
+        parse_solution_document(doc)
+    assert str(info.value) == f"stages[0].{field}: {message}"
+
+
+def test_solution_negative_id_keys_stay_canonical():
+    doc = solution_doc()
+    doc["stages"][0]["assignment"] = {"-1": 1, "0": 2}
+    assert dict(parse_solution_document(doc).stage(1).assignment) == {-1: 1, 0: 2}
+
+
+def test_solution_stage_indexes_are_unique():
+    # evaluate --stage 2 would otherwise score the first entry silently
+    doc = solution_doc()
+    doc["stages"].append({"index": 2, "assignment": {"1": 3}})
+    with pytest.raises(DocumentError) as info:
+        parse_solution_document(doc)
+    assert str(info.value) == "stages[2].index: stage 2 appears twice"
+
+
+def test_solution_transition_moves_each_file_once():
+    doc = solution_doc()
+    doc["transitions"][0]["moves"].append({"file": 1, "from": 2, "to": 3})
+    with pytest.raises(DocumentError) as info:
+        parse_solution_document(doc)
+    assert str(info.value) == "transitions[0].moves[2].file: file 1 appears twice"
 
 
 def test_solution_rejects_unknown_stage_field():
@@ -420,3 +477,185 @@ def test_generator_density_extremes():
 def test_generator_rejects_bad_parameters(overrides, message):
     with pytest.raises(ValidationError, match=message):
         gen(**overrides)
+
+
+# --- error corpus --------------------------------------------------------
+#
+# Each malformed document is paired with the exact message the reader
+# raises, so a rewrite of the readers must keep every message, field path
+# and error order. An edit returns the document to write as JSON, a str to
+# write as raw text, or None to write no file. Messages may name the file
+# as {path} and its directory as {dir}.
+
+_DROP = object()
+
+
+def _edit(*changes):
+    """An edit applying (key path, value) changes; _DROP deletes the key."""
+
+    def apply(doc):
+        for keys, value in changes:
+            target = doc
+            for key in keys[:-1]:
+                target = target[key]
+            if value is _DROP:
+                del target[keys[-1]]
+            else:
+                target[keys[-1]] = value
+        return doc
+
+    return apply
+
+
+def _phi(cell=(0, 1), value=0.0, rows=8):
+    matrix = [[0.0] * 8 for _ in range(rows)]
+    if cell is not None:
+        matrix[cell[0]][cell[1]] = value
+    return matrix
+
+
+def _read_stage_9(path):
+    return parse_solution(path).stage(9)
+
+
+def _write_to_the_directory(path):
+    write_document({}, path.parent)
+
+
+_INSTANCE_ERRORS = [
+    (lambda doc: [doc], "instance: expected dict, got list"),
+    (_edit((("spindles",), 4)), "instance: unknown field 'spindles'"),
+    (_edit((("zz",), 1), (("yy",), 1), (("disks",), _DROP)), "instance: unknown field 'yy'"),
+    (_edit((("stages",), _DROP), (("disks",), _DROP)), "instance: missing required field 'disks'"),
+    (_edit((("files",), {})), "files: expected list, got dict"),
+    (_edit((("files", 1), 3)), "files[1]: expected dict, got int"),
+    (_edit((("files", 0, "name"), "a")), "files[0]: unknown field 'name'"),
+    (_edit((("files", 0, "size"), _DROP)), "files[0]: missing required field 'size'"),
+    (_edit((("files", 0, "id"), True)), "files[0].id: expected integer, got bool"),
+    (_edit((("files", 2), {"id": "x", "size": "y"})), "files[2].id: expected integer, got str"),
+    (_edit((("files", 2, "size"), 1.5)), "files[2].size: expected integer, got float"),
+    (_edit((("files", 7, "size"), "1"), (("disks",), "3")), "files[7].size: expected integer, got str"),
+    (_edit((("disks",), "3")), "disks: expected list, got str"),
+    (_edit((("disks", 0), None)), "disks[0]: expected dict, got NoneType"),
+    (_edit((("disks", 2, "capacity"), _DROP)), "disks[2]: missing required field 'capacity'"),
+    (_edit((("disks", 1, "id"), 2.0)), "disks[1].id: expected integer, got float"),
+    (_edit((("disks", 0, "capacity"), None)), "disks[0].capacity: expected integer, got NoneType"),
+    (_edit((("stages",), {})), "stages: expected list, got dict"),
+    (_edit((("stages", 1), [])), "stages[1]: expected dict, got list"),
+    (_edit((("stages", 0, "relations"), [])), "stages[0]: unknown field 'relations'"),
+    (_edit((("stages", 1, "index"), _DROP)), "stages[1]: missing required field 'index'"),
+    (_edit((("stages", 2, "active_files"), _DROP)), "stages[2]: missing required field 'active_files'"),
+    (_edit((("stages", 0, "active_files"), "1-8")), "stages[0].active_files: expected list, got str"),
+    (_edit((("stages", 0, "active_files", 3), "4")), "stages[0].active_files[3]: expected integer, got str"),
+    (_edit((("stages", 1, "index"), "2"), (("stages", 1, "active_files", 0), None)), "stages[1].active_files[0]: expected integer, got NoneType"),
+    (_edit((("stages", 2, "index"), 3.0)), "stages[2].index: expected integer, got float"),
+    (_edit((("stages", 1, "index"), "2"), (("stages", 1, "phi"), "random")), "stages[1].phi: expected list, got str"),
+    (_edit((("stages", 0, "precedence"), {})), "stages[0].precedence: expected list, got dict"),
+    (_edit((("stages", 0, "precedence", 1), [1, 2, 3])), "stages[0].precedence[1]: expected a pair, got 3 entries"),
+    (_edit((("stages", 0, "precedence", 0, 0), False)), "stages[0].precedence[0][0]: expected integer, got bool"),
+    (_edit((("stages", 0, "concurrency", 0), "2-3")), "stages[0].concurrency[0]: expected list, got str"),
+    (_edit((("stages", 0, "concurrency", 0, 1), "3")), "stages[0].concurrency[0][1]: expected integer, got str"),
+    (_edit((("stages", 0, "concurrency"), 1), (("stages", 0, "precedence"), 1)), "stages[0].precedence: expected list, got int"),
+    (_edit((("stages", 0, "phi"), "random")), "stages[0].phi: expected list, got str"),
+    (_edit((("stages", 0, "phi"), _phi(rows=7))), "stages[0].phi: matrix needs 8 rows, got 7"),
+    (_edit((("stages", 0, "phi"), _phi()), (("stages", 0, "phi", 2), 0)), "stages[0].phi[2]: expected list, got int"),
+    (_edit((("stages", 0, "phi"), _phi()), (("stages", 0, "phi", 7), [0.0] * 3)), "stages[0].phi[7]: row needs 8 entries, got 3"),
+    (_edit((("stages", 0, "phi"), _phi((4, 4), 0.1))), "stages[0].phi[4][4]: diagonal entries must be zero"),
+    (_edit((("stages", 0, "phi"), _phi((0, 1), "half"))), "stages[0].phi[0][1]: expected number, got str"),
+    (_edit((("stages", 0, "phi"), _phi((0, 1), True))), "stages[0].phi[0][1]: expected number, got bool"),
+    (_edit((("stages", 0, "phi"), _phi((0, 1), float("nan")))), "stages[0].phi[0][1]: expected a finite number, got nan"),
+    (_edit((("stages", 0, "phi"), _phi((3, 2), -float("inf")))), "stages[0].phi[3][2]: expected a finite number, got -inf"),
+    (_edit((("stages", 2, "e3_override"), "none")), "stages[2].e3_override: expected list, got str"),
+    (_edit((("stages", 2, "e3_override", 0), [1])), "stages[2].e3_override[0]: expected a pair, got 1 entries"),
+    (_edit((("cost_model",), 1)), "cost_model: expected str, got int"),
+    (_edit((("cost_model",), "zoned")), "cost_model: unknown cost model 'zoned'"),
+    (_edit((("cost_model",), "zoned"), (("relocation_unit_cost",), "1")), "cost_model: unknown cost model 'zoned'"),
+    (_edit((("relocation_unit_cost",), "1")), "relocation_unit_cost: expected number, got str"),
+    (_edit((("relocation_unit_cost",), False)), "relocation_unit_cost: expected number, got bool"),
+    (_edit((("relocation_unit_cost",), float("inf"))), "relocation_unit_cost: expected a finite number, got inf"),
+    (_edit((("relocation_unit_cost",), 10**400)), "relocation_unit_cost: expected a finite number, got inf"),
+    (_edit((("relocation_unit_cost",), "1"), (("problem_class",), [])), "relocation_unit_cost: expected number, got str"),
+    (_edit((("problem_class",), [])), "problem_class: expected dict, got list"),
+    (_edit((("problem_class", "delta"), 1)), "problem_class: unknown field 'delta'"),
+    (_edit((("problem_class", "gamma"), _DROP)), "problem_class: missing required field 'gamma'"),
+    (_edit((("problem_class", "beta"), "1"), (("problem_class", "gamma"), "3")), "problem_class.beta: expected integer, got str"),
+    (_edit((("problem_class", "gamma"), 3.5)), "problem_class.gamma: expected integer, got float"),
+    (lambda doc: '{"files": [,]}', "malformed JSON at line 1, column 12: Expecting value"),
+    (lambda doc: "", "malformed JSON at line 1, column 1: Expecting value"),
+    (lambda doc: None, "cannot read instance file: [Errno 2] No such file or directory: '{path}'"),
+]
+
+_SOLUTION_ERRORS = [
+    (lambda doc: [doc], "solution: expected dict, got list"),
+    (_edit((("psi",), 0.0)), "solution: unknown field 'psi'"),
+    (_edit((("stages",), _DROP)), "solution: missing required field 'stages'"),
+    (_edit((("stages",), {})), "stages: expected list, got dict"),
+    (_edit((("stages", 0), 1)), "stages[0]: expected dict, got int"),
+    (_edit((("stages", 0, "psi"), 0.0)), "stages[0]: unknown field 'psi'"),
+    (_edit((("stages", 1, "assignment"), _DROP)), "stages[1]: missing required field 'assignment'"),
+    (_edit((("stages", 0, "index"), _DROP)), "stages[0]: missing required field 'index'"),
+    (_edit((("stages", 0, "assignment"), [1, 2])), "stages[0].assignment: expected dict, got list"),
+    (_edit((("stages", 0, "assignment", "one"), 1)), "stages[0].assignment: assignment key 'one' is not a file id"),
+    (_edit((("stages", 0, "assignment", "1.5"), 1)), "stages[0].assignment: assignment key '1.5' is not a file id"),
+    (_edit((("stages", 0, "assignment", "3"), "2")), "stages[0].assignment[3]: expected integer, got str"),
+    (_edit((("stages", 1, "assignment", "8"), 1.0)), "stages[1].assignment[8]: expected integer, got float"),
+    (_edit((("stages", 0, "ordering"), [])), "stages[0].ordering: expected dict, got list"),
+    (_edit((("stages", 0, "ordering"), {"a": [1]})), "stages[0].ordering: ordering key 'a' is not a disk id"),
+    (_edit((("stages", 0, "ordering"), {"1": 1})), "stages[0].ordering[1]: expected list, got int"),
+    (_edit((("stages", 0, "ordering"), {"1": [1, 4, "6"]})), "stages[0].ordering[1][2]: expected integer, got str"),
+    (_edit((("stages", 0, "ordering"), {"1": 1}), (("stages", 0, "assignment", "2"), None)), "stages[0].assignment[2]: expected integer, got NoneType"),
+    (_edit((("stages", 1, "objective"), "1")), "stages[1].objective: expected number, got str"),
+    (_edit((("stages", 1, "objective"), float("nan"))), "stages[1].objective: expected a finite number, got nan"),
+    (_edit((("stages", 1, "rho"), float("inf"))), "stages[1].rho: expected a finite number, got inf"),
+    (_edit((("stages", 1, "rho"), [])), "stages[1].rho: expected number, got list"),
+    (_edit((("stages", 1, "objective"), "1"), (("stages", 1, "rho"), "1")), "stages[1].objective: expected number, got str"),
+    (_edit((("stages", 0, "index"), "1")), "stages[0].index: expected integer, got str"),
+    (_edit((("stages", 0, "index"), "1"), (("stages", 0, "assignment", "x"), 1)), "stages[0].assignment: assignment key 'x' is not a file id"),
+    (_edit((("stages", 1, "index"), None), (("stages", 1, "rho"), "1")), "stages[1].rho: expected number, got str"),
+    (_edit((("stages", 1, "index"), None), (("transitions",), {})), "stages[1].index: expected integer, got NoneType"),
+    (_edit((("transitions",), {})), "transitions: expected list, got dict"),
+    (_edit((("transitions", 0), "1->2")), "transitions[0]: expected dict, got str"),
+    (_edit((("transitions", 0, "cost"), 2.0)), "transitions[0]: unknown field 'cost'"),
+    (_edit((("transitions", 0, "h"), _DROP)), "transitions[0]: missing required field 'h'"),
+    (_edit((("transitions", 0, "moves"), {})), "transitions[0].moves: expected list, got dict"),
+    (_edit((("transitions", 0, "moves", 1), [5, 2, 1])), "transitions[0].moves[1]: expected dict, got list"),
+    (_edit((("transitions", 0, "moves", 1, "to"), _DROP)), "transitions[0].moves[1]: missing required field 'to'"),
+    (_edit((("transitions", 0, "moves", 0, "cost"), 1)), "transitions[0].moves[0]: unknown field 'cost'"),
+    (_edit((("transitions", 0, "moves", 0, "file"), "1")), "transitions[0].moves[0].file: expected integer, got str"),
+    (_edit((("transitions", 0, "moves", 0, "from"), 1.0), (("transitions", 0, "moves", 0, "to"), "2")), "transitions[0].moves[0].from: expected integer, got float"),
+    (_edit((("transitions", 0, "moves", 1, "to"), True)), "transitions[0].moves[1].to: expected integer, got bool"),
+    (_edit((("transitions", 0, "from_stage"), "1")), "transitions[0].from_stage: expected integer, got str"),
+    (_edit((("transitions", 0, "to_stage"), 2.0)), "transitions[0].to_stage: expected integer, got float"),
+    (_edit((("transitions", 0, "h"), "2")), "transitions[0].h: expected number, got str"),
+    (_edit((("transitions", 0, "h"), float("nan"))), "transitions[0].h: expected a finite number, got nan"),
+    (_edit((("transitions", 0, "from_stage"), "1"), (("transitions", 0, "moves", 0), 0)), "transitions[0].moves[0]: expected dict, got int"),
+    (_edit((("transitions", 0, "h"), "2"), (("transitions", 0, "to_stage"), "2")), "transitions[0].to_stage: expected integer, got str"),
+    (_edit((("total_modification_cost",), "2")), "total_modification_cost: expected number, got str"),
+    (_edit((("total_modification_cost",), 10**400)), "total_modification_cost: expected a finite number, got inf"),
+    (_edit((("total_modification_cost",), "2"), (("transitions", 0, "h"), "2")), "transitions[0].h: expected number, got str"),
+    (lambda doc: "{", "malformed JSON at line 1, column 2: Expecting property name enclosed in double quotes"),
+    (lambda doc: None, "cannot read solution file: [Errno 2] No such file or directory: '{path}'"),
+]
+
+_CORPUS = (
+    [(parse_instance, bundled_doc, edit, message) for edit, message in _INSTANCE_ERRORS]
+    + [(parse_solution, solution_doc, edit, message) for edit, message in _SOLUTION_ERRORS]
+    + [
+        (_read_stage_9, solution_doc, lambda doc: doc, "solution has no stage 9"),
+        (_write_to_the_directory, solution_doc, lambda doc: doc, "cannot write output file: [Errno 21] Is a directory: '{dir}'"),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "call, base, edit, message", _CORPUS, ids=[f"{c[0].__name__}-{k}" for k, c in enumerate(_CORPUS)]
+)
+def test_document_error_corpus(tmp_path, call, base, edit, message):
+    path = tmp_path / "doc.json"
+    doc = edit(base())
+    if doc is not None:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DocumentError) as info:
+        call(path)
+    assert type(info.value) is DocumentError
+    assert str(info.value) == message.replace("{path}", str(path)).replace("{dir}", str(tmp_path))
