@@ -18,8 +18,9 @@ within ``_EPS`` of each other as equal.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import EnumerationCapError, InfeasibleError, ValidationError
 from .model import Allocation, CostModel, Instance, Pair, Stage, canonical_edge
@@ -234,10 +235,12 @@ def check_allocation_feasible(
                 if f in seen:
                     violations.append(f"file {f} is ordered on more than one disk")
                 seen.add(f)
-                if alloc.assignment.get(f) != d:
+                if f not in alloc.assignment:
+                    violations.append(f"file {f} is ordered on disk {d} but not assigned")
+                elif alloc.assignment[f] != d:
                     violations.append(
                         f"file {f} is ordered on disk {d} but assigned to "
-                        f"disk {alloc.assignment.get(f)}"
+                        f"disk {alloc.assignment[f]}"
                     )
 
     return FeasibilityReport(feasible=not violations, violations=tuple(violations))
@@ -343,6 +346,32 @@ def spread_allocate(
     return Allocation(assignment, degraded=degraded)
 
 
+def _connection_tables(
+    files: Sequence[int],
+    on_disk: Mapping[int, Iterable[int]],
+    weights: PairWeights,
+) -> tuple[list[dict[int, float]], list[dict[int, float]]]:
+    """(rows, links) of ``files``, built in O(E) from the weights'
+    adjacency: ``rows[i][d]`` is the summed weight from ``files[i]`` to
+    the files in ``on_disk[d]``, added in that collection's order as
+    ``PairWeights.attach_cost`` adds them, and ``links[i]`` maps j to the
+    weight of each neighbour ``files[j]``."""
+    adjacent = weights._adjacent
+    position = {f: i for i, f in enumerate(files)}
+    rows = [dict.fromkeys(on_disk, 0.0) for _ in files]
+    for d, members in on_disk.items():
+        for g in members:
+            for f, w in adjacent.get(g, {}).items():
+                i = position.get(f)
+                if i is not None:
+                    rows[i][d] += w
+    links = [
+        {position[g]: w for g, w in adjacent.get(f, {}).items() if g in position}
+        for f in files
+    ]
+    return rows, links
+
+
 class _Placement:
     """Mutable placement of one stage, searched by moving and swapping
     ``files``.
@@ -353,22 +382,42 @@ class _Placement:
     no step may leave more than ``allowance`` files moved.
 
     ``conn[f][d]`` is the summed weight from searched file ``f`` to the
-    active files on disk ``d`` (Kernighan and Lin's gain bookkeeping), so
-    evaluating a step costs O(1) and applying one costs O(deg) per moved
-    file.
+    active files on disk ``d`` (Kernighan and Lin's gain bookkeeping),
+    built in O(E). Evaluating a step costs O(1). Applying one costs O(deg)
+    per moved file, and so does keeping two sets of positions in
+    ``files`` that tell the scan where a gain can be, the way Fiduccia and
+    Mattheyses keep their gain buckets:
 
-    A file is settled when ``conn[f][own disk] == 0.0``. A swap of settled
-    ``a`` and ``b`` cannot gain: its delta is ``(conn[a][db] - w_ab) +
-    (conn[b][da] - w_ab)`` less two exact zeros, and each of ``conn[a][db]``
-    and ``conn[b][da]`` sums ``w_ab`` with other non-negative weights.
-    Where the table holds those sums exactly, as under uniform weights,
-    each bracket rounds to at least 0.0, because float subtraction and
-    addition are monotone. Under fractional weights an entry may drift
-    below its exact sum by rounding in the incremental updates, so the
-    computed delta may fall below zero by about twice that drift. The
-    drift stays many orders of magnitude under ``_EPS`` (tests hold the
-    table to from-scratch sums), so such a swap never passes the gain
-    test, and the neighbourhood only counts it.
+    - ``loud``: files whose cheapest disk beats their own by more than
+      ``_EPS``. Float subtraction is monotone, so no move of another file
+      gains more than ``_EPS``.
+    - ``discontent``: files with ``min(conn[f]) < conn[f][own]``.
+
+    Two kinds of swap cannot gain either, and the scan skips them:
+
+    - Two files not linked by a weight, neither discontent. The computed
+      delta is ``conn[a][db] + conn[b][da] - conn[a][da] - conn[b][db]``
+      (``w_ab = 0.0`` drops out exactly), and each file's own entry is its
+      least, so the exact sum of those four floats is at least zero.
+      Where the table holds integers, as under uniform weights, the
+      computed delta is that sum. Otherwise its three roundings take it
+      below the sum by at most about ``3 * 2**-53`` times ``conn[a][db] +
+      conn[b][da]``, under ``_EPS`` while those two entries sum to less
+      than about 10**6.
+    - Two settled files, whose own entries are exactly 0.0. The delta is
+      ``(conn[a][db] - w_ab) + (conn[b][da] - w_ab)``, and each of
+      ``conn[a][db]`` and ``conn[b][da]`` sums ``w_ab`` with other
+      non-negative weights, so where the table holds those sums exactly
+      each bracket rounds to at least 0.0. Under fractional weights an
+      entry may drift below its exact sum by rounding in the incremental
+      updates, by many orders of magnitude less than ``_EPS`` (tests hold
+      the table to from-scratch sums).
+
+    With ``counts`` the placement also keeps what the neighbourhood needs
+    to count the steps it does not visit: ``fm[i]``, the number of
+    feasible moves of ``files[i]`` if it has no home (0 if it has one),
+    and the (disk, size, home) group of each file. A file's ``fm``
+    changes when it moves, or when a disk's free room crosses its size.
     """
 
     def __init__(
@@ -380,6 +429,7 @@ class _Placement:
         weights: PairWeights,
         homes: Mapping[int, Optional[int]],
         allowance: int,
+        counts: bool = True,
     ):
         self.assignment = dict(assignment)
         self.files = files
@@ -397,10 +447,110 @@ class _Placement:
             self.loads[d] += self.sizes[f]
             if f in active:
                 self.on_disk[d].add(f)
-        self.conn = {
-            f: {d: weights.attach_cost(f, self.on_disk[d]) for d in self.disks}
-            for f in files
-        }
+        self.rows, self.links = _connection_tables(files, self.on_disk, weights)
+        self.conn = dict(zip(files, self.rows))
+        self.position = {f: i for i, f in enumerate(files)}
+        self.disk_of = [self.assignment[f] for f in files]
+        self.size_of = [self.sizes[f] for f in files]
+        self.home_of = [homes.get(f) for f in files]
+        self.homed = {i for i, h in enumerate(self.home_of) if h is not None}
+        # later[i]: positions of files[i]'s neighbours after it, ascending.
+        self.later = [
+            sorted([j for j in link if j > i]) for i, link in enumerate(self.links)
+        ]
+        self.loud: set[int] = set()
+        self.discontent: set[int] = set()
+        self._classify(range(len(files)))
+        self.fm: Optional[list[int]] = None
+        if counts:
+            unhomed = [i for i in range(len(files)) if i not in self.homed]
+            self.by_size: dict[int, list[int]] = {}  # size -> unhomed positions
+            for i in unhomed:
+                self.by_size.setdefault(self.size_of[i], []).append(i)
+            # fits[size]: disks with room for a file of that size.
+            self.fits = {
+                size: sum(self.loads[d] + size <= self.capacities[d] for d in self.disks)
+                for size in self.by_size
+            }
+            self.fm = [0] * len(files)
+            for i in unhomed:
+                self._count_moves(i)
+            self.groups: dict[tuple[int, int, Optional[int]], int] = {}
+            # (g, h, disk of g, disk of h, size growth on g's disk, change
+            # of files moved) of each pair of groups on different disks.
+            self.group_pairs: list[tuple[int, int, int, int, int, int]] = []
+            self.group_of = [self._group(i) for i in range(len(files))]
+
+    def _classify(self, positions: Iterable[int]) -> None:
+        """Put each of ``positions`` in or out of ``loud`` and ``discontent``."""
+        rows, disk_of = self.rows, self.disk_of
+        loud, discontent = self.loud, self.discontent
+        for i in positions:
+            row = rows[i]
+            low, own = min(row.values()), row[disk_of[i]]
+            if low < own:
+                discontent.add(i)
+                if low - own < -_EPS:
+                    loud.add(i)
+                else:
+                    loud.discard(i)
+            else:
+                discontent.discard(i)
+                loud.discard(i)
+
+    def _count_moves(self, i: int) -> None:
+        """Recount ``fm[i]`` of a file without a home."""
+        size, src = self.size_of[i], self.disk_of[i]
+        own = self.loads[src] + size <= self.capacities[src]
+        self.fm[i] = self.fits[size] - own
+
+    def _group(self, i: int) -> int:
+        """The id of ``files[i]``'s (disk, size, home) group."""
+        key = (self.disk_of[i], self.size_of[i], self.home_of[i])
+        g = self.groups.get(key)
+        if g is None:
+            g = self.groups[key] = len(self.groups)
+            # Whether files of groups g and h may swap: both disks must
+            # have room for the size change, and the files moved after
+            # the swap change by a fixed offset.
+            da, sa, ha = key
+            for (db, sb, hb), h in self.groups.items():
+                if db != da:
+                    off = 0
+                    if ha is not None:
+                        off += (db != ha) - (da != ha)
+                    if hb is not None:
+                        off += (da != hb) - (db != hb)
+                    self.group_pairs.append((g, h, da, db, sb - sa, off))
+        return g
+
+    def _swap_counter(self) -> tuple[int, Callable[[int, int], int]]:
+        """(total, before): the number of feasible swaps, and the number
+        scanned before the pair of positions ``(i, j)``. Whether a swap is
+        feasible depends only on the two files' groups, so both count the
+        feasible pairs of groups."""
+        free = {d: self.capacities[d] - load for d, load in self.loads.items()}
+        slack = self.allowance - self.moved
+        feasible = [
+            (g, h)
+            for g, h, da, db, grow, off in self.group_pairs
+            if grow <= free[da] and -grow <= free[db] and off <= slack
+        ]
+        group_of = self.group_of
+
+        def pairs(counts: Mapping[int, int]) -> int:
+            get = counts.get
+            return sum(get(g, 0) * get(h, 0) for g, h in feasible)
+
+        total = pairs(Counter(group_of))
+
+        def before(i: int, j: int) -> int:
+            gi = group_of[i]
+            mates = {h for g, h in feasible if g == gi} | {g for g, h in feasible if h == gi}
+            row = Counter(group_of[i + 1 : j])
+            return total - pairs(Counter(group_of[i:])) + sum(row.get(h, 0) for h in mates)
+
+        return total, before
 
     def neighbourhood(
         self,
@@ -416,28 +566,27 @@ class _Placement:
         gaining one, a final item ``(0.0, (), moved, count)`` reports them.
         The generator must not be resumed after apply.
 
-        Two exact filters count steps without computing their deltas. A
-        file without a home is quiet when its cheapest disk beats its own
-        by at most ``_EPS``: float subtraction is monotone, so none of its
-        moves can gain, and its feasible moves come from a per-scan count
-        of the disks its size fits. A swap of two settled files cannot
-        gain either; see the class docstring.
+        It visits only steps that can gain (see the class docstring) and
+        counts the rest. The moves visited are those of loud files and,
+        when counting, of files with a home, whose feasible moves depend
+        on the allowance; each file skipped adds its ``fm``. The swaps
+        visited pair a discontent file with every later file and any
+        other file with its later neighbours and the later discontent
+        files; the feasible swaps scanned are counted from the files'
+        groups. A placement without ``counts`` reports 0 steps seen and
+        no final item.
         """
-        assignment, loads, conn = self.assignment, self.loads, self.conn
-        sizes, capacities, disks = self.sizes, self.capacities, self.disks
-        homes, allowance, moved = self.homes, self.allowance, self.moved
-        adjacent = self.weights._adjacent
-        seen = 0
-        fits: dict[int, int] = {}  # size -> disks with room for it
-        for f in self.files:
-            src, home, size = assignment[f], homes.get(f), sizes[f]
-            conn_f = conn[f]
-            detach = conn_f[src]
-            if home is None and min(conn_f.values()) - detach >= -_EPS:
-                if size not in fits:
-                    fits[size] = sum(loads[d] + size <= capacities[d] for d in disks)
-                seen += fits[size] - (loads[src] + size <= capacities[src])
-                continue
+        loads, rows, capacities, disks = self.loads, self.rows, self.capacities, self.disks
+        files, disk_of, size_of, home_of = self.files, self.disk_of, self.size_of, self.home_of
+        allowance, moved, fm = self.allowance, self.moved, self.fm
+        counting = fm is not None
+        seen = last = 0
+        for i in sorted(self.loud | self.homed if counting else self.loud):
+            if counting:
+                seen += sum(fm[last:i])
+                last = i + 1
+            src, home, size, row = disk_of[i], home_of[i], size_of[i], rows[i]
+            detach = row[src]
             for dst in disks:
                 if dst == src or loads[dst] + size > capacities[dst]:
                     continue
@@ -446,25 +595,37 @@ class _Placement:
                     after += (dst != home) - (src != home)
                     if after > allowance:
                         continue
-                seen += 1
-                delta = conn_f[dst] - detach
+                if counting:
+                    seen += 1
+                delta = row[dst] - detach
                 if delta < -_EPS:
-                    yield delta, ((f, dst),), after, seen
+                    yield delta, ((files[i], dst),), after, seen
                     seen = 0
+        if counting:
+            seen += sum(fm[last:])
 
-        files = self.files
-        disk_of = [assignment[f] for f in files]
-        # room[i]: tracks free on files[i]'s disk once files[i] leaves it.
-        room = [capacities[d] - loads[d] + sizes[f] for f, d in zip(files, disk_of)]
-        size_of = [sizes[f] for f in files]
-        home_of = [homes.get(f) for f in files]
-        settled = [conn[f][d] == 0.0 for f, d in zip(files, disk_of)]
-        for i, a in enumerate(files):
-            da, room_a, size_a, ha = disk_of[i], room[i], size_of[i], home_of[i]
-            conn_a, adjacent_a, settled_a = conn[a], adjacent.get(a, {}), settled[i]
-            for j in range(i + 1, len(files)):
+        links, later_of = self.links, self.later
+        homes, discontent = self.homes, self.discontent
+        free = {d: capacities[d] - loads[d] for d in disks}
+        worried = sorted(discontent)
+        n, k, m = len(files), 0, len(worried)
+        counter, scanned = None, 0  # scanned: feasible swaps up to the last hit
+        for i in range(n - 1):
+            if i in discontent:
+                later = range(i + 1, n)
+            else:
+                later = later_of[i]
+                while k < m and worried[k] <= i:
+                    k += 1
+                if k < m:
+                    later = sorted(set(later).union(worried[k:])) if later else worried[k:]
+                if not later:
+                    continue
+            da, size_a, ha, row_a, link_a = disk_of[i], size_of[i], home_of[i], rows[i], links[i]
+            room_a, settled_a = free[da] + size_a, row_a[da] == 0.0
+            for j in later:
                 db = disk_of[j]
-                if db == da or size_of[j] > room_a or size_a > room[j]:
+                if db == da or size_of[j] > room_a or size_a > free[db] + size_of[j]:
                     continue
                 after = moved
                 if homes:
@@ -475,40 +636,78 @@ class _Placement:
                         after += (da != hb) - (db != hb)
                     if after > allowance:
                         continue
-                seen += 1
-                if settled_a and settled[j]:
+                row_b = rows[j]
+                if settled_a and row_b[db] == 0.0:
                     continue
-                b = files[j]
-                conn_b = conn[b]
-                w_ab = adjacent_a.get(b, 0.0)
-                delta = (
-                    conn_a[db]
-                    - w_ab
-                    + conn_b[da]
-                    - w_ab
-                    - conn_a[da]
-                    - conn_b[db]
-                )
+                w_ab = link_a.get(j, 0.0)
+                delta = row_a[db] - w_ab + row_b[da] - w_ab - row_a[da] - row_b[db]
                 if delta < -_EPS:
-                    yield delta, ((a, db), (b, da)), after, seen
+                    if counting:
+                        counter = counter or self._swap_counter()
+                        upto = counter[1](i, j) + 1
+                        seen += upto - scanned
+                        scanned = upto
+                    yield delta, ((files[i], db), (files[j], da)), after, seen
                     seen = 0
-        if seen:
-            yield 0.0, (), moved, seen
+        if counting:
+            counter = counter or self._swap_counter()
+            seen += counter[0] - scanned
+            if seen:
+                yield 0.0, (), moved, seen
 
     def apply(self, step: tuple[tuple[int, int], ...], moved: int) -> None:
+        """Take ``step``, after which ``moved`` files sit off their homes."""
         self.moved = moved
+        assignment, loads, sizes = self.assignment, self.loads, self.sizes
+        rows, disk_of, position = self.rows, self.disk_of, self.position
+        loud, discontent, fm = self.loud, self.discontent, self.fm
+        old_loads: dict[int, int] = {}
         for f, dst in step:
-            src = self.assignment[f]
-            self.assignment[f] = dst
+            src = assignment[f]
+            i = position[f]
+            assignment[f] = disk_of[i] = dst
             self.on_disk[src].discard(f)
             self.on_disk[dst].add(f)
-            self.loads[src] -= self.sizes[f]
-            self.loads[dst] += self.sizes[f]
-            for g, w in self.weights._adjacent.get(f, {}).items():
-                conn_g = self.conn.get(g)
-                if conn_g is not None:
-                    conn_g[src] -= w
-                    conn_g[dst] += w
+            if fm is not None:
+                old_loads.setdefault(src, loads[src])
+                old_loads.setdefault(dst, loads[dst])
+            loads[src] -= sizes[f]
+            loads[dst] += sizes[f]
+            # Each neighbour is classified as by _classify, inline.
+            for j, w in self.links[i].items():
+                row = rows[j]
+                row[src] -= w
+                row[dst] += w
+                low, own = min(row.values()), row[disk_of[j]]
+                if low < own:
+                    discontent.add(j)
+                    if low - own < -_EPS:
+                        loud.add(j)
+                    else:
+                        loud.discard(j)
+                else:
+                    discontent.discard(j)
+                    loud.discard(j)
+        # A swap's first file classified its partner on the partner's old disk.
+        moved_at = [position[f] for f, _ in step]
+        self._classify(moved_at)
+        if fm is None:
+            return
+
+        capacities, fits = self.capacities, self.fits
+        for d, old in old_loads.items():
+            new, cap = loads[d], capacities[d]
+            for size, positions in self.by_size.items():
+                gained = (new + size <= cap) - (old + size <= cap)
+                if gained:
+                    fits[size] += gained
+                    for i in positions:
+                        if disk_of[i] != d:
+                            fm[i] += gained
+        for i in moved_at:
+            if i not in self.homed:
+                self._count_moves(i)
+            self.group_of[i] = self._group(i)
 
 
 def local_search(
@@ -634,23 +833,16 @@ def _branch_and_bound(
 
     # Interference of pinned active files among themselves is a constant
     # floor; interference with searched files accrues during the descent.
+    active = stage.active_set
     on_disk: dict[int, list[int]] = {d: [] for d in disks}
     for f, d in fixed.items():
-        if f in stage.active_set:
+        if f in active:
             on_disk[d].append(f)
 
-    conn = [{d: weights.attach_cost(f, on_disk[d]) for d in disks} for f in files]
+    conn, links = _connection_tables(files, on_disk, weights)
     low = [min(row.values(), default=0.0) for row in conn]
     # later[i]: (j, weight) for each neighbour files[j] placed after files[i].
-    position = {f: i for i, f in enumerate(files)}
-    later = [
-        [
-            (position[g], w)
-            for g, w in weights._adjacent.get(f, {}).items()
-            if position.get(g, -1) > i
-        ]
-        for i, f in enumerate(files)
-    ]
+    later = [[(j, w) for j, w in link.items() if j > i] for i, link in enumerate(links)]
 
     best: Optional[list[int]] = None
     best_psi = float("inf")

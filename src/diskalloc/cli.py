@@ -13,7 +13,13 @@ from contextlib import contextmanager
 from typing import Optional, Sequence
 
 from .allocator import EXACT_CAP_DEFAULT, evaluate_objective, check_allocation_feasible, exact_solve, solve_stage
-from .errors import DiskAllocError, EnumerationCapError, InfeasibleError, ValidationError
+from .errors import (
+    DiskAllocError,
+    DocumentError,
+    EnumerationCapError,
+    InfeasibleError,
+    ValidationError,
+)
 from .generator import generate_instance
 from .io import (
     SolutionDocument,
@@ -201,6 +207,12 @@ def _cmd_evaluate(args):
         sol_stage = solution.stages[0]
     else:
         sol_stage = solution.stage(args.stage)
+    # The reader checks an ordering against its own stage; only the
+    # instance knows which disks exist.
+    for d in sol_stage.ordering or {}:
+        if d not in instance.capacities:
+            k = next(k for k, s in enumerate(solution.stages) if s is sol_stage)
+            raise DocumentError(f"disk {d} is not in the instance", f"stages[{k}].ordering[{d}]")
     alloc = allocation_from_solution_stage(sol_stage)
     feasibility = check_allocation_feasible(alloc, stage, instance)
     if not feasibility.feasible:

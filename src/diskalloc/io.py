@@ -110,6 +110,25 @@ def _unique(values: Sequence[int], what: str, path_of) -> None:
         seen.add(value)
 
 
+def _check_ordering(
+    ordering: Mapping[int, list[int]], assignment: Mapping[int, int], path: str
+) -> None:
+    """Reject an ordering that lists a file twice or off its assigned disk."""
+    seen = set()
+    for d, files in ordering.items():
+        for k, f in enumerate(files):
+            at = f"{path}.ordering[{d}][{k}]"
+            if f in seen:
+                raise DocumentError(f"file {f} appears twice", at)
+            seen.add(f)
+            if f not in assignment:
+                raise DocumentError(f"file {f} is ordered on disk {d} but not assigned", at)
+            if assignment[f] != d:
+                raise DocumentError(
+                    f"file {f} is ordered on disk {d} but assigned to disk {assignment[f]}", at
+                )
+
+
 def _parse_pair_list(raw, path: str) -> list[tuple[int, int]]:
     _expect(raw, list, path)
     out = []
@@ -369,6 +388,8 @@ def parse_solution_document(doc) -> SolutionDocument:
                 index=_as_int(raw["index"], f"{path}.index"),
             )
         )
+        if ordering is not None:
+            _check_ordering(ordering, assignment, path)
 
     _unique([s.index for s in stages], "stage", lambda k: f"stages[{k}].index")
 

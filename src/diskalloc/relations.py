@@ -77,11 +77,13 @@ def _peel(adjacency: Mapping[int, frozenset[int]], limit: int) -> list[tuple[int
     peeled, id): seed a piece with the least entry, grow it by the
     lowest-degree neighbour of the piece so far until it reaches the
     limit or has no neighbour left, then remove it and lower its
-    neighbours' degrees. Degrees stay frozen while a piece grows. Pieces
-    never cross components, and the least entry of the whole graph is the
-    least of its own component, so this peels each component as if it
-    were alone; a component that fits becomes one piece. Keeps tightly
-    linked files together as long as they fit.
+    neighbours' degrees. Degrees stay frozen while a piece grows, so the
+    piece's frontier is a heap of the same pairs, whose entries for files
+    already taken are skipped. Pieces never cross components, and the
+    least entry of the whole graph is the least of its own component, so
+    this peels each component as if it were alone; a component that fits
+    becomes one piece. Keeps tightly linked files together as long as
+    they fit.
     """
     degree = {f: len(ns) for f, ns in adjacency.items()}
     heap = [(d, f) for f, d in degree.items()]
@@ -91,20 +93,27 @@ def _peel(adjacency: Mapping[int, frozenset[int]], limit: int) -> list[tuple[int
         d, seed = heapq.heappop(heap)
         if degree.get(seed) != d:  # peeled already, or a stale degree
             continue
-        piece = {seed}
-        frontier = {g for g in adjacency[seed] if g in degree}
-        while frontier and len(piece) < limit:
-            f = min(frontier, key=lambda g: (degree[g], g))
+        piece, frontier, f = {seed}, [], seed
+        while len(piece) < limit:
+            for g in adjacency[f]:
+                if g in degree and g not in piece:
+                    heapq.heappush(frontier, (degree[g], g))
+            while frontier and frontier[0][1] in piece:
+                heapq.heappop(frontier)
+            if not frontier:
+                break
+            f = heapq.heappop(frontier)[1]
             piece.add(f)
-            frontier |= {g for g in adjacency[f] if g in degree}
-            frontier -= piece
         for f in piece:
             del degree[f]
+        lowered = set()
         for f in piece:
             for g in adjacency[f]:
                 if g in degree:
                     degree[g] -= 1
-                    heapq.heappush(heap, (degree[g], g))
+                    lowered.add(g)
+        for g in lowered:
+            heapq.heappush(heap, (degree[g], g))
         pieces.append(tuple(sorted(piece)))
     return sorted(pieces)
 

@@ -184,6 +184,25 @@ def test_evaluate_infeasible_allocation_exits_1(capsys, tmp_path):
     assert "disk 3 holds 3 tracks, capacity is 2" in err
 
 
+@pytest.mark.parametrize(
+    "ordering, message",
+    [
+        ({"1": [1, 1, 2, 9], "7": [5]}, "stages[0].ordering[1][1]: file 1 appears twice"),
+        ({"1": [1, 4, 6, 9]}, "stages[0].ordering[1][3]: file 9 is ordered on disk 1 but not assigned"),
+        ({"1": [1, 4, 6], "7": []}, "stages[0].ordering[7]: disk 7 is not in the instance"),
+    ],
+)
+def test_evaluate_malformed_ordering_is_a_document_error(capsys, tmp_path, ordering, message):
+    path = tmp_path / "x1.json"
+    doc = emit_solution_document(solution_from_allocation(Allocation(ref.X1), 1))
+    doc["stages"][0]["ordering"] = ordering
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(
+        capsys, "evaluate", "--instance", INSTANCE, "--solution", str(path), "--stage", "1"
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # --- diff ----------------------------------------------------------------
 
 

@@ -224,3 +224,99 @@ def test_connection_tables_stay_exact_on_fractional_phi(checked_tables, descent)
         value = evaluate_objective(alloc, stage).value
         assert abs(psi - value) <= _EPS * max(1.0, abs(psi)), seed
     assert checked_tables
+
+
+def _sparse_phi_case(seed):
+    """A one-stage instance of 20-40 files on tight disks where one pair
+    in five carries a 3-decimal fractional weight, so that many files are
+    not linked and the table holds inexact sums."""
+    rng = random.Random(seed)
+    n = rng.randint(20, 40)
+    doc = generate_instance(n, rng.randint(3, 5), 1, 0.0, (1, 3), rng.uniform(1.05, 1.3), seed)
+    doc["stages"][0]["phi"] = [
+        [round(rng.uniform(0.0, 0.3), 3) if i != j and rng.random() < 0.2 else 0.0 for j in range(n)]
+        for i in range(n)
+    ]
+    inst = parse_instance_document(doc)
+    return inst, _random_placement(inst, rng), rng
+
+
+def _recount(state, inst):
+    """Loud and discontent positions, ``fm`` and the (disk, size, home)
+    group of each file, recomputed from the assignment and the table."""
+    sizes, capacities = inst.sizes, inst.capacities
+    loads = dict.fromkeys(capacities, 0)
+    for f, d in state.assignment.items():
+        loads[d] += sizes[f]
+    loud, discontent, fm, groups = set(), set(), [], []
+    for i, f in enumerate(state.files):
+        row, own, home = state.conn[f], state.assignment[f], state.homes.get(f)
+        if min(row.values()) < row[own]:
+            discontent.add(i)
+        if min(row.values()) - row[own] < -_EPS:
+            loud.add(i)
+        fits = [d for d in capacities if d != own and loads[d] + sizes[f] <= capacities[d]]
+        fm.append(0 if home is not None else len(fits))
+        groups.append((own, sizes[f], home))
+    return loud, discontent, fm, groups
+
+
+@pytest.mark.parametrize("with_homes", [False, True])
+@pytest.mark.parametrize("case", [_uniform_case, _dense_phi_case, _sparse_phi_case])
+def test_placement_bookkeeping_matches_a_recount(case, with_homes):
+    """After random and first-improvement steps, the sets the scan visits
+    and the counts it skips by equal a recount, and the table equals
+    from-scratch sums."""
+    for seed in range(30):
+        inst, assignment, rng = case(seed)
+        stage = inst.stage(1)
+        files = sorted(stage.active_files)
+        homes, allowance = {}, 0
+        if with_homes:
+            homes = {f: assignment[f] for f in files if rng.random() < 0.75}
+            allowance = rng.choice([1, 2, len(homes)])
+        weights = PairWeights(stage)
+        state = _Placement(assignment, files, stage, inst, weights, homes, allowance)
+        for _ in range(rng.randint(10, 60)):
+            item = next(state.neighbourhood(), None) if rng.random() < 0.5 else None
+            if item is not None and item[1]:
+                state.apply(item[1], item[2])
+            else:
+                steps = list(naive_feasible_steps(state.assignment, files, inst, homes, allowance))
+                if not steps:
+                    break
+                state.apply(*rng.choice(steps))
+            keys = {g: key for key, g in state.groups.items()}
+            got = (state.loud, state.discontent, state.fm, [keys[g] for g in state.group_of])
+            assert got == _recount(state, inst), seed
+            for f in files:
+                for d, value in state.conn[f].items():
+                    assert abs(value - weights.attach_cost(f, state.on_disk[d])) <= _EPS
+
+
+@pytest.mark.parametrize("with_homes", [False, True])
+@pytest.mark.parametrize("case", [_uniform_case, _sparse_phi_case])
+def test_swap_filter_never_skips_a_gaining_pair(case, with_homes):
+    """Every feasible swap that gains, by the neighbourhood's own delta,
+    pairs two neighbours or a discontent file; the states include local
+    optima of the moves, where only swaps are left to gain."""
+    skipped = 0
+    for state, inst, homes, allowance in _scan_states(case, with_homes):
+        for _ in range(2):
+            adjacent = state.weights._adjacent
+            position = {f: i for i, f in enumerate(state.files)}
+            for step, _ in naive_feasible_steps(state.assignment, state.files, inst, homes, allowance):
+                if len(step) == 1:
+                    continue
+                (a, _), (b, _) = step
+                if b in adjacent.get(a, {}) or {position[a], position[b]} & state.discontent:
+                    continue
+                skipped += 1
+                assert _table_delta(state, step) >= -_EPS, step
+            # Descend through the moves, then look again.
+            while True:
+                item = next(state.neighbourhood(), None)
+                if item is None or len(item[1]) != 1:
+                    break
+                state.apply(item[1], item[2])
+    assert skipped

@@ -26,6 +26,7 @@ from diskalloc import (
     solution_from_trajectory,
     write_document,
 )
+from diskalloc.cli import _cmd_evaluate, build_parser
 from diskalloc.generator import generate_instance
 
 import reference_data as ref
@@ -522,6 +523,19 @@ def _write_to_the_directory(path):
     write_document({}, path.parent)
 
 
+def _evaluate(path, stage):
+    argv = ["evaluate", "--instance", str(paper_example_path()), "--solution", str(path)]
+    _cmd_evaluate(build_parser().parse_args(argv + ["--stage", str(stage)]))
+
+
+def _evaluate_stage_1(path):
+    _evaluate(path, 1)
+
+
+def _evaluate_stage_2(path):
+    _evaluate(path, 2)
+
+
 _INSTANCE_ERRORS = [
     (lambda doc: [doc], "instance: expected dict, got list"),
     (_edit((("spindles",), 4)), "instance: unknown field 'spindles'"),
@@ -637,12 +651,31 @@ _SOLUTION_ERRORS = [
     (lambda doc: None, "cannot read solution file: [Errno 2] No such file or directory: '{path}'"),
 ]
 
+# A solution's ordering lists each file once, on its assigned disk, and
+# names only disks of the instance.
+_ORDERING_ERRORS = [
+    (_edit((("stages", 0, "ordering"), {"1": [1, 4, 1]})), "stages[0].ordering[1][2]: file 1 appears twice"),
+    (_edit((("stages", 0, "ordering"), {"1": [1], "2": [2, 1]})), "stages[0].ordering[2][1]: file 1 appears twice"),
+    (_edit((("stages", 1, "ordering"), {"2": [1, 2, 2]})), "stages[1].ordering[2][2]: file 2 appears twice"),
+    (_edit((("stages", 0, "ordering"), {"1": [1, 2]})), "stages[0].ordering[1][1]: file 2 is ordered on disk 1 but assigned to disk 2"),
+    (_edit((("stages", 0, "ordering"), {"7": [5]})), "stages[0].ordering[7][0]: file 5 is ordered on disk 7 but assigned to disk 2"),
+    (_edit((("stages", 0, "ordering"), {"3": [3, 9]})), "stages[0].ordering[3][1]: file 9 is ordered on disk 3 but not assigned"),
+    (_edit((("stages", 0, "ordering"), {"1": [1, 1]}), (("stages", 0, "rho"), "1")), "stages[0].rho: expected number, got str"),
+    (_edit((("stages", 0, "ordering"), {"1": [1, 1]}), (("stages", 1, "rho"), "1")), "stages[0].ordering[1][1]: file 1 appears twice"),
+]
+
 _CORPUS = (
     [(parse_instance, bundled_doc, edit, message) for edit, message in _INSTANCE_ERRORS]
     + [(parse_solution, solution_doc, edit, message) for edit, message in _SOLUTION_ERRORS]
     + [
         (_read_stage_9, solution_doc, lambda doc: doc, "solution has no stage 9"),
         (_write_to_the_directory, solution_doc, lambda doc: doc, "cannot write output file: [Errno 21] Is a directory: '{dir}'"),
+    ]
+    + [(parse_solution, solution_doc, edit, message) for edit, message in _ORDERING_ERRORS]
+    + [
+        (_evaluate_stage_1, solution_doc, _edit((("stages", 0, "ordering"), {"1": [1, 4, 6], "7": []})), "stages[0].ordering[7]: disk 7 is not in the instance"),
+        (_evaluate_stage_2, solution_doc, _edit((("stages", 1, "ordering"), {"2": [], "0": []})), "stages[1].ordering[0]: disk 0 is not in the instance"),
+        (_evaluate_stage_1, solution_doc, _edit((("stages", 0, "ordering"), {"7": [1]})), "stages[0].ordering[7][0]: file 1 is ordered on disk 7 but assigned to disk 1"),
     ]
 )
 
