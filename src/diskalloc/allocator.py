@@ -18,7 +18,6 @@ within ``_EPS`` of each other as equal.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -412,12 +411,6 @@ class _Placement:
       entry may drift below its exact sum by rounding in the incremental
       updates, by many orders of magnitude less than ``_EPS`` (tests hold
       the table to from-scratch sums).
-
-    With ``counts`` the placement also keeps what the neighbourhood needs
-    to count the steps it does not visit: ``fm[i]``, the number of
-    feasible moves of ``files[i]`` if it has no home (0 if it has one),
-    and the (disk, size, home) group of each file. A file's ``fm``
-    changes when it moves, or when a disk's free room crosses its size.
     """
 
     def __init__(
@@ -429,7 +422,6 @@ class _Placement:
         weights: PairWeights,
         homes: Mapping[int, Optional[int]],
         allowance: int,
-        counts: bool = True,
     ):
         self.assignment = dict(assignment)
         self.files = files
@@ -453,7 +445,6 @@ class _Placement:
         self.disk_of = [self.assignment[f] for f in files]
         self.size_of = [self.sizes[f] for f in files]
         self.home_of = [homes.get(f) for f in files]
-        self.homed = {i for i, h in enumerate(self.home_of) if h is not None}
         # later[i]: positions of files[i]'s neighbours after it, ascending.
         self.later = [
             sorted([j for j in link if j > i]) for i, link in enumerate(self.links)
@@ -461,25 +452,6 @@ class _Placement:
         self.loud: set[int] = set()
         self.discontent: set[int] = set()
         self._classify(range(len(files)))
-        self.fm: Optional[list[int]] = None
-        if counts:
-            unhomed = [i for i in range(len(files)) if i not in self.homed]
-            self.by_size: dict[int, list[int]] = {}  # size -> unhomed positions
-            for i in unhomed:
-                self.by_size.setdefault(self.size_of[i], []).append(i)
-            # fits[size]: disks with room for a file of that size.
-            self.fits = {
-                size: sum(self.loads[d] + size <= self.capacities[d] for d in self.disks)
-                for size in self.by_size
-            }
-            self.fm = [0] * len(files)
-            for i in unhomed:
-                self._count_moves(i)
-            self.groups: dict[tuple[int, int, Optional[int]], int] = {}
-            # (g, h, disk of g, disk of h, size growth on g's disk, change
-            # of files moved) of each pair of groups on different disks.
-            self.group_pairs: list[tuple[int, int, int, int, int, int]] = []
-            self.group_of = [self._group(i) for i in range(len(files))]
 
     def _classify(self, positions: Iterable[int]) -> None:
         """Put each of ``positions`` in or out of ``loud`` and ``discontent``."""
@@ -498,93 +470,31 @@ class _Placement:
                 discontent.discard(i)
                 loud.discard(i)
 
-    def _count_moves(self, i: int) -> None:
-        """Recount ``fm[i]`` of a file without a home."""
-        size, src = self.size_of[i], self.disk_of[i]
-        own = self.loads[src] + size <= self.capacities[src]
-        self.fm[i] = self.fits[size] - own
+    def _after(self, i: int, src: int, dst: int) -> int:
+        """Change in files moved when ``files[i]`` goes from ``src`` to ``dst``."""
+        home = self.home_of[i]
+        if home is None:
+            return 0
+        return (dst != home) - (src != home)
 
-    def _group(self, i: int) -> int:
-        """The id of ``files[i]``'s (disk, size, home) group."""
-        key = (self.disk_of[i], self.size_of[i], self.home_of[i])
-        g = self.groups.get(key)
-        if g is None:
-            g = self.groups[key] = len(self.groups)
-            # Whether files of groups g and h may swap: both disks must
-            # have room for the size change, and the files moved after
-            # the swap change by a fixed offset.
-            da, sa, ha = key
-            for (db, sb, hb), h in self.groups.items():
-                if db != da:
-                    off = 0
-                    if ha is not None:
-                        off += (db != ha) - (da != ha)
-                    if hb is not None:
-                        off += (da != hb) - (db != hb)
-                    self.group_pairs.append((g, h, da, db, sb - sa, off))
-        return g
-
-    def _swap_counter(self) -> tuple[int, Callable[[int, int], int]]:
-        """(total, before): the number of feasible swaps, and the number
-        scanned before the pair of positions ``(i, j)``. Whether a swap is
-        feasible depends only on the two files' groups, so both count the
-        feasible pairs of groups."""
-        free = {d: self.capacities[d] - load for d, load in self.loads.items()}
-        slack = self.allowance - self.moved
-        feasible = [
-            (g, h)
-            for g, h, da, db, grow, off in self.group_pairs
-            if grow <= free[da] and -grow <= free[db] and off <= slack
-        ]
-        group_of = self.group_of
-
-        def pairs(counts: Mapping[int, int]) -> int:
-            get = counts.get
-            return sum(get(g, 0) * get(h, 0) for g, h in feasible)
-
-        total = pairs(Counter(group_of))
-
-        def before(i: int, j: int) -> int:
-            gi = group_of[i]
-            mates = {h for g, h in feasible if g == gi} | {g for g, h in feasible if h == gi}
-            row = Counter(group_of[i + 1 : j])
-            return total - pairs(Counter(group_of[i:])) + sum(row.get(h, 0) for h in mates)
-
-        return total, before
-
-    def neighbourhood(
-        self,
-    ) -> Iterator[tuple[float, tuple[tuple[int, int], ...], int, int]]:
+    def neighbourhood(self) -> Iterator[tuple[float, tuple[tuple[int, int], ...], int]]:
         """The steps that gain more than ``_EPS``, in scan order, as
-        (objective delta, step, files moved after it, steps seen).
+        (objective delta, step, files moved after it).
 
-        The scan covers every capacity- and allowance-feasible step:
+        The scan order covers every capacity- and allowance-feasible step:
         single-file moves (file ascending, then disk ascending), then pair
-        swaps (pair-lexicographic). A step lists (file, new disk). Steps
-        seen counts the feasible steps scanned since the previous item,
-        the yielded one included. When non-gaining steps follow the last
-        gaining one, a final item ``(0.0, (), moved, count)`` reports them.
-        The generator must not be resumed after apply.
+        swaps (pair-lexicographic). A step lists (file, new disk). The
+        generator must not be resumed after apply.
 
-        It visits only steps that can gain (see the class docstring) and
-        counts the rest. The moves visited are those of loud files and,
-        when counting, of files with a home, whose feasible moves depend
-        on the allowance; each file skipped adds its ``fm``. The swaps
-        visited pair a discontent file with every later file and any
-        other file with its later neighbours and the later discontent
-        files; the feasible swaps scanned are counted from the files'
-        groups. A placement without ``counts`` reports 0 steps seen and
-        no final item.
+        It visits only steps that can gain (see the class docstring): the
+        moves of loud files, and the swaps that pair a discontent file
+        with every later file and any other file with its later
+        neighbours and the later discontent files.
         """
         loads, rows, capacities, disks = self.loads, self.rows, self.capacities, self.disks
         files, disk_of, size_of, home_of = self.files, self.disk_of, self.size_of, self.home_of
-        allowance, moved, fm = self.allowance, self.moved, self.fm
-        counting = fm is not None
-        seen = last = 0
-        for i in sorted(self.loud | self.homed if counting else self.loud):
-            if counting:
-                seen += sum(fm[last:i])
-                last = i + 1
+        allowance, moved = self.allowance, self.moved
+        for i in sorted(self.loud):
             src, home, size, row = disk_of[i], home_of[i], size_of[i], rows[i]
             detach = row[src]
             for dst in disks:
@@ -595,21 +505,15 @@ class _Placement:
                     after += (dst != home) - (src != home)
                     if after > allowance:
                         continue
-                if counting:
-                    seen += 1
                 delta = row[dst] - detach
                 if delta < -_EPS:
-                    yield delta, ((files[i], dst),), after, seen
-                    seen = 0
-        if counting:
-            seen += sum(fm[last:])
+                    yield delta, ((files[i], dst),), after
 
         links, later_of = self.links, self.later
         homes, discontent = self.homes, self.discontent
         free = {d: capacities[d] - loads[d] for d in disks}
         worried = sorted(discontent)
         n, k, m = len(files), 0, len(worried)
-        counter, scanned = None, 0  # scanned: feasible swaps up to the last hit
         for i in range(n - 1):
             if i in discontent:
                 later = range(i + 1, n)
@@ -642,35 +546,66 @@ class _Placement:
                 w_ab = link_a.get(j, 0.0)
                 delta = row_a[db] - w_ab + row_b[da] - w_ab - row_a[da] - row_b[db]
                 if delta < -_EPS:
-                    if counting:
-                        counter = counter or self._swap_counter()
-                        upto = counter[1](i, j) + 1
-                        seen += upto - scanned
-                        scanned = upto
-                    yield delta, ((files[i], db), (files[j], da)), after, seen
-                    seen = 0
-        if counting:
-            counter = counter or self._swap_counter()
-            seen += counter[0] - scanned
-            if seen:
-                yield 0.0, (), moved, seen
+                    yield delta, ((files[i], db), (files[j], da)), after
+
+    def count(self, step: tuple[tuple[int, int], ...] = ()) -> int:
+        """The feasible steps in scan order up to and including ``step``,
+        counted one by one; all of them when ``step`` is empty."""
+        loads, capacities, disks = self.loads, self.capacities, self.disks
+        files, disk_of, size_of = self.files, self.disk_of, self.size_of
+        slack = self.allowance - self.moved
+        seen = 0
+        for i, f in enumerate(files):
+            src, size = disk_of[i], size_of[i]
+            for dst in disks:
+                if dst == src or loads[dst] + size > capacities[dst]:
+                    continue
+                if self._after(i, src, dst) <= slack:
+                    seen += 1
+                    if step == ((f, dst),):
+                        return seen
+        for i, a in enumerate(files):
+            da, size_a = disk_of[i], size_of[i]
+            for j in range(i + 1, len(files)):
+                db, size_b = disk_of[j], size_of[j]
+                if db == da:
+                    continue
+                if loads[da] - size_a + size_b > capacities[da]:
+                    continue
+                if loads[db] - size_b + size_a > capacities[db]:
+                    continue
+                if self._after(i, da, db) + self._after(j, db, da) <= slack:
+                    seen += 1
+                    if step == ((a, db), (files[j], da)):
+                        return seen
+        return seen
+
+    def bound(self, step: tuple[tuple[int, int], ...] = ()) -> int:
+        """An upper bound of ``count(step)`` in O(1): the moves to another
+        disk and the pairs of files that the scan passes up to and
+        including ``step``, feasible or not, where a move of ``files[i]``
+        takes all of that file's moves."""
+        n, moves = len(self.files), len(self.disks) - 1
+        if not step:
+            return n * moves + n * (n - 1) // 2
+        i = self.position[step[0][0]]
+        if len(step) == 1:
+            return (i + 1) * moves
+        j = self.position[step[1][0]]
+        return n * moves + i * (2 * n - i - 1) // 2 + (j - i)
 
     def apply(self, step: tuple[tuple[int, int], ...], moved: int) -> None:
         """Take ``step``, after which ``moved`` files sit off their homes."""
         self.moved = moved
         assignment, loads, sizes = self.assignment, self.loads, self.sizes
         rows, disk_of, position = self.rows, self.disk_of, self.position
-        loud, discontent, fm = self.loud, self.discontent, self.fm
-        old_loads: dict[int, int] = {}
+        loud, discontent = self.loud, self.discontent
         for f, dst in step:
             src = assignment[f]
             i = position[f]
             assignment[f] = disk_of[i] = dst
             self.on_disk[src].discard(f)
             self.on_disk[dst].add(f)
-            if fm is not None:
-                old_loads.setdefault(src, loads[src])
-                old_loads.setdefault(dst, loads[dst])
             loads[src] -= sizes[f]
             loads[dst] += sizes[f]
             # Each neighbour is classified as by _classify, inline.
@@ -689,25 +624,7 @@ class _Placement:
                     discontent.discard(j)
                     loud.discard(j)
         # A swap's first file classified its partner on the partner's old disk.
-        moved_at = [position[f] for f, _ in step]
-        self._classify(moved_at)
-        if fm is None:
-            return
-
-        capacities, fits = self.capacities, self.fits
-        for d, old in old_loads.items():
-            new, cap = loads[d], capacities[d]
-            for size, positions in self.by_size.items():
-                gained = (new + size <= cap) - (old + size <= cap)
-                if gained:
-                    fits[size] += gained
-                    for i in positions:
-                        if disk_of[i] != d:
-                            fm[i] += gained
-        for i in moved_at:
-            if i not in self.homed:
-                self._count_moves(i)
-            self.group_of[i] = self._group(i)
+        self._classify([position[f] for f, _ in step])
 
 
 def local_search(
@@ -728,9 +645,10 @@ def local_search(
     scanned counts as one evaluation, capped at 10 n^2; hitting the cap
     logs a warning and returns the best allocation found. Only steps that
     can gain have their delta computed, each in O(1) from ``_Placement``'s
-    connection table; the others are counted (see
-    ``_Placement.neighbourhood``). Each accepted step costs O(deg) per
-    moved file.
+    connection table (see ``_Placement.neighbourhood``); each accepted
+    step costs O(deg) per moved file. The descent charges each scan an
+    O(1) upper bound of its evaluations, and counts them exactly, in a
+    second descent from the start, only when those bounds meet the cap.
     """
     model = CostModel(model)
     if model is not CostModel.UNIFORM:
@@ -757,28 +675,40 @@ def _local_search(
         movable = sorted(set(stage.active_files) - set(pinned))
     else:
         movable = sorted(set(stage.active_files) & set(alloc.assignment))
-    state = _Placement(alloc.assignment, movable, stage, instance, weights, {}, 0)
-    psi = weights.psi(state.on_disk)
     cap = _LOCAL_SEARCH_EVAL_FACTOR * len(movable) ** 2
-    evals = 0
 
-    while True:
-        # Only the first gaining step of each scan is taken.
-        delta, step, moved, seen = next(state.neighbourhood(), (0.0, (), 0, 0))
-        evals += seen
-        # A scan step by step would have stopped at the cap on a step that
-        # does not gain, before reaching this item's gaining step, if any.
-        gaining = 1 if step else 0
-        if seen > gaining and evals - gaining >= cap:
+    def descend(
+        charge: Callable[[_Placement, tuple[tuple[int, int], ...]], int]
+    ) -> tuple[_Placement, float, bool]:
+        """(placement, objective, capped) of a descent that charges each
+        scan ``charge(placement, first gaining step or ())`` evaluations."""
+        state = _Placement(alloc.assignment, movable, stage, instance, weights, {}, 0)
+        psi = weights.psi(state.on_disk)
+        evals = 0
+        while True:
+            # Only the first gaining step of each scan is taken.
+            delta, step, moved = next(state.neighbourhood(), (0.0, (), 0))
+            seen = charge(state, step)
+            evals += seen
+            # A scan step by step would have stopped at the cap on a step
+            # that does not gain, before reaching this gaining step, if any.
+            gaining = 1 if step else 0
+            if seen > gaining and evals - gaining >= cap:
+                return state, psi, True
+            if not step:
+                return state, psi, False
+            state.apply(step, moved)
+            psi += delta
+
+    # Each bound is at least the exact count, so where the bounds never
+    # meet the cap, counting exactly would take the same steps.
+    state, psi, capped = descend(_Placement.bound)
+    if capped:
+        state, psi, capped = descend(_Placement.count)
+        if capped:
             log.warning(
                 "local search stopped at the evaluation cap (%d evaluations)", cap
             )
-            break
-        if not step:
-            break
-        state.apply(step, moved)
-        psi += delta
-
     return Allocation(state.assignment, degraded=alloc.degraded), psi
 
 

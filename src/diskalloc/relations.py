@@ -49,9 +49,7 @@ def integrate_relations(stage: Stage) -> IntegratedRelation:
     """
     if stage.e3_override is not None:
         return IntegratedRelation(stage.e3_override)
-    edges = {canonical_edge(a, b) for a, b in stage.precedence}
-    edges.update(stage.concurrency)
-    return IntegratedRelation(frozenset(edges))
+    return IntegratedRelation(stage.precedence | stage.concurrency)
 
 
 @dataclass(frozen=True)

@@ -180,14 +180,12 @@ def restructure_one_stage(
         # New files start where spreading puts them, move-free.
         start = {**fixed, **{f: base[f] for f in based}}
         seeded = spread_allocate([Community((f,)) for f in new_files], instance, stage, pinned=start)
-        state = _Placement(
-            seeded.assignment, searched, stage, instance, weights, base, m, counts=False
-        )
+        state = _Placement(seeded.assignment, searched, stage, instance, weights, base, m)
         # Best-improvement descent; a step must beat the best so far by more
         # than _EPS, so ties go to the first step in scan order.
         while True:
             bar, best = -_EPS, None
-            for delta, step, moved, _ in state.neighbourhood():
+            for delta, step, moved in state.neighbourhood():
                 if delta < bar:
                     bar, best = delta - _EPS, (step, moved)
             if best is None:

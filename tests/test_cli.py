@@ -383,6 +383,26 @@ def test_broken_invariant_exits_2_without_a_traceback(capsys, tmp_path, monkeypa
     assert err == "error: restructuring beat a certified optimum; enumeration is broken\n"
 
 
+def test_plan_past_the_budget_exits_2_without_a_traceback(capsys, tmp_path, monkeypatch):
+    from diskalloc import restructure
+
+    search = restructure._branch_and_bound
+
+    def unlimited(files, fixed, loads, stage, instance, weights, homes, allowance):
+        return search(files, fixed, loads, stage, instance, weights, homes, len(files))
+
+    # The optimum of stage 2 from X1 takes two moves; the budget pays one.
+    monkeypatch.setattr(restructure, "_branch_and_bound", unlimited)
+    previous = write_stage_doc(tmp_path / "x1.json", ref.X1, 1)
+    code, out, err = run(
+        capsys,
+        "restructure", "--instance", INSTANCE, "--stage", "2",
+        "--previous", previous, "--budget", "1",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: restructuring plan exceeds its budget\n"
+
+
 # --- trajectory ----------------------------------------------------------
 
 

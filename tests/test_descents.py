@@ -140,7 +140,7 @@ def _scan_states(case, with_homes):
                 state.apply(*rng.choice(steps))
         for _ in range(rng.randint(0, 40)):
             item = next(state.neighbourhood(), None)
-            if item is None or not item[1]:
+            if item is None:
                 break
             state.apply(item[1], item[2])
         yield state, inst, homes, allowance
@@ -170,16 +170,12 @@ def test_neighbourhood_yields_every_gaining_step_and_counts_the_rest(case, with_
             delta = _table_delta(state, step)
             if delta < -_EPS:
                 want.append((total, delta, step, after))
-        got, position = [], 0
-        for delta, step, after, seen in state.neighbourhood():
-            assert seen > 0
-            position += seen
-            got.append((position, delta, step, after))
-        # Only the last item may report non-gaining steps alone.
-        if got and not got[-1][2]:
-            assert got.pop()[1:] == (0.0, (), state.moved)
+        got = [
+            (state.count(step), delta, step, after)
+            for delta, step, after in state.neighbourhood()
+        ]
         assert got == want
-        assert position == total
+        assert state.count() == total
         skipped += total - len(want)
     assert skipped
 
@@ -241,32 +237,24 @@ def _sparse_phi_case(seed):
     return inst, _random_placement(inst, rng), rng
 
 
-def _recount(state, inst):
-    """Loud and discontent positions, ``fm`` and the (disk, size, home)
-    group of each file, recomputed from the assignment and the table."""
-    sizes, capacities = inst.sizes, inst.capacities
-    loads = dict.fromkeys(capacities, 0)
-    for f, d in state.assignment.items():
-        loads[d] += sizes[f]
-    loud, discontent, fm, groups = set(), set(), [], []
+def _recount(state):
+    """Loud and discontent positions, recomputed from the assignment and
+    the table."""
+    loud, discontent = set(), set()
     for i, f in enumerate(state.files):
-        row, own, home = state.conn[f], state.assignment[f], state.homes.get(f)
+        row, own = state.conn[f], state.assignment[f]
         if min(row.values()) < row[own]:
             discontent.add(i)
         if min(row.values()) - row[own] < -_EPS:
             loud.add(i)
-        fits = [d for d in capacities if d != own and loads[d] + sizes[f] <= capacities[d]]
-        fm.append(0 if home is not None else len(fits))
-        groups.append((own, sizes[f], home))
-    return loud, discontent, fm, groups
+    return loud, discontent
 
 
 @pytest.mark.parametrize("with_homes", [False, True])
 @pytest.mark.parametrize("case", [_uniform_case, _dense_phi_case, _sparse_phi_case])
 def test_placement_bookkeeping_matches_a_recount(case, with_homes):
     """After random and first-improvement steps, the sets the scan visits
-    and the counts it skips by equal a recount, and the table equals
-    from-scratch sums."""
+    equal a recount, and the table equals from-scratch sums."""
     for seed in range(30):
         inst, assignment, rng = case(seed)
         stage = inst.stage(1)
@@ -279,16 +267,14 @@ def test_placement_bookkeeping_matches_a_recount(case, with_homes):
         state = _Placement(assignment, files, stage, inst, weights, homes, allowance)
         for _ in range(rng.randint(10, 60)):
             item = next(state.neighbourhood(), None) if rng.random() < 0.5 else None
-            if item is not None and item[1]:
+            if item is not None:
                 state.apply(item[1], item[2])
             else:
                 steps = list(naive_feasible_steps(state.assignment, files, inst, homes, allowance))
                 if not steps:
                     break
                 state.apply(*rng.choice(steps))
-            keys = {g: key for key, g in state.groups.items()}
-            got = (state.loud, state.discontent, state.fm, [keys[g] for g in state.group_of])
-            assert got == _recount(state, inst), seed
+            assert (state.loud, state.discontent) == _recount(state), seed
             for f in files:
                 for d, value in state.conn[f].items():
                     assert abs(value - weights.attach_cost(f, state.on_disk[d])) <= _EPS
@@ -313,10 +299,61 @@ def test_swap_filter_never_skips_a_gaining_pair(case, with_homes):
                     continue
                 skipped += 1
                 assert _table_delta(state, step) >= -_EPS, step
-            # Descend through the moves, then look again.
-            while True:
-                item = next(state.neighbourhood(), None)
-                if item is None or len(item[1]) != 1:
-                    break
-                state.apply(item[1], item[2])
+            _descend_through_the_moves(state)
     assert skipped
+
+
+def _descend_through_the_moves(state):
+    """Take first-improvement moves until the first gaining step is a swap
+    or nothing gains."""
+    while True:
+        item = next(state.neighbourhood(), None)
+        if item is None or len(item[1]) != 1:
+            break
+        state.apply(item[1], item[2])
+
+
+@pytest.mark.parametrize("with_homes", [False, True])
+@pytest.mark.parametrize("case", [_uniform_case, _sparse_phi_case])
+def test_scan_bounds_cover_the_exact_counts(case, with_homes):
+    """Local search charges each scan ``bound``, which must be at least
+    the exact ``count``: for each gaining step yielded and for a scan
+    without a gain. ``count(step)`` is the step's position among every
+    feasible step. The states include local optima of the moves."""
+    yielded = 0
+    for state, inst, homes, allowance in _scan_states(case, with_homes):
+        for _ in range(2):
+            feasible = naive_feasible_steps(state.assignment, state.files, inst, homes, allowance)
+            steps = [step for step, _ in feasible]
+            for _, step, _ in state.neighbourhood():
+                yielded += 1
+                assert state.count(step) == steps.index(step) + 1
+                assert state.bound(step) >= state.count(step), step
+            assert state.count() == len(steps)
+            assert state.bound() >= state.count()
+            _descend_through_the_moves(state)
+    assert yielded
+
+
+def test_scan_bounds_are_exact_where_every_step_is_feasible():
+    """With 2-8 unit files each alone on one of as many roomy disks,
+    every move and swap is feasible, so each bound equals the count: a
+    move's that of the file's last move, a swap's and the full scan's
+    their own."""
+    for seed in range(10):
+        rng = random.Random(seed)
+        n = rng.randint(2, 8)
+        inst = parse_instance_document(generate_instance(n, n, 1, 0.5, (1, 1), 3.0, seed))
+        stage = inst.stage(1)
+        files = sorted(stage.active_files)
+        disks = sorted(inst.capacities)
+        rng.shuffle(disks)
+        assignment = dict(zip(files, disks))
+        state = _Placement(assignment, files, stage, inst, PairWeights(stage), {}, 0)
+        steps = [step for step, _ in naive_feasible_steps(assignment, files, inst, {}, 0)]
+        assert len(steps) == n * (n - 1) + n * (n - 1) // 2
+        last = {step[0][0]: step for step in steps if len(step) == 1}
+        for step in steps:
+            upto = last[step[0][0]] if len(step) == 1 else step
+            assert state.bound(step) == state.count(upto), step
+        assert state.bound() == state.count() == len(steps)
