@@ -57,25 +57,27 @@ class PairWeights:
     """
 
     def __init__(self, stage: Stage, relation: Optional[IntegratedRelation] = None):
-        """``relation``, when given, is the stage's integrated relation."""
+        """``relation``, when given, is the stage's integrated relation.
+        Under uniform weights its neighbour map is the adjacency, shared."""
         if stage.phi is None:
             if relation is None:
                 relation = integrate_relations(stage)
-            weights = dict.fromkeys(relation.edges, 1.0)
-        else:
-            weights: dict[Pair, float] = {}
-            for (a, b), w in stage.phi.items():
-                edge = canonical_edge(a, b)
-                weights[edge] = weights.get(edge, 0.0) + w
-            weights = {e: w for e, w in weights.items() if w != 0.0}
-        self._weights = weights
+            self._adjacent = relation._neighbours
+            return
+        weights: dict[Pair, float] = {}
+        for (a, b), w in stage.phi.items():
+            edge = canonical_edge(a, b)
+            weights[edge] = weights.get(edge, 0.0) + w
         self._adjacent: dict[int, dict[int, float]] = {}
         for (a, b), w in weights.items():
-            self._adjacent.setdefault(a, {})[b] = w
-            self._adjacent.setdefault(b, {})[a] = w
+            if w != 0.0:
+                self._adjacent.setdefault(a, {})[b] = w
+                self._adjacent.setdefault(b, {})[a] = w
 
     def pairs(self) -> list[tuple[Pair, float]]:
-        return sorted(self._weights.items())
+        return sorted(
+            ((a, b), w) for a, adj in self._adjacent.items() for b, w in adj.items() if a <= b
+        )
 
     def attach_cost(self, f: int, others: Iterable[int]) -> float:
         """Cost added by placing ``f`` next to ``others`` on one disk."""
@@ -383,16 +385,12 @@ class _Placement:
     ``conn[f][d]`` is the summed weight from searched file ``f`` to the
     active files on disk ``d`` (Kernighan and Lin's gain bookkeeping),
     built in O(E). Evaluating a step costs O(1). Applying one costs O(deg)
-    per moved file, and so does keeping two sets of positions in
-    ``files`` that tell the scan where a gain can be, the way Fiduccia and
-    Mattheyses keep their gain buckets:
-
-    - ``loud``: files whose cheapest disk beats their own by more than
-      ``_EPS``. Float subtraction is monotone, so no move of another file
-      gains more than ``_EPS``.
-    - ``discontent``: files with ``min(conn[f]) < conn[f][own]``.
-
-    Two kinds of swap cannot gain either, and the scan skips them:
+    per moved file, and so does keeping ``discontent``, the positions in
+    ``files`` of the files with ``min(conn[f]) < conn[f][own]``, which
+    tell the scan where a gain can be, the way Fiduccia and Mattheyses
+    keep their gain buckets. A move of any other file cannot gain, since
+    its own entry is its least. Two kinds of swap cannot gain either, and
+    the scan skips them:
 
     - Two files not linked by a weight, neither discontent. The computed
       delta is ``conn[a][db] + conn[b][da] - conn[a][da] - conn[b][db]``
@@ -449,26 +447,18 @@ class _Placement:
         self.later = [
             sorted([j for j in link if j > i]) for i, link in enumerate(self.links)
         ]
-        self.loud: set[int] = set()
         self.discontent: set[int] = set()
         self._classify(range(len(files)))
 
     def _classify(self, positions: Iterable[int]) -> None:
-        """Put each of ``positions`` in or out of ``loud`` and ``discontent``."""
-        rows, disk_of = self.rows, self.disk_of
-        loud, discontent = self.loud, self.discontent
+        """Put each of ``positions`` in or out of ``discontent``."""
+        rows, disk_of, discontent = self.rows, self.disk_of, self.discontent
         for i in positions:
             row = rows[i]
-            low, own = min(row.values()), row[disk_of[i]]
-            if low < own:
+            if min(row.values()) < row[disk_of[i]]:
                 discontent.add(i)
-                if low - own < -_EPS:
-                    loud.add(i)
-                else:
-                    loud.discard(i)
             else:
                 discontent.discard(i)
-                loud.discard(i)
 
     def _after(self, i: int, src: int, dst: int) -> int:
         """Change in files moved when ``files[i]`` goes from ``src`` to ``dst``."""
@@ -487,14 +477,16 @@ class _Placement:
         generator must not be resumed after apply.
 
         It visits only steps that can gain (see the class docstring): the
-        moves of loud files, and the swaps that pair a discontent file
-        with every later file and any other file with its later
+        moves of discontent files, and the swaps that pair a discontent
+        file with every later file and any other file with its later
         neighbours and the later discontent files.
         """
         loads, rows, capacities, disks = self.loads, self.rows, self.capacities, self.disks
         files, disk_of, size_of, home_of = self.files, self.disk_of, self.size_of, self.home_of
         allowance, moved = self.allowance, self.moved
-        for i in sorted(self.loud):
+        homes, discontent = self.homes, self.discontent
+        worried = sorted(discontent)
+        for i in worried:
             src, home, size, row = disk_of[i], home_of[i], size_of[i], rows[i]
             detach = row[src]
             for dst in disks:
@@ -510,9 +502,7 @@ class _Placement:
                     yield delta, ((files[i], dst),), after
 
         links, later_of = self.links, self.later
-        homes, discontent = self.homes, self.discontent
         free = {d: capacities[d] - loads[d] for d in disks}
-        worried = sorted(discontent)
         n, k, m = len(files), 0, len(worried)
         for i in range(n - 1):
             if i in discontent:
@@ -599,7 +589,7 @@ class _Placement:
         self.moved = moved
         assignment, loads, sizes = self.assignment, self.loads, self.sizes
         rows, disk_of, position = self.rows, self.disk_of, self.position
-        loud, discontent = self.loud, self.discontent
+        touched = {position[f] for f, _ in step}
         for f, dst in step:
             src = assignment[f]
             i = position[f]
@@ -608,23 +598,12 @@ class _Placement:
             self.on_disk[dst].add(f)
             loads[src] -= sizes[f]
             loads[dst] += sizes[f]
-            # Each neighbour is classified as by _classify, inline.
             for j, w in self.links[i].items():
                 row = rows[j]
                 row[src] -= w
                 row[dst] += w
-                low, own = min(row.values()), row[disk_of[j]]
-                if low < own:
-                    discontent.add(j)
-                    if low - own < -_EPS:
-                        loud.add(j)
-                    else:
-                        loud.discard(j)
-                else:
-                    discontent.discard(j)
-                    loud.discard(j)
-        # A swap's first file classified its partner on the partner's old disk.
-        self._classify([position[f] for f, _ in step])
+            touched.update(self.links[i])
+        self._classify(touched)
 
 
 def local_search(
@@ -795,7 +774,7 @@ def _branch_and_bound(
                 used += 1
                 if used > allowance:
                     continue
-            if not on_disk[d] and d not in reserved[i]:
+            if not loads[d] and d not in reserved[i]:
                 key = capacities[d] - loads[d]
                 if key in seen_empty:
                     continue
@@ -816,11 +795,9 @@ def _branch_and_bound(
                     low[j] = min(row.values())
                     child += low[j] - c
             loads[d] += size
-            on_disk[d].append(files[i])
             chosen.append(d)
             yield child_partial, child, used
             chosen.pop()
-            on_disk[d].pop()
             loads[d] -= size
             for row, c in saved_conn:
                 row[d] = c

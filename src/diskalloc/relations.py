@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
@@ -31,15 +32,21 @@ class IntegratedRelation:
     def has_edge(self, a: int, b: int) -> bool:
         return canonical_edge(a, b) in self.edges
 
+    @cached_property
+    def _neighbours(self) -> dict[int, dict[int, float]]:
+        """``{f: {g: 1.0}}`` for every edge (f, g), built on first use; the
+        uniform ``PairWeights`` of the stage share it."""
+        out: dict[int, dict[int, float]] = {}
+        for a, b in self.edges:
+            out.setdefault(a, {})[b] = 1.0
+            out.setdefault(b, {})[a] = 1.0
+        return out
+
     def adjacency(self, files: Iterable[int]) -> dict[int, frozenset[int]]:
         """Neighbour sets restricted to ``files``."""
         members = set(files)
-        out: dict[int, set[int]] = {f: set() for f in members}
-        for a, b in self.edges:
-            if a in members and b in members:
-                out[a].add(b)
-                out[b].add(a)
-        return {f: frozenset(ns) for f, ns in sorted(out.items())}
+        neighbours = self._neighbours
+        return {f: frozenset(neighbours.get(f, {}).keys() & members) for f in sorted(members)}
 
 
 def integrate_relations(stage: Stage) -> IntegratedRelation:

@@ -9,6 +9,7 @@ import pytest
 from diskalloc import (
     Allocation,
     CostModel,
+    Community,
     DiskSpec,
     EnumerationCapError,
     FileSpec,
@@ -27,6 +28,7 @@ from diskalloc import (
     spread_allocate,
     validate_instance,
 )
+from diskalloc.allocator import PairWeights
 from diskalloc.generator import generate_instance
 
 import reference_data as ref
@@ -97,6 +99,15 @@ def test_explicit_probabilities_sum_ordered_entries():
     assert apart.value == 0.0
 
 
+def test_uniform_weights_share_the_relations_neighbour_map():
+    # A heuristic stage solve builds the map once, for communities and
+    # weights alike.
+    stage = Stage(index=1, active_files=(1, 2, 3), concurrency={(1, 2), (2, 3)})
+    relation = integrate_relations(stage)
+    assert PairWeights(stage, relation)._adjacent is relation._neighbours
+    assert relation._neighbours == {1: {2: 1.0}, 2: {1: 1.0, 3: 1.0}, 3: {2: 1.0}}
+
+
 def test_explicit_probabilities_need_no_relation_edge():
     # the weighted pair is not in the integrated relation; it still counts
     stage = Stage(index=1, active_files=(1, 2, 3), concurrency={(2, 3)}, phi={(1, 2): 0.4})
@@ -142,6 +153,22 @@ def test_ordered_distance_rejects_ordering_assignment_mismatch():
     alloc = Allocation({1: 1, 2: 2}, ordering={1: (1, 2)})
     with pytest.raises(ValidationError, match="assigned to"):
         evaluate_objective(alloc, stage, CostModel.ORDERED_DISTANCE, sizes={1: 1, 2: 1})
+
+
+@pytest.mark.parametrize(
+    "ordering, sizes, message",
+    [
+        ({1: (1, 2), 2: (1,)}, {1: 1, 2: 1}, "file 1 is ordered on more than one disk"),
+        ({1: (1, 2)}, {1: 1}, "ordered file 2 has no size"),
+        ({1: (1,)}, {1: 1, 2: 1}, "track ordering is missing active files: [2]"),
+    ],
+)
+def test_ordered_distance_rejects_malformed_orderings(ordering, sizes, message):
+    stage = Stage(index=1, active_files=(1, 2), concurrency={(1, 2)})
+    alloc = Allocation({1: 1, 2: 1}, ordering=ordering)
+    with pytest.raises(ValidationError) as caught:
+        evaluate_objective(alloc, stage, CostModel.ORDERED_DISTANCE, sizes=sizes)
+    assert str(caught.value) == message
 
 
 # --- spreading heuristic -------------------------------------------------
@@ -211,6 +238,26 @@ def test_spread_rejects_community_overlapping_pins(instance):
         spread_allocate(communities, instance, stage, pinned={1: 1})
 
 
+@pytest.mark.parametrize(
+    "pinned, message",
+    [
+        ({1: 9}, "pinned file 1 sits on unknown disk 9"),
+        ({99: 1}, "pinned file 99 does not exist"),
+    ],
+)
+def test_spread_rejects_pins_off_the_instance(instance, pinned, message):
+    with pytest.raises(ValidationError) as caught:
+        spread_allocate([], instance, instance.stage(1), pinned=pinned)
+    assert str(caught.value) == message
+
+
+def test_spread_rejects_a_community_member_that_does_not_exist():
+    inst = small_instance()
+    with pytest.raises(ValidationError) as caught:
+        spread_allocate([Community((99,))], inst, inst.stage(1))
+    assert str(caught.value) == "file 99 does not exist"
+
+
 def test_spread_errors_when_pins_overfill_a_disk(instance):
     stage = instance.stage(1)
     with pytest.raises(InfeasibleError, match="overfill"):
@@ -243,6 +290,16 @@ def test_feasibility_checks_ordering_consistency(instance):
     report = check_allocation_feasible(alloc, instance.stage(1), instance)
     text = "\n".join(report.violations)
     assert "ordered on more than one disk" in text
+
+
+def test_feasibility_checks_ordering_disks_and_assignment():
+    inst = small_instance()
+    alloc = Allocation({1: 1, 2: 2, 3: 2}, ordering={1: (1, 4), 7: (2,)})
+    report = check_allocation_feasible(alloc, inst.stage(1), inst)
+    assert report.violations == (
+        "file 4 is ordered on disk 1 but not assigned",
+        "track ordering names unknown disk 7",
+    )
 
 
 # --- local search --------------------------------------------------------

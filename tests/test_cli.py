@@ -306,6 +306,44 @@ def test_restructure_zero_budget_reports_no_moves(capsys, tmp_path):
     assert "  no moves" in out
 
 
+def test_restructure_marks_a_heuristic_reference(capsys, tmp_path):
+    # 13 active files: past the enumeration cap, so the reference optimum
+    # that rho is measured against comes from the heuristic path.
+    doc = generate_instance(
+        n_files=13,
+        gamma=3,
+        n_stages=2,
+        edge_density=0.3,
+        size_range=(1, 1),
+        capacity_slack=1.5,
+        seed=1,
+    )
+    path = tmp_path / "wide.json"
+    write_document(doc, path)
+    previous = tmp_path / "s1.json"
+    code, _, _ = run(
+        capsys, "solve", "--instance", str(path), "--stage", "1", "--output", str(previous)
+    )
+    assert code == 0
+    code, out, err = run(
+        capsys,
+        "restructure", "--instance", str(path), "--stage", "2",
+        "--previous", str(previous), "--budget", "2",
+    )
+    assert code == 0 and err == ""
+    assert out == (
+        "stage 2: objective 8.0, rho 3.0\n"
+        "  disk 1 (capacity 7): 1 2 4 7\n"
+        "  disk 2 (capacity 7): 5 6 8 9 12\n"
+        "  disk 3 (capacity 6): 3 10 11 13\n"
+        "transition 1 -> 2 (modification cost 2.0):\n"
+        "  file 3: disk 2 -> disk 3\n"
+        "  file 8: disk 3 -> disk 2\n"
+        "total modification cost 2.0\n"
+        "reference optimum is heuristic, not certified\n"
+    )
+
+
 def test_restructure_onto_the_previous_solutions_own_stage(capsys, tmp_path):
     previous = write_stage_doc(tmp_path / "x2.json", ref.X2, 1)
     argv = (

@@ -50,6 +50,15 @@ def test_bundled_document_round_trips(instance):
     assert parse_instance_document(emitted) == instance
 
 
+def test_task_digraphs_round_trip(instance):
+    doc = emit_instance_document(instance)
+    doc["task_digraphs"] = {"1": [[1, 2], [2, 3]]}
+    parsed = parse_instance_document(json.loads(dump_document(doc)))
+    assert parsed.task_digraphs == {"1": [[1, 2], [2, 3]]}
+    assert emit_instance_document(parsed) == doc
+    assert parse_instance_document(emit_instance_document(parsed)) == parsed
+
+
 def test_emitted_document_is_json_serializable(instance):
     text = dump_document(emit_instance_document(instance))
     assert parse_instance_document(json.loads(text)) == instance

@@ -136,6 +136,22 @@ def test_validate_rejects(overrides, message):
         validate_instance(make_instance(**overrides))
 
 
+def test_validate_rejects_a_non_positive_disk_id():
+    with pytest.raises(ValidationError) as caught:
+        validate_instance(make_instance(disks=(DiskSpec(0, 2), DiskSpec(2, 2))))
+    assert str(caught.value) == "disk id 0 must be a positive integer"
+
+
+def test_validate_rejects_a_phi_diagonal_on_a_directly_built_stage():
+    # Documents cannot carry one (the matrix reader rejects it first).
+    stage = Stage(index=1, active_files=(1, 2), phi={(1, 1): 0.5, (1, 2): 0.5})
+    with pytest.raises(ValidationError) as caught:
+        validate_instance(make_instance(stages=(stage,)))
+    assert str(caught.value) == (
+        "stage 1: movement probability diagonal entry (1, 1) must be zero"
+    )
+
+
 def test_validate_flags_global_capacity_excess():
     inst = make_instance(
         files=(FileSpec(1, 9), FileSpec(2, 1), FileSpec(3, 1)),

@@ -136,6 +136,12 @@ def test_split_of_an_oversized_disconnected_component_peels_each_part():
     assert [c.members for c in pieces] == [(1, 2), (3,), (4, 5), (6,)]
 
 
+def test_split_rejects_zero_disks():
+    with pytest.raises(ValidationError) as caught:
+        split_oversized_component((1, 2), IntegratedRelation(frozenset({(1, 2)})), 0)
+    assert str(caught.value) == "need at least one disk to split against"
+
+
 def test_split_pieces_never_exceed_gamma():
     edges = frozenset({(a, b) for a in range(1, 9) for b in range(a + 1, 9)})
     relation = IntegratedRelation(edges)

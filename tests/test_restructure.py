@@ -354,6 +354,25 @@ def test_restructure_rejects_previous_on_unknown_disk(instance):
         restructure_one_stage(problem(instance, 2, bad, 2.0))
 
 
+def test_exact_restructure_fails_when_no_placement_fits_the_allowance():
+    # New file 2 needs both tracks of disk 1, which only a move of file 1
+    # frees, and the budget buys none. The declared reference skips the
+    # reference solve, which would fail first.
+    inst = validate_instance(
+        Instance(
+            files=(FileSpec(1, 1), FileSpec(2, 2)),
+            disks=(DiskSpec(1, 2), DiskSpec(2, 1)),
+            stages=(Stage(index=1, active_files=(1,)), Stage(index=2, active_files=(1, 2))),
+        )
+    )
+    problem = RestructuringProblem(
+        instance=inst, stage=inst.stage(2), previous=Allocation({1: 1}), budget=0, reference=0.0
+    )
+    with pytest.raises(InfeasibleError) as caught:
+        restructure_one_stage(problem, RestructureMode.EXACT)
+    assert str(caught.value) == "no placement within the move allowance fits the disks"
+
+
 def test_restructure_rejects_negative_budget(instance):
     with pytest.raises(ValidationError, match="non-negative"):
         problem(instance, 2, ref.X1, -1.0)
