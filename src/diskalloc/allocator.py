@@ -877,10 +877,13 @@ def _solve_stage(
     fixed: Mapping[int, int],
     cap: int,
     exact: Optional[bool] = None,
+    relation: Optional[IntegratedRelation] = None,
 ) -> tuple[Allocation, float, bool]:
     """(allocation, objective, certified) of one stage around the ``fixed``
     files: enumeration unless ``exact`` is False, falling back to spreading
-    plus local search past the cap unless ``exact`` is True."""
+    plus local search past the cap unless ``exact`` is True. ``relation``,
+    when given, is the stage's integrated relation, which the heuristic path
+    then does not build again."""
     if exact is None or exact:
         try:
             alloc, psi = exact_solve(stage, instance, cap=cap, pinned=fixed)
@@ -889,7 +892,8 @@ def _solve_stage(
             if exact:
                 raise
 
-    relation = integrate_relations(stage)
+    if relation is None:
+        relation = integrate_relations(stage)
     free = [f for f in stage.active_files if f not in fixed]
     communities = detect_communities(relation, free, instance.gamma)
     seeded = spread_allocate(communities, instance, stage, pinned=fixed)

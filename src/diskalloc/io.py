@@ -2,6 +2,10 @@
 
 Documents are plain JSON. Parsing is strict: unknown keys, wrong types, and
 malformed shapes are rejected with the offending field path in the message.
+Integer lists and pair lists are first checked in one pass over exact
+types; only a list that fails it is walked again entry by entry, and that
+walk alone builds field paths, so the first fault in document order is the
+one reported.
 ``parse_instance_document(emit_instance_document(x))`` returns ``x`` and
 the same holds for solution documents.
 """
@@ -11,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -28,6 +33,13 @@ from .model import (
     Trajectory,
     validate_instance,
 )
+
+
+def _exact(values, kinds) -> bool:
+    """Whether the type of every one of ``values`` is in ``kinds`` exactly.
+    A bool or any other subclass fails it, and the reader then walks the
+    values one by one, accepting or rejecting each as it always has."""
+    return set(map(type, values)) <= kinds
 
 
 def _expect(value, kind: type, path: str):
@@ -79,7 +91,9 @@ def _int_record(raw, path: str, *fields: str) -> list[int]:
 
 
 def _int_list(raw, path: str) -> list[int]:
-    return [_as_int(v, f"{path}[{k}]") for k, v in enumerate(_expect(raw, list, path))]
+    if _exact(_expect(raw, list, path), {int}):
+        return list(raw)
+    return [_as_int(v, f"{path}[{k}]") for k, v in enumerate(raw)]
 
 
 def _id_map(raw, path: str, field: str, kind: str, read) -> dict:
@@ -131,6 +145,10 @@ def _check_ordering(
 
 def _parse_pair_list(raw, path: str) -> list[tuple[int, int]]:
     _expect(raw, list, path)
+    if _exact(raw, {list}) and set(map(len, raw)) <= {2}:
+        ends = list(chain.from_iterable(raw))
+        if _exact(ends, {int}):
+            return list(zip(ends[::2], ends[1::2]))
     out = []
     for i, item in enumerate(raw):
         _expect(item, list, f"{path}[{i}]")

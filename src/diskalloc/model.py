@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain, starmap
+from operator import eq
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -318,14 +320,24 @@ def validate_instance(instance: Instance) -> Instance:
             if f not in file_ids:
                 raise ValidationError(f"stage {j}: active file {f} does not exist")
         # Only movement probabilities carry a weight w; the rest are pair sets.
+        phi = stage.phi or {}
         relations = (
-            ("precedence arc", dict.fromkeys(stage.precedence)),
-            ("concurrency edge", dict.fromkeys(stage.concurrency)),
-            ("integrated override edge", dict.fromkeys(stage.e3_override or ())),
-            ("movement probability entry", stage.phi or {}),
+            ("precedence arc", stage.precedence, None),
+            ("concurrency edge", stage.concurrency, None),
+            ("integrated override edge", stage.e3_override or (), None),
+            ("movement probability entry", phi.keys(), phi),
         )
-        for kind, entries in relations:
-            for (a, b), w in sorted(entries.items()):
+        # Set operations test every pair at once. Only a stage that fails
+        # them is walked in sorted order, so the least offending pair is the
+        # one named. A NaN weight passes, as it always has.
+        if min(phi.values(), default=0.0) >= 0 and all(
+            active.issuperset(chain.from_iterable(pairs)) and not any(starmap(eq, pairs))
+            for _, pairs, _ in relations
+        ):
+            continue
+        for kind, pairs, weights in relations:
+            for a, b in sorted(pairs):
+                w = None if weights is None else weights[(a, b)]
                 if a == b and w is None:
                     raise ValidationError(f"stage {j}: {kind} ({a}, {b}) is reflexive")
                 if a == b:

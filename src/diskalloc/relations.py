@@ -78,47 +78,47 @@ class Community:
 def _peel(adjacency: Mapping[int, frozenset[int]], limit: int) -> list[tuple[int, ...]]:
     """Split the graph into pieces of at most ``limit`` members, sorted.
 
-    Greedy peeling from one min-heap of (degree among the files not yet
-    peeled, id): seed a piece with the least entry, grow it by the
-    lowest-degree neighbour of the piece so far until it reaches the
-    limit or has no neighbour left, then remove it and lower its
-    neighbours' degrees. Degrees stay frozen while a piece grows, so the
-    piece's frontier is a heap of the same pairs, whose entries for files
-    already taken are skipped. Pieces never cross components, and the
-    least entry of the whole graph is the least of its own component, so
-    this peels each component as if it were alone; a component that fits
-    becomes one piece. Keeps tightly linked files together as long as
-    they fit.
+    Greedy peeling by (degree among the files not yet peeled, id), kept as
+    one integer rank per file, degree times the file count plus the id's
+    position: seed a piece with the least file, grow it by the least
+    neighbour of the piece so far until it reaches the limit or has no
+    neighbour left, then remove it and lower its neighbours' degrees.
+    Seeds come from one min-heap of ranks; a file whose rank falls is
+    pushed again, and entries that no longer match a rank are skipped.
+    Degrees stay frozen while a piece grows. Pieces never cross
+    components, and the least file of the whole graph is the least of its
+    own component, so this peels each component as if it were alone; a
+    component that fits becomes one piece. Keeps tightly linked files
+    together as long as they fit.
     """
-    degree = {f: len(ns) for f, ns in adjacency.items()}
-    heap = [(d, f) for f, d in degree.items()]
-    heapq.heapify(heap)
+    n = len(adjacency)
+    order = sorted(adjacency)
+    rank = {f: len(adjacency[f]) * n + k for k, f in enumerate(order)}
+    heap = sorted(rank.values())
     pieces: list[tuple[int, ...]] = []
     while heap:
-        d, seed = heapq.heappop(heap)
-        if degree.get(seed) != d:  # peeled already, or a stale degree
+        r = heapq.heappop(heap)
+        f = order[r % n]
+        if rank.get(f) != r:  # peeled already, or ranked lower since
             continue
-        piece, frontier, f = {seed}, [], seed
+        piece, frontier = {f}, set()
         while len(piece) < limit:
-            for g in adjacency[f]:
-                if g in degree and g not in piece:
-                    heapq.heappush(frontier, (degree[g], g))
-            while frontier and frontier[0][1] in piece:
-                heapq.heappop(frontier)
+            frontier |= rank.keys() & adjacency[f]
+            frontier -= piece
             if not frontier:
                 break
-            f = heapq.heappop(frontier)[1]
+            f = min(frontier, key=rank.__getitem__)
             piece.add(f)
         for f in piece:
-            del degree[f]
+            del rank[f]
         lowered = set()
         for f in piece:
             for g in adjacency[f]:
-                if g in degree:
-                    degree[g] -= 1
+                if g in rank:
+                    rank[g] -= n
                     lowered.add(g)
         for g in lowered:
-            heapq.heappush(heap, (degree[g], g))
+            heapq.heappush(heap, rank[g])
         pieces.append(tuple(sorted(piece)))
     return sorted(pieces)
 

@@ -43,7 +43,7 @@ from .allocator import (
     exact_solve,
     spread_allocate,
 )
-from .relations import Community
+from .relations import Community, integrate_relations
 
 
 def _relocation_plan(
@@ -165,11 +165,14 @@ def restructure_one_stage(
             raise InfeasibleError("previous allocation infeasible for stage")
     m = _move_allowance(problem.budget, unit, len(based))
 
+    # Uniform weights are the integrated relation, which a heuristic
+    # reference solve then reuses; movement probabilities need none.
+    relation = integrate_relations(stage) if stage.phi is None else None
+    weights = PairWeights(stage, relation)
     if problem.reference is not None:
         psi_star, certified = problem.reference, False
     else:
-        _, psi_star, certified = _solve_stage(stage, instance, fixed, cap)
-    weights = PairWeights(stage)
+        _, psi_star, certified = _solve_stage(stage, instance, fixed, cap, relation=relation)
 
     if mode is RestructureMode.EXACT:
         found = _branch_and_bound(searched, fixed, loads, stage, instance, weights, base, m)

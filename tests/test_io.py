@@ -115,6 +115,36 @@ def test_pair_lists_must_hold_pairs():
     assert "stages[0].concurrency[0]: expected list" in parse_error(doc)
 
 
+def test_python_built_documents_are_checked_as_json_ones():
+    # The one-pass checks take only exact JSON types; anything else is
+    # walked entry by entry, which rejects a tuple as ever.
+    doc = bundled_doc()
+    doc["stages"][0]["precedence"][1] = (1, 2)
+    assert parse_error(doc) == "stages[0].precedence[1]: expected list, got tuple"
+
+
+class _Id(int):
+    """An int subclass, as a Python caller may hold ids."""
+
+
+def _with_int_subclasses(value):
+    if type(value) is int:
+        return _Id(value)
+    if isinstance(value, list):
+        return [_with_int_subclasses(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _with_int_subclasses(v) for k, v in value.items()}
+    return value
+
+
+def test_int_subclasses_read_as_their_values():
+    doc = bundled_doc()
+    doc["stages"][0]["phi"] = _phi((0, 1), 1.0)
+    expected = parse_instance_document(doc)
+    doc["stages"][0]["phi"] = _phi((0, 1), 1)
+    assert parse_instance_document(_with_int_subclasses(doc)) == expected
+
+
 def test_stage_keys_are_checked():
     doc = bundled_doc()
     del doc["stages"][1]["index"]
@@ -673,6 +703,14 @@ _ORDERING_ERRORS = [
     (_edit((("stages", 0, "ordering"), {"1": [1, 1]}), (("stages", 1, "rho"), "1")), "stages[0].ordering[1][1]: file 1 appears twice"),
 ]
 
+# Faults deep in long lists, which the one-pass check hands to the
+# entry-by-entry walk, and an integer beyond the float range.
+_WALKED_ERRORS = [
+    (_edit((("stages", 0, "concurrency"), [[1, 2]] * 40 + [[3, True]])), "stages[0].concurrency[40][1]: expected integer, got bool"),
+    (_edit((("stages", 0, "active_files"), list(range(1, 17)) + [True])), "stages[0].active_files[16]: expected integer, got bool"),
+    (_edit((("stages", 0, "phi"), _phi((2, 5), 10**400))), "stages[0].phi[2][5]: expected a finite number, got inf"),
+]
+
 _CORPUS = (
     [(parse_instance, bundled_doc, edit, message) for edit, message in _INSTANCE_ERRORS]
     + [(parse_solution, solution_doc, edit, message) for edit, message in _SOLUTION_ERRORS]
@@ -686,6 +724,7 @@ _CORPUS = (
         (_evaluate_stage_2, solution_doc, _edit((("stages", 1, "ordering"), {"2": [], "0": []})), "stages[1].ordering[0]: disk 0 is not in the instance"),
         (_evaluate_stage_1, solution_doc, _edit((("stages", 0, "ordering"), {"7": [1]})), "stages[0].ordering[7][0]: file 1 is ordered on disk 7 but assigned to disk 1"),
     ]
+    + [(parse_instance, bundled_doc, edit, message) for edit, message in _WALKED_ERRORS]
 )
 
 

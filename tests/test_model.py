@@ -152,6 +152,39 @@ def test_validate_rejects_a_phi_diagonal_on_a_directly_built_stage():
     )
 
 
+@pytest.mark.parametrize(
+    "stage, message",
+    [
+        (
+            Stage(index=1, active_files=(1, 2), concurrency={(2, 3), (1, 3)}),
+            "stage 1: concurrency edge (1, 3) references an inactive file",
+        ),
+        (
+            Stage(index=1, active_files=(1, 2), precedence={(2, 2), (1, 3)}),
+            "stage 1: precedence arc (1, 3) references an inactive file",
+        ),
+        (
+            Stage(index=1, active_files=(1, 2, 3), e3_override=frozenset({(3, 3), (2, 2)})),
+            "stage 1: integrated override edge (2, 2) is reflexive",
+        ),
+        (
+            Stage(index=1, active_files=(1, 2, 3), phi={(3, 1): -0.5, (2, 1): -0.25}),
+            "stage 1: movement probability entry (2, 1) is negative",
+        ),
+        (
+            Stage(index=1, active_files=(1, 2), precedence={(2, 3)}, concurrency={(1, 3)}),
+            "stage 1: precedence arc (2, 3) references an inactive file",
+        ),
+    ],
+    ids=["concurrency", "precedence", "override", "phi", "relation-order"],
+)
+def test_validate_names_the_least_offending_pair(stage, message):
+    # Relations are checked in a fixed order, each one's pairs ascending.
+    with pytest.raises(ValidationError) as caught:
+        validate_instance(make_instance(stages=(stage,)))
+    assert str(caught.value) == message
+
+
 def test_validate_flags_global_capacity_excess():
     inst = make_instance(
         files=(FileSpec(1, 9), FileSpec(2, 1), FileSpec(3, 1)),

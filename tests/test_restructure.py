@@ -24,6 +24,7 @@ from diskalloc import (
     plan_trajectory,
     relocation_diff,
     restructure_one_stage,
+    solve_stage,
     validate_instance,
 )
 from diskalloc.generator import generate_instance
@@ -429,6 +430,48 @@ def test_beating_an_uncertified_reference_lowers_it(instance):
     assert result.reference == 1.0
     assert result.proximity == 0.0
     assert not result.certified
+
+
+@pytest.mark.parametrize(
+    "mode, shape, fractional, expected",
+    [
+        # Past the cap the heuristic reference reuses the search's relation.
+        (RestructureMode.GREEDY, (60, 4, 2, 0.1, (1, 2), 1.4, 3), False, [2]),
+        # Below it exact_solve builds its own weights, as a direct call does.
+        (RestructureMode.EXACT, (10, 3, 2, 0.3, (1, 2), 1.4, 3), False, [2, 2]),
+        # Movement probabilities are weighed without the relation.
+        (RestructureMode.GREEDY, (60, 4, 2, 0.1, (1, 2), 1.4, 3), True, [2]),
+        (RestructureMode.EXACT, (10, 3, 2, 0.3, (1, 2), 1.4, 3), True, []),
+    ],
+    ids=["greedy", "exact", "greedy-phi", "exact-phi"],
+)
+def test_restructuring_integrates_the_stage_only_where_it_is_read(
+    monkeypatch, mode, shape, fractional, expected
+):
+    import diskalloc.allocator
+    import diskalloc.restructure
+    from diskalloc.relations import integrate_relations
+
+    doc = generate_instance(*shape)
+    if fractional:
+        n, rng = shape[0], random.Random(shape[-1])
+        doc["stages"][1]["phi"] = [
+            [0.0 if i == j else round(rng.uniform(0, 0.3), 3) for j in range(n)]
+            for i in range(n)
+        ]
+    inst = parse_instance_document(doc)
+    first, _, _ = solve_stage(inst, 1)
+    calls = []
+
+    def counted(stage):
+        calls.append(stage.index)
+        return integrate_relations(stage)
+
+    for module in (diskalloc.allocator, diskalloc.restructure):
+        monkeypatch.setattr(module, "integrate_relations", counted)
+    result = restructure_one_stage(problem(inst, 2, first.assignment, 2.0), mode)
+    assert calls == expected
+    assert result.certified is (mode is RestructureMode.EXACT)
 
 
 # --- trajectories --------------------------------------------------------
