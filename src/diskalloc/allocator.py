@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import EnumerationCapError, InfeasibleError, ValidationError
 from .model import Allocation, CostModel, Instance, Pair, Stage, canonical_edge
@@ -85,21 +85,6 @@ class PairWeights:
         if not adj:
             return 0.0
         return sum(adj[g] for g in others if g in adj)
-
-    def psi(self, by_disk: Mapping[int, Sequence[int]]) -> float:
-        """Total same-disk interference of a placement."""
-        total = 0.0
-        for files in by_disk.values():
-            fs = sorted(files)
-            for i, a in enumerate(fs):
-                adj = self._adjacent.get(a)
-                if not adj:
-                    continue
-                for b in fs[i + 1 :]:
-                    w = adj.get(b)
-                    if w:
-                        total += w
-        return total
 
 
 @dataclass(frozen=True)
@@ -349,20 +334,25 @@ def spread_allocate(
 
 def _connection_tables(
     files: Sequence[int],
-    on_disk: Mapping[int, Iterable[int]],
+    on_disk: Mapping[int, Collection[int]],
     weights: PairWeights,
-) -> tuple[list[dict[int, float]], list[dict[int, float]]]:
-    """(rows, links) of ``files``, built in O(E) from the weights'
+) -> tuple[list[dict[int, float]], list[dict[int, float]], float]:
+    """(rows, links, psi) of ``files``, built in O(E) from the weights'
     adjacency: ``rows[i][d]`` is the summed weight from ``files[i]`` to
     the files in ``on_disk[d]``, added in that collection's order as
-    ``PairWeights.attach_cost`` adds them, and ``links[i]`` maps j to the
-    weight of each neighbour ``files[j]``."""
+    ``PairWeights.attach_cost`` adds them, ``links[i]`` maps j to the
+    weight of each neighbour ``files[j]``, and ``psi`` is the objective of
+    ``on_disk``, the weight of each pair within one of its sets, once."""
     adjacent = weights._adjacent
     position = {f: i for i, f in enumerate(files)}
+    disk_of = {g: d for d, members in on_disk.items() for g in members}
     rows = [dict.fromkeys(on_disk, 0.0) for _ in files]
+    psi = 0.0
     for d, members in on_disk.items():
         for g in members:
             for f, w in adjacent.get(g, {}).items():
+                if f > g and disk_of.get(f) == d:
+                    psi += w
                 i = position.get(f)
                 if i is not None:
                     rows[i][d] += w
@@ -370,17 +360,18 @@ def _connection_tables(
         {position[g]: w for g, w in adjacent.get(f, {}).items() if g in position}
         for f in files
     ]
-    return rows, links
+    return rows, links, psi
 
 
 class _Placement:
     """Mutable placement of one stage, searched by moving and swapping
     ``files``.
 
-    Holds the assignment, the per-disk loads and the per-disk sets of
-    active files, pinned ones included. Every file starts on its entry in
-    ``homes``, if it has one, and counts as moved while it sits elsewhere;
-    no step may leave more than ``allowance`` files moved.
+    Holds the assignment, the per-disk loads, the per-disk sets of active
+    files, pinned ones included, and ``psi``, the objective when built.
+    Every file starts on its entry in ``homes``, if it has one, and counts
+    as moved while it sits elsewhere; no step may leave more than
+    ``allowance`` files moved.
 
     ``conn[f][d]`` is the summed weight from searched file ``f`` to the
     active files on disk ``d`` (Kernighan and Lin's gain bookkeeping),
@@ -437,7 +428,7 @@ class _Placement:
             self.loads[d] += self.sizes[f]
             if f in active:
                 self.on_disk[d].add(f)
-        self.rows, self.links = _connection_tables(files, self.on_disk, weights)
+        self.rows, self.links, self.psi = _connection_tables(files, self.on_disk, weights)
         self.conn = dict(zip(files, self.rows))
         self.position = {f: i for i, f in enumerate(files)}
         self.disk_of = [self.assignment[f] for f in files]
@@ -662,7 +653,7 @@ def _local_search(
         """(placement, objective, capped) of a descent that charges each
         scan ``charge(placement, first gaining step or ())`` evaluations."""
         state = _Placement(alloc.assignment, movable, stage, instance, weights, {}, 0)
-        psi = weights.psi(state.on_disk)
+        psi = state.psi
         evals = 0
         while True:
             # Only the first gaining step of each scan is taken.
@@ -748,7 +739,7 @@ def _branch_and_bound(
         if f in active:
             on_disk[d].append(f)
 
-    conn, links = _connection_tables(files, on_disk, weights)
+    conn, links, psi = _connection_tables(files, on_disk, weights)
     low = [min(row.values(), default=0.0) for row in conn]
     # later[i]: (j, weight) for each neighbour files[j] placed after files[i].
     later = [[(j, w) for j, w in link.items() if j > i] for i, link in enumerate(links)]
@@ -806,7 +797,7 @@ def _branch_and_bound(
 
     # stack[i] yields the nodes with files[:i] placed.
     budget, nodes = _NODE_BUDGET, 0
-    stack = [iter([(weights.psi(on_disk), sum(low), 0)])]
+    stack = [iter([(psi, sum(low), 0)])]
     while stack:
         for partial, bound, moves in stack[-1]:
             nodes += 1

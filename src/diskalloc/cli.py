@@ -8,6 +8,7 @@ document. Exit codes: 0 success, 1 infeasible, 2 usage or document errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from typing import Optional, Sequence
@@ -34,6 +35,7 @@ from .io import (
     solution_from_trajectory,
     write_document,
 )
+from .model import Instance
 from .report import (
     _solution_text,
     diff_report,
@@ -148,6 +150,19 @@ def _single_stage(doc: SolutionDocument, label: str) -> SolutionStage:
     return doc.stages[0]
 
 
+def _check_ids(sol_stage: SolutionStage, k: int, instance: Instance) -> None:
+    """Reject solution stage ``k`` if it names a file or disk the instance
+    lacks, which the reader of the solution alone cannot tell."""
+    for f, d in sol_stage.assignment.items():
+        if f not in instance.sizes:
+            raise DocumentError(f"file {f} is not in the instance", f"stages[{k}].assignment[{f}]")
+        if d not in instance.capacities:
+            raise DocumentError(f"disk {d} is not in the instance", f"stages[{k}].assignment[{f}]")
+    for d in sol_stage.ordering or {}:
+        if d not in instance.capacities:
+            raise DocumentError(f"disk {d} is not in the instance", f"stages[{k}].ordering[{d}]")
+
+
 def _check_plan_output(args, from_stage: int, to_stage: int) -> None:
     """Refuse ``--output`` for a plan within one stage before any work."""
     if args.output and from_stage == to_stage:
@@ -203,16 +218,9 @@ def _cmd_evaluate(args):
     stage = instance.stage(args.stage)
     # A lone stage entry scores against any target stage; multi-stage
     # documents must carry an entry for the requested one.
-    if len(solution.stages) == 1:
-        sol_stage = solution.stages[0]
-    else:
-        sol_stage = solution.stage(args.stage)
-    # The reader checks an ordering against its own stage; only the
-    # instance knows which disks exist.
-    for d in sol_stage.ordering or {}:
-        if d not in instance.capacities:
-            k = next(k for k, s in enumerate(solution.stages) if s is sol_stage)
-            raise DocumentError(f"disk {d} is not in the instance", f"stages[{k}].ordering[{d}]")
+    k = 0 if len(solution.stages) == 1 else solution.stages.index(solution.stage(args.stage))
+    sol_stage = solution.stages[k]
+    _check_ids(sol_stage, k, instance)
     alloc = allocation_from_solution_stage(sol_stage)
     feasibility = check_allocation_feasible(alloc, stage, instance)
     if not feasibility.feasible:
@@ -240,6 +248,7 @@ def _cmd_diff(args):
 def _cmd_restructure(args):
     instance = parse_instance(args.instance)
     previous_stage = _single_stage(parse_solution(args.previous), "--previous solution")
+    _check_ids(previous_stage, 0, instance)
     _check_plan_output(args, previous_stage.index, args.stage)
     problem = RestructuringProblem(
         instance=instance,
@@ -322,7 +331,10 @@ def run_command(argv: Sequence[str]) -> int:
     try:
         text, document = _COMMANDS[args.command](args)
         if text is not None:
-            print(text)
+            try:
+                print(text, flush=True)
+            except OSError as exc:  # a closed pipe, say
+                raise DocumentError(f"cannot write standard output: {exc}") from None
         if args.output:
             write_document(document(), args.output)
         return 0
@@ -335,4 +347,9 @@ def run_command(argv: Sequence[str]) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    return run_command(sys.argv[1:] if argv is None else argv)
+    code = run_command(sys.argv[1:] if argv is None else argv)
+    try:
+        sys.stdout.flush()
+    except OSError:  # closed: what it buffers would fail again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code

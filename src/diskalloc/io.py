@@ -2,10 +2,9 @@
 
 Documents are plain JSON. Parsing is strict: unknown keys, wrong types, and
 malformed shapes are rejected with the offending field path in the message.
-Integer lists and pair lists are first checked in one pass over exact
-types; only a list that fails it is walked again entry by entry, and that
-walk alone builds field paths, so the first fault in document order is the
-one reported.
+Pair lists are first checked in one pass over exact types; only a list
+that fails it is walked again pair by pair, and that walk alone builds
+field paths, so the first fault in document order is the one reported.
 ``parse_instance_document(emit_instance_document(x))`` returns ``x`` and
 the same holds for solution documents.
 """
@@ -33,13 +32,6 @@ from .model import (
     Trajectory,
     validate_instance,
 )
-
-
-def _exact(values, kinds) -> bool:
-    """Whether the type of every one of ``values`` is in ``kinds`` exactly.
-    A bool or any other subclass fails it, and the reader then walks the
-    values one by one, accepting or rejecting each as it always has."""
-    return set(map(type, values)) <= kinds
 
 
 def _expect(value, kind: type, path: str):
@@ -91,9 +83,7 @@ def _int_record(raw, path: str, *fields: str) -> list[int]:
 
 
 def _int_list(raw, path: str) -> list[int]:
-    if _exact(_expect(raw, list, path), {int}):
-        return list(raw)
-    return [_as_int(v, f"{path}[{k}]") for k, v in enumerate(raw)]
+    return [_as_int(v, f"{path}[{k}]") for k, v in enumerate(_expect(raw, list, path))]
 
 
 def _id_map(raw, path: str, field: str, kind: str, read) -> dict:
@@ -145,9 +135,11 @@ def _check_ordering(
 
 def _parse_pair_list(raw, path: str) -> list[tuple[int, int]]:
     _expect(raw, list, path)
-    if _exact(raw, {list}) and set(map(len, raw)) <= {2}:
+    # Exact types, no field paths: a bool or another int subclass fails
+    # this test, and the walk below then judges each entry.
+    if set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}:
         ends = list(chain.from_iterable(raw))
-        if _exact(ends, {int}):
+        if set(map(type, ends)) <= {int}:
             return list(zip(ends[::2], ends[1::2]))
     out = []
     for i, item in enumerate(raw):

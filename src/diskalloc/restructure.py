@@ -36,6 +36,7 @@ from .allocator import (
     EXACT_CAP_DEFAULT,
     PairWeights,
     _branch_and_bound,
+    _connection_tables,
     _pinned_loads,
     _Placement,
     _resolve_pinned,
@@ -178,7 +179,7 @@ def restructure_one_stage(
         found = _branch_and_bound(searched, fixed, loads, stage, instance, weights, base, m)
         if found is None:
             raise InfeasibleError("no placement within the move allowance fits the disks")
-        final = found[0]
+        final, psi = found
     else:
         # New files start where spreading puts them, move-free.
         start = {**fixed, **{f: base[f] for f in based}}
@@ -195,11 +196,8 @@ def restructure_one_stage(
                 break
             state.apply(*best)
         final = state.assignment
-
-    by_disk: dict[int, list[int]] = {}
-    for f in stage.active_files:
-        by_disk.setdefault(final[f], []).append(f)
-    psi = weights.psi(by_disk)
+        # Summed afresh over the final disk sets, where deltas would drift.
+        psi = _connection_tables((), state.on_disk, weights)[2]
 
     if psi < psi_star:
         # The search and the reference sum the same pairs in different

@@ -1,6 +1,8 @@
 """End-to-end command-line behaviour, including exit codes and determinism."""
 
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -201,6 +203,27 @@ def test_evaluate_malformed_ordering_is_a_document_error(capsys, tmp_path, order
         capsys, "evaluate", "--instance", INSTANCE, "--solution", str(path), "--stage", "1"
     )
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "assignment, message",
+    [
+        ({**ref.X1, 8: 9}, "stages[0].assignment[8]: disk 9 is not in the instance"),
+        ({**ref.X1, 99: 1}, "stages[0].assignment[99]: file 99 is not in the instance"),
+    ],
+    ids=["unknown disk", "unknown file"],
+)
+@pytest.mark.parametrize("command", ["evaluate", "restructure"])
+def test_a_solution_naming_what_the_instance_lacks_is_a_document_error(
+    capsys, tmp_path, command, assignment, message
+):
+    path = write_stage_doc(tmp_path / "x1.json", assignment, 1)
+    if command == "evaluate":
+        argv = ["evaluate", "--instance", INSTANCE, "--solution", path, "--stage", "1"]
+    else:
+        argv = ["restructure", "--instance", INSTANCE, "--stage", "2",
+                "--previous", path, "--budget", "2"]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 # --- diff ----------------------------------------------------------------
@@ -577,6 +600,49 @@ def test_output_onto_a_directory_exits_2(capsys, tmp_path):
     )
     assert code == 2 and out == ""
     assert err.startswith("error: cannot write output file: ")
+
+
+class _ClosedStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_2_before_writing_the_output_document(capsys, monkeypatch, tmp_path):
+    target = tmp_path / "x1.json"
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    code = run_command(["solve", "--instance", INSTANCE, "--stage", "1", "--output", str(target)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: cannot write standard output: [Errno 32] Broken pipe\n"
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, first_read",
+    [
+        # The document, about 800 KB, outgrows the pipe, so the writer meets
+        # the pipe closed after the first read.
+        (["generate", "--n-files", "200", "--gamma", "3", "--n-stages", "2",
+          "--edge-density", "0.2", "--size-range", "1", "2",
+          "--capacity-slack", "1.5", "--seed", "3"], 4096),
+        # A short report stays in the stream's buffer until its flush fails,
+        # and the interpreter flushes that buffer again at exit.
+        (["solve", "--instance", INSTANCE, "--stage", "1"], 0),
+    ],
+    ids=["large document", "short report"],
+)
+def test_a_closed_stdout_pipe_exits_2_with_one_error_line(argv, first_read):
+    # Buffered, as by default: an unbuffered stream keeps no tail to flush.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with subprocess.Popen(
+        [sys.executable, "-m", "diskalloc", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        if first_read:
+            assert os.read(proc.stdout.fileno(), first_read)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    assert err.splitlines() == ["error: cannot write standard output: [Errno 32] Broken pipe"]
 
 
 def test_unknown_subcommand_exits_2(capsys):

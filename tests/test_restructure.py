@@ -187,9 +187,9 @@ def test_exact_restructure_matches_brute_force_on_random_instances(seed):
 
 
 def test_fractional_phi_ties_with_a_certified_optimum_do_not_raise():
-    # The search and PairWeights.psi add the same fractional weights in
-    # different orders, so results can differ from the certified optimum
-    # in the last bits; that must read as a tie, not as beating it.
+    # A placement tied with the certified optimum sums other fractional
+    # weights, so it can differ from the optimum in the last bits; that
+    # must read as a tie, not as beating it.
     for seed in range(100):
         doc = generate_instance(7, 3, 2, 0.4, (1, 2), 1.4, seed)
         rng = random.Random(seed)
@@ -210,6 +210,71 @@ def test_fractional_phi_ties_with_a_certified_optimum_do_not_raise():
             assert 0.0 <= result.proximity
             if budget == 7.0:  # every file may move: an optimum is reachable
                 assert result.proximity <= 1e-9
+
+
+def test_exact_restructuring_at_the_certified_optimum_reports_rho_exactly_zero():
+    # Exact restructuring and its reference solve add the same fractional
+    # weights along the same search path, so one placement reads as one
+    # float in both.
+    shared = 0
+    for seed in range(40):
+        n = 7 + seed % 4
+        doc = generate_instance(n, 3, 2, 0.4, (1, 2), 1.4, seed)
+        rng = random.Random(seed)
+        for raw in doc["stages"]:
+            raw["phi"] = [
+                [0.0 if i == j else round(rng.uniform(0, 0.3), 3) for j in range(n)]
+                for i in range(n)
+            ]
+        inst = parse_instance_document(doc)
+        previous, _ = exact_solve(inst.stage(1), inst)
+        stage = inst.stage(2)
+        result = restructure_one_stage(RestructuringProblem(inst, stage, previous, n))
+        optimum, _ = exact_solve(stage, inst)
+        if dict(result.allocation.assignment) == dict(optimum.assignment):
+            shared += 1
+            assert result.certified
+            assert result.proximity == 0.0, seed
+    assert shared >= 20
+
+
+def _entering_and_leaving_case(seed, fractional):
+    """Two stages of 8-11 active files each: two files of stage 1 sit out
+    stage 2, and two files of stage 2 are new to it."""
+    rng = random.Random(seed)
+    n = 10 + seed % 4
+    doc = generate_instance(n, 3, 2, 0.4, (1, 2), 1.5, 400 + seed)
+    files = list(range(1, n + 1))
+    entering = set(rng.sample(files, 2))
+    leaving = set(rng.sample(sorted(set(files) - entering), 2))
+    for raw, out in zip(doc["stages"], (entering, leaving)):
+        active = [f for f in files if f not in out]
+        raw["active_files"] = active
+        for key in ("precedence", "concurrency"):
+            raw[key] = [pair for pair in raw[key] if out.isdisjoint(pair)]
+        if fractional:
+            raw["phi"] = [
+                [0.0 if a == b else round(rng.uniform(0, 0.3), 3) for b in active]
+                for a in active
+            ]
+    return parse_instance_document(doc)
+
+
+@pytest.mark.parametrize("fractional", [False, True], ids=["uniform", "fractional"])
+@pytest.mark.parametrize("mode", list(RestructureMode))
+def test_restructured_objective_matches_its_placement_with_files_entering_and_leaving(
+    mode, fractional
+):
+    for seed in range(15):
+        inst = _entering_and_leaving_case(seed, fractional)
+        previous, _ = exact_solve(inst.stage(1), inst)
+        stage = inst.stage(2)
+        for budget in (1.0, 2.0, float(len(stage.active_files))):
+            result = restructure_one_stage(
+                RestructuringProblem(inst, stage, previous, budget), mode
+            )
+            value = evaluate_objective(result.allocation, stage).value
+            assert result.objective == pytest.approx(value, rel=1e-9, abs=1e-12), (seed, budget)
 
 
 @pytest.mark.parametrize("seed", range(12))
