@@ -682,6 +682,33 @@ def _local_search(
     return Allocation(state.assignment, degraded=alloc.degraded), psi
 
 
+def _suffix_floors(links: Sequence[Mapping[int, float]], k: int) -> list[float]:
+    """``floors[i]``: a lower bound of the weight of the same-disk pairs
+    among ``files[i:]`` over every split of them onto ``k`` disks, for
+    ``links`` as ``_connection_tables`` gives them; ``floors[n]`` is 0.
+
+    Any split of u files into k parts leaves at least T = r·C(q+1, 2) +
+    (k - r)·C(q, 2) same-part pairs, with q, r = divmod(u, k) (Turán). Of
+    the suffix's pairs, Z are unlinked and weigh 0, so the split pays for
+    at least T - Z linked pairs, at least the sum of the T - Z smallest
+    weights. One descending pass; it sorts only where T > Z, so a sparse
+    stage costs O(n + E)."""
+    n = len(links)
+    floors = [0.0] * (n + 1)
+    weights: list[float] = []
+    for i in range(n - 1, -1, -1):
+        weights.extend(w for j, w in links[i].items() if j > i)
+        u = n - i
+        # With no disk nothing fits, and any floor holds.
+        q, r = divmod(u, max(k, 1))
+        pairs = r * (q + 1) * q // 2 + (k - r) * q * (q - 1) // 2
+        need = pairs - (u * (u - 1) // 2 - len(weights))
+        if need > 0:
+            weights.sort()
+            floors[i] = sum(weights[:need])
+    return floors
+
+
 def _branch_and_bound(
     files: Sequence[int],
     fixed: Mapping[int, int],
@@ -706,27 +733,36 @@ def _branch_and_bound(
     interchangeable with an earlier such disk of equal residual capacity),
     and on an admissible lower bound.
 
-    The bound keeps ``conn[i][d]``, the summed weight from ``files[i]`` to
-    the active files now on disk ``d`` (the connection table of
-    ``_Placement``), so placing a file costs one lookup. Each unplaced file
-    adds at least its cheapest entry, ``low[i]``, because weights are
-    non-negative and later placements only raise ``conn``; capacity and
-    the allowance are ignored, which only loosens the bound. A subtree is
-    cut when partial objective plus the summed ``low`` of its unplaced
-    files, less ``_EPS`` for rounding, fails the incumbent test: none of its
-    leaves could be accepted, so cutting it changes no result.
+    The search numbers the disks ascending as slots 0..k-1 and keeps
+    loads, capacities, homes and table rows as lists indexed by slot, so a
+    placement hashes no disk id; slots turn back into disk ids only in the
+    returned assignment. The bound keeps ``conn[i][s]``, the summed weight
+    from ``files[i]`` to the active files now on slot ``s`` (the
+    connection table of ``_Placement``), so placing a file costs one
+    lookup. Each unplaced file adds at least its cheapest entry,
+    ``low[i]``, because weights are non-negative and later placements only
+    raise ``conn``. The pairs among the unplaced files add at least
+    ``floors[i]`` (see ``_suffix_floors``); those edges are not yet in
+    ``conn``, so the two parts count no edge twice. Capacity and the
+    allowance are ignored, which only loosens the bound. A subtree is cut
+    when partial objective plus the summed ``low`` of its unplaced files
+    plus their floor, less ``_EPS`` for rounding, fails the incumbent
+    test: none of its leaves could be accepted, so cutting it changes no
+    result.
 
     A loop over per-level generators, not recursion, runs the search, so
     any depth fits; past ``_NODE_BUDGET`` nodes it raises EnumerationCapError.
     """
-    sizes = instance.sizes
-    capacities = instance.capacities
-    disks = sorted(capacities)
-    loads = dict(pinned_loads)
+    sizes = [instance.sizes[f] for f in files]
+    disks = sorted(instance.capacities)
+    slot_of = {d: s for s, d in enumerate(disks)}
+    capacities = [instance.capacities[d] for d in disks]
+    loads = [pinned_loads[d] for d in disks]
+    slots = range(len(disks))
     n = len(files)
-    file_homes = [homes.get(f) for f in files]
-    # reserved[i]: disks never skipped as empty while files[i:] are unplaced.
-    reserved = [set(fixed.values())]
+    file_homes = [slot_of.get(homes.get(f)) for f in files]
+    # reserved[i]: slots never skipped as empty while files[i:] are unplaced.
+    reserved = [{slot_of[d] for d in fixed.values()}]
     for home in reversed(file_homes):
         reserved.append(reserved[-1] | {home})
     reserved.reverse()
@@ -739,8 +775,11 @@ def _branch_and_bound(
         if f in active:
             on_disk[d].append(f)
 
-    conn, links, psi = _connection_tables(files, on_disk, weights)
-    low = [min(row.values(), default=0.0) for row in conn]
+    rows, links, psi = _connection_tables(files, on_disk, weights)
+    # Each row follows on_disk's keys, the disks ascending: slot order.
+    conn = [list(row.values()) for row in rows]
+    low = [min(row, default=0.0) for row in conn]
+    floors = _suffix_floors(links, len(disks))
     # later[i]: (j, weight) for each neighbour files[j] placed after files[i].
     later = [[(j, w) for j, w in link.items() if j > i] for i, link in enumerate(links)]
 
@@ -752,25 +791,25 @@ def _branch_and_bound(
     chosen: list[int] = []
 
     def children(i: int, partial: float, bound: float, moves: int):
-        """Place files[i] on each disk in turn, yielding the child (partial,
+        """Place files[i] on each slot in turn, yielding the child (partial,
         bound, moves) and undoing the placement when resumed."""
-        home, size, cost = file_homes[i], sizes[files[i]], conn[i]
+        home, size, cost = file_homes[i], sizes[i], conn[i]
         rest = bound - low[i]
         seen_empty: set[int] = set()
-        for d in disks:
-            if loads[d] + size > capacities[d]:
+        for s in slots:
+            if loads[s] + size > capacities[s]:
                 continue
             used = moves
-            if home is not None and d != home:
+            if home is not None and s != home:
                 used += 1
                 if used > allowance:
                     continue
-            if not loads[d] and d not in reserved[i]:
-                key = capacities[d] - loads[d]
+            if not loads[s] and s not in reserved[i]:
+                key = capacities[s] - loads[s]
                 if key in seen_empty:
                     continue
                 seen_empty.add(key)
-            child_partial = partial + cost[d]
+            child_partial = partial + cost[s]
             if child_partial > above or (child_partial >= tie and used >= best_moves):
                 continue
             # Saved entries are restored, not subtracted back, so sibling
@@ -778,20 +817,20 @@ def _branch_and_bound(
             saved_conn, saved_low, child = [], [], rest
             for j, w in later[i]:
                 row = conn[j]
-                c = row[d]
+                c = row[s]
                 saved_conn.append((row, c))
-                row[d] = c + w
+                row[s] = c + w
                 if c == low[j]:
                     saved_low.append((j, c))
-                    low[j] = min(row.values())
+                    low[j] = min(row)
                     child += low[j] - c
-            loads[d] += size
-            chosen.append(d)
+            loads[s] += size
+            chosen.append(s)
             yield child_partial, child, used
             chosen.pop()
-            loads[d] -= size
+            loads[s] -= size
             for row, c in saved_conn:
-                row[d] = c
+                row[s] = c
             for j, c in saved_low:
                 low[j] = c
 
@@ -806,7 +845,7 @@ def _branch_and_bound(
                     f"exact search passed its budget of {budget} nodes; use "
                     "greedy mode to restructure or the heuristic path to solve"
                 )
-            floor = partial + bound - _EPS
+            floor = partial + bound + floors[len(stack) - 1] - _EPS
             if floor > above or (floor >= tie and moves >= best_moves):
                 continue
             if len(stack) > n:
@@ -817,7 +856,9 @@ def _branch_and_bound(
             break
         else:
             stack.pop()
-    return None if best is None else ({**fixed, **dict(zip(files, best))}, best_psi)
+    if best is None:
+        return None
+    return {**fixed, **{f: disks[s] for f, s in zip(files, best)}}, best_psi
 
 
 def exact_solve(
@@ -834,7 +875,10 @@ def exact_solve(
     partial objective once an incumbent exists, on symmetry between empty
     disks of equal residual capacity, and on a lower bound: partial
     objective plus, for each unplaced file, its summed weight to the disk
-    where that weight is least. Among minimum-objective placements (to
+    where that weight is least, plus a floor for the pairs among the
+    unplaced files from how many of them must share a disk (see
+    ``_suffix_floors``). Disks are numbered as list slots for the search
+    and mapped back in the result. Among minimum-objective placements (to
     within ``_EPS``) it returns the lexicographically least assignment
     vector; the bound prunes only subtrees that hold no such placement.
     Raises EnumerationCapError beyond ``cap`` active files, up front, or

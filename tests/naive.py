@@ -133,20 +133,23 @@ def _decimal_weights(stage):
     return [(a, b, int(w * scale)) for (a, b), w in weights.items()], scale
 
 
-def naive_exact_decimal(stage, instance):
+def naive_exact_decimal(stage, instance, pinned=None):
     """``naive_exact`` for explicit ``phi``, in exact decimal arithmetic.
 
     Placements whose weights add up to the same decimal tie exactly and
     the lexicographically least of them wins; float sums of the same
-    weights taken in different orders can differ in the last bits. Returns
+    weights taken in different orders can differ in the last bits.
+    ``pinned`` files keep their disks, as in ``naive_exact``. Returns
     (assignment, psi as a Fraction), or None when nothing fits.
     """
     scaled, scale = _decimal_weights(stage)
-    files = sorted(stage.active_files)
+    pinned = dict(pinned or {})
+    files = [f for f in sorted(stage.active_files) if f not in pinned]
     disks = sorted(d.id for d in instance.disks)
     best = None
     for combo in product(disks, repeat=len(files)):
-        assignment = dict(zip(files, combo))
+        assignment = dict(pinned)
+        assignment.update(zip(files, combo))
         if not _fits(assignment, instance.sizes, instance.capacities):
             continue
         psi = sum(w for a, b, w in scaled if assignment[a] == assignment[b])
@@ -155,6 +158,20 @@ def naive_exact_decimal(stage, instance):
     if best is None:
         return None
     return best[1], Fraction(best[0][0], scale)
+
+
+def naive_internal_floor(weights, files, k):
+    """Least summed weight of the same-disk pairs among ``files`` over
+    every assignment of them to ``k`` disks, capacity ignored.
+    ``weights`` maps pairs of files to weights; other pairs weigh 0."""
+    pairs = [(a, b, w) for (a, b), w in weights.items() if a in files and b in files]
+    best = None
+    for combo in product(range(k), repeat=len(files)):
+        disk = dict(zip(files, combo))
+        total = sum(w for a, b, w in pairs if disk[a] == disk[b])
+        if best is None or total < best:
+            best = total
+    return best
 
 
 def _reachable(stage, instance, previous, budget, pinned=None):

@@ -28,11 +28,11 @@ from diskalloc import (
     spread_allocate,
     validate_instance,
 )
-from diskalloc.allocator import PairWeights
+from diskalloc.allocator import PairWeights, _suffix_floors
 from diskalloc.generator import generate_instance
 
 import reference_data as ref
-from naive import naive_exact, naive_exact_decimal, naive_psi
+from naive import naive_exact, naive_exact_decimal, naive_internal_floor, naive_psi
 
 
 def communities_for(instance, index):
@@ -470,6 +470,17 @@ def test_exact_tie_break_holds_under_fractional_phi():
     assert mismatches == []
 
 
+def random_pins(rng, stage, inst):
+    """One to three active files, each pinned to a disk it still fits on."""
+    loads = dict.fromkeys(inst.capacities, 0)
+    pinned = {}
+    for f in rng.sample(stage.active_files, rng.choice((1, 2, 3))):
+        room = [d for d in loads if loads[d] + inst.sizes[f] <= inst.capacities[d]]
+        pinned[f] = rng.choice(room)
+        loads[pinned[f]] += inst.sizes[f]
+    return pinned
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_exact_agrees_with_brute_force_around_pinned_files(seed):
     # Pinned active files start the search's connection table non-zero,
@@ -480,12 +491,7 @@ def test_exact_agrees_with_brute_force_around_pinned_files(seed):
     doc = generate_instance(8 + seed % 2, 3, 1, density, (1, 2), slack, seed)
     inst = parse_instance_document(doc)
     stage = inst.stage(1)
-    loads = dict.fromkeys(inst.capacities, 0)
-    pinned = {}
-    for f in rng.sample(stage.active_files, rng.choice((1, 2, 3))):
-        room = [d for d in loads if loads[d] + inst.sizes[f] <= inst.capacities[d]]
-        pinned[f] = rng.choice(room)
-        loads[pinned[f]] += inst.sizes[f]
+    pinned = random_pins(rng, stage, inst)
     brute = naive_exact(stage, inst, pinned=pinned)
     if brute is None:
         with pytest.raises(InfeasibleError):
@@ -494,6 +500,96 @@ def test_exact_agrees_with_brute_force_around_pinned_files(seed):
     alloc, psi = exact_solve(stage, inst, pinned=pinned)
     assert psi == brute[1]
     assert dict(alloc.assignment) == brute[0]
+
+
+def with_dense_phi(rng, inst):
+    """(stage, instance) of ``inst``'s one stage with a dense fractional
+    ``phi``: every ordered cell in [0, 0.3], 3 decimals."""
+    files = inst.stage(1).active_files
+    phi = {(a, b): rng.randint(0, 300) / 1000 for a in files for b in files if a != b}
+    stage = dataclasses.replace(inst.stage(1), phi=phi)
+    return stage, dataclasses.replace(inst, stages=(stage,))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_exact_agrees_with_exact_decimals_around_pinned_files_under_dense_phi(seed):
+    rng = random.Random(seed)
+    n_files, n_disks, slack = rng.choice((8, 9)), rng.choice((3, 4)), rng.uniform(1.1, 1.3)
+    doc = generate_instance(n_files, n_disks, 1, 0.3, (1, 2), slack, seed)
+    stage, inst = with_dense_phi(rng, parse_instance_document(doc))
+    pinned = random_pins(rng, stage, inst)
+    brute = naive_exact_decimal(stage, inst, pinned=pinned)
+    if brute is None:
+        with pytest.raises(InfeasibleError):
+            exact_solve(stage, inst, pinned=pinned)
+        return
+    alloc, psi = exact_solve(stage, inst, pinned=pinned)
+    assert dict(alloc.assignment) == brute[0]
+    assert psi == pytest.approx(float(brute[1]), abs=1e-9)
+
+
+def random_pair_weights(rng, n, shape):
+    """Weights of the linked pairs among files 0..n-1, lower id first.
+    Fractional weights sum two 3-decimal cells, as ``PairWeights`` does."""
+    density = rng.uniform(0.3, 1.0)
+    weights = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            if shape == "complete":
+                w = 1.0
+            elif shape == "uniform":
+                w = 1.0 if rng.random() < density else 0.0
+            else:
+                w = rng.randint(0, 300) / 1000 + rng.randint(0, 300) / 1000
+                if shape == "sparse" and rng.random() >= 0.2:
+                    w = 0.0
+            if w:
+                weights[a, b] = w
+    return weights
+
+
+@pytest.mark.parametrize("shape", ["complete", "uniform", "dense", "sparse"])
+def test_suffix_floors_hold_against_brute_force(shape):
+    # The floor of every depth is at most the least weight of same-disk
+    # pairs among the files not yet placed, and is that weight when every
+    # pair weighs the same.
+    for seed in range(30):
+        rng = random.Random(seed)
+        n, k = rng.randint(0, 8), rng.randint(1, 4)
+        weights = random_pair_weights(rng, n, shape)
+        links = [{} for _ in range(n)]
+        for (a, b), w in weights.items():
+            links[a][b] = links[b][a] = w
+        floors = _suffix_floors(links, k)
+        assert len(floors) == n + 1
+        for i in range(n + 1):
+            least = naive_internal_floor(weights, range(i, n), k)
+            if shape == "complete":
+                assert floors[i] == least
+            else:
+                assert floors[i] <= least + 1e-9
+
+
+# Node budgets for test_exact_search_stays_within_its_node_count's stages,
+# by seed: one below the nodes the search enters without the pair floor of
+# ``_suffix_floors`` (1148, 1836, 1875, 2161, 1117 and 549), so the test
+# fails when the floor is lost. With it the search enters 929, 1651, 1593,
+# 1914, 849 and 452.
+NODE_BUDGETS = {0: 1147, 1: 1835, 2: 1874, 3: 2160, 4: 1116, 5: 548}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_search_stays_within_its_node_count(seed, monkeypatch):
+    import diskalloc.allocator as mod
+
+    rng = random.Random(seed)
+    doc = generate_instance(10, 3, 1, 0.2, (1, 3), 1.3, seed)
+    stage, inst = with_dense_phi(rng, parse_instance_document(doc))
+    monkeypatch.setattr(mod, "_NODE_BUDGET", NODE_BUDGETS[seed])
+    alloc, psi = exact_solve(stage, inst)
+    brute = naive_exact_decimal(stage, inst)
+    assert dict(alloc.assignment) == brute[0]
+    assert psi == pytest.approx(float(brute[1]), abs=1e-9)
 
 
 def test_exact_respects_pins():

@@ -48,6 +48,28 @@ def test_stage_normalizes_members_and_pairs():
     assert dict(stage.phi) == {(1, 2): 0.5}  # zero entries dropped
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        frozenset({(3, 1), (2, 4)}),  # reversed
+        [[3, 1], (4, 2)],  # lists
+        frozenset({(True, 3), (2, 4)}),  # a bool end
+        frozenset({(1.0, 3), (2, 4)}),  # a float end
+    ],
+)
+def test_a_directly_built_stage_canonicalizes_its_pairs(pairs):
+    stage = Stage(
+        index=1, active_files=(1, 2, 3, 4), precedence=pairs, concurrency=pairs, e3_override=pairs
+    )
+    arcs = {(int(a), int(b)) for a, b in pairs}
+    assert stage.precedence == arcs
+    assert stage.concurrency == stage.e3_override == {(min(p), max(p)) for p in arcs}
+    for field in (stage.precedence, stage.concurrency, stage.e3_override):
+        assert type(field) is frozenset
+        assert {type(end) for pair in field for end in pair} == {int}
+        assert {type(pair) for pair in field} == {tuple}
+
+
 def test_instance_sorts_and_defaults_problem_class():
     inst = Instance(
         files=(FileSpec(2, 1), FileSpec(1, 1)),
