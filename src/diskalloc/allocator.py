@@ -18,6 +18,7 @@ within ``_EPS`` of each other as equal.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -470,7 +471,10 @@ class _Placement:
         It visits only steps that can gain (see the class docstring): the
         moves of discontent files, and the swaps that pair a discontent
         file with every later file and any other file with its later
-        neighbours and the later discontent files.
+        neighbours and the later discontent files. With ``homes`` set and
+        fewer than two moves left, a swap of two files at home would move
+        both, so a file at home pairs only with later files that are off
+        their homes or have none; the steps yielded stay the same.
         """
         loads, rows, capacities, disks = self.loads, self.rows, self.capacities, self.disks
         files, disk_of, size_of, home_of = self.files, self.disk_of, self.size_of, self.home_of
@@ -495,8 +499,20 @@ class _Placement:
         links, later_of = self.links, self.later
         free = {d: capacities[d] - loads[d] for d in disks}
         n, k, m = len(files), 0, len(worried)
+        # roaming: the files off their homes or with none, where a file at
+        # home may find its only partners (see above).
+        roaming = None
+        if homes and allowance - moved < 2:
+            roaming = [j for j in range(n) if disk_of[j] != home_of[j]]
         for i in range(n - 1):
-            if i in discontent:
+            if roaming is not None and disk_of[i] == home_of[i]:
+                later = roaming[bisect_right(roaming, i):]
+                if i not in discontent:
+                    link_a = links[i]
+                    later = [j for j in later if j in link_a or j in discontent]
+                if not later:
+                    continue
+            elif i in discontent:
                 later = range(i + 1, n)
             else:
                 later = later_of[i]
@@ -750,6 +766,25 @@ def _branch_and_bound(
     test: none of its leaves could be accepted, so cutting it changes no
     result.
 
+    Where files have homes and fewer moves are allowed than there are
+    homed files, a second bound prices the allowance. The completion that
+    leaves each unplaced homed file at home and each new one on its
+    cheapest slot costs ``stay``: the homed files' entries for their homes,
+    the weight between unplaced files that share a home, and the new
+    files' ``low``. Moving ``files[j]`` off home takes at most ``saving[j]``
+    from that: its home entry less ``low[j]``, plus its weight to its
+    unplaced homemates. At most r = allowance - moves more files move, so
+    no completion costs less than ``stay`` less the r largest savings; an
+    edge between two moved files is subtracted twice, which only loosens
+    it. A child whose partial objective plus this bound, less ``_EPS``,
+    fails the incumbent test is cut like any other node; the bound is
+    skipped where r is at least the number of unplaced homed files.
+    A layer over the placements keeps the savings and ``stay``'s excess
+    over the summed ``low`` current in O(deg) per placement, with the
+    unplaced homed files' savings in one sorted list, and restores them on
+    backtrack. A search with no homes, or with moves to spare, runs
+    without that layer.
+
     A loop over per-level generators, not recursion, runs the search, so
     any depth fits; past ``_NODE_BUDGET`` nodes it raises EnumerationCapError.
     """
@@ -783,11 +818,12 @@ def _branch_and_bound(
     # later[i]: (j, weight) for each neighbour files[j] placed after files[i].
     later = [[(j, w) for j, w in link.items() if j > i] for i, link in enumerate(links)]
 
+    inf = float("inf")
     best: Optional[list[int]] = None
-    best_psi = float("inf")
+    best_psi = inf
     best_moves = 0
     # Objectives in [tie, above] tie with the incumbent's.
-    above = tie = float("inf")
+    above = tie = inf
     chosen: list[int] = []
 
     def children(i: int, partial: float, bound: float, moves: int):
@@ -834,7 +870,73 @@ def _branch_and_bound(
             for j, c in saved_low:
                 low[j] = c
 
+    # The allowance bound (see above), where it can bind. mates[j] is the
+    # weight from files[j] to the unplaced files of its home, ranked holds
+    # the unplaced homed files' savings ascending, and extra is stay less
+    # the summed low: the savings less the weight between unplaced files
+    # that share a home, which the savings count twice.
+    homed = sum(h is not None for h in file_homes) > allowance
+    mates, saving, ranked, extra = [0.0] * n, [0.0] * n, [], 0.0
+    if homed:
+        homed_files = [(j, h) for j, h in enumerate(file_homes) if h is not None]
+        for j, h in homed_files:
+            for l, w in later[j]:
+                if file_homes[l] == h:
+                    mates[j] += w
+                    mates[l] += w
+                    extra -= w
+        for j, h in homed_files:
+            saving[j] = conn[j][h] - low[j] + mates[j]
+            ranked.append(saving[j])
+        ranked.sort()
+        extra += sum(ranked)
+
+    def moving_children(i: int, partial: float, bound: float, moves: int):
+        """``children`` under the allowance bound: keeps ``mates``, the
+        savings and ``extra`` current for each child, and passes on a child
+        that the bound cuts with an infinite bound, so that the search loop
+        counts it as a node and cuts it."""
+        nonlocal extra
+        home, outer = file_homes[i], extra
+        if home is not None:
+            extra -= saving[i] - mates[i]
+            del ranked[bisect_left(ranked, saving[i])]
+        inner = extra
+        for child_partial, child, used in children(i, partial, bound, moves):
+            saved = []
+            for j, w in later[i]:
+                h = file_homes[j]
+                if h is None:
+                    continue
+                m, old = mates[j], saving[j]
+                if h == home:
+                    mates[j] = m - w
+                new = conn[j][h] - low[j] + mates[j]
+                if new != old or h == home:
+                    saved.append((j, old, m))
+                    saving[j] = new
+                    del ranked[bisect_left(ranked, old)]
+                    insort(ranked, new)
+                    extra += new - old
+            # At most r more files leave home, each taking at most its
+            # saving from the stay-at-home completion.
+            r = allowance - used
+            if r < len(ranked):
+                floor = child_partial + child + extra - sum(ranked[len(ranked) - r:]) - _EPS
+                if floor > above or (floor >= tie and used >= best_moves):
+                    child = inf
+            yield child_partial, child, used
+            extra = inner
+            for j, old, m in saved:
+                del ranked[bisect_left(ranked, saving[j])]
+                insort(ranked, old)
+                saving[j], mates[j] = old, m
+        extra = outer
+        if home is not None:
+            insort(ranked, saving[i])
+
     # stack[i] yields the nodes with files[:i] placed.
+    expand = moving_children if homed else children
     budget, nodes = _NODE_BUDGET, 0
     stack = [iter([(psi, sum(low), 0)])]
     while stack:
@@ -852,7 +954,7 @@ def _branch_and_bound(
                 best, best_psi, best_moves = chosen.copy(), partial, moves
                 above, tie = partial + _EPS, partial - _EPS
                 continue
-            stack.append(children(len(stack) - 1, partial, bound, moves))
+            stack.append(expand(len(stack) - 1, partial, bound, moves))
             break
         else:
             stack.pop()

@@ -129,10 +129,15 @@ def restructure_one_stage(
     Exact mode enumerates every capacity-feasible placement that keeps the
     number of moved files within the allowance, minimizing (objective, move
     count, assignment) lexicographically, and raises EnumerationCapError
-    past the branch-and-bound's node budget. Greedy mode repeatedly applies
-    the single move or disk swap that most reduces the objective while the
-    result stays within the allowance; steps that gain no more than 1e-9
-    are ignored.
+    past the branch-and-bound's node budget. Where the allowance is below
+    the number of files with a previous disk, the search also bounds each
+    subtree by the moves left: only that many more files may leave their
+    previous disks, each saving at most its own weight there. Greedy mode
+    repeatedly applies the single move or disk swap that most reduces the
+    objective while the result stays within the allowance; steps that gain
+    no more than 1e-9 are ignored. With fewer than two moves left, its
+    scan pairs a file on its previous disk only with files that are off
+    theirs or new to the stage.
 
     Files of the previous allocation that are inactive in the target stage
     hold their disks and are never moved. Active files absent from the

@@ -303,6 +303,66 @@ def test_exact_restructure_matches_decimal_brute_force_on_fractional_phi(seed):
         assert dict(result.allocation.assignment) == assignment
 
 
+def _new_and_pinned_case(seed, fractional):
+    """(instance, previous) of 5-7 files on 2-4 disks: 1-2 files active in
+    stage 2 are missing from ``previous``, so they have no home, and 1-2
+    files of ``previous`` are inactive in stage 2, so they are pinned."""
+    rng = random.Random(seed)
+    n = 5 + seed % 3
+    doc = generate_instance(
+        n, 2 + seed % 3, 2, 0.5, (1, 2), rng.uniform(1.2, 1.6), 700 + seed
+    )
+    files = list(range(1, n + 1))
+    leaving = set(rng.sample(files, rng.randint(1, 2)))
+    raw = doc["stages"][1]
+    active = [f for f in files if f not in leaving]
+    raw["active_files"] = active
+    for key in ("precedence", "concurrency"):
+        raw[key] = [pair for pair in raw[key] if leaving.isdisjoint(pair)]
+    if fractional:
+        raw["phi"] = [
+            [0.0 if a == b else rng.randint(0, 300) / 1000 for b in active] for a in active
+        ]
+    inst = parse_instance_document(doc)
+    first, _ = exact_solve(inst.stage(1), inst)
+    entering = set(rng.sample(active, rng.randint(1, 2)))
+    previous = {f: d for f, d in first.assignment.items() if f not in entering}
+    return inst, Allocation(previous)
+
+
+@pytest.mark.parametrize("fractional", [False, True], ids=["uniform", "dense"])
+@pytest.mark.parametrize("seed", range(12))
+def test_exact_restructure_matches_brute_force_with_new_and_pinned_files(seed, fractional):
+    # New files count toward no allowance and pinned ones hold their disks,
+    # so a bound on the moves left must price both correctly.
+    inst, previous = _new_and_pinned_case(seed, fractional)
+    stage = inst.stage(2)
+    oracle = naive_restructure_decimal if fractional else naive_restructure
+    for budget in range(len(stage.active_files) + 1):
+        result = restructure_one_stage(RestructuringProblem(inst, stage, previous, budget))
+        assignment, psi, moves = oracle(stage, inst, previous, budget)
+        assert result.objective == pytest.approx(float(psi), abs=1e-9), budget
+        assert len(result.plan.moves) == moves, budget
+        assert dict(result.allocation.assignment) == assignment, budget
+
+
+def test_exact_restructuring_bounds_the_moves_left(monkeypatch):
+    # Priced as if every file could still move, the search enters 189,511
+    # nodes at budget 2; with the bound on the moves left it enters 1,613.
+    import diskalloc.allocator as mod
+
+    monkeypatch.setattr(mod, "_NODE_BUDGET", 20_000)
+    inst = parse_instance_document(generate_instance(60, 4, 2, 0.05, (1, 1), 2.0, 1))
+    previous = {f: f % 4 + 1 for f in inst.stage(2).active_files}
+    for budget, objective, moves in (
+        (1.0, 34.0, [(25, 2, 3)]),
+        (2.0, 31.0, [(25, 2, 3), (26, 3, 2)]),
+    ):
+        result = restructure_one_stage(problem(inst, 2, previous, budget, reference=0.0))
+        assert result.objective == objective
+        assert [(m.file, m.src, m.dst) for m in result.plan.moves] == moves
+
+
 def _dense_phi_instance(seed):
     doc = generate_instance(6, 2, 2, 0.5, (1, 2), 1.5, seed)
     rng = random.Random(seed)
