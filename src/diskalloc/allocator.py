@@ -10,9 +10,10 @@ The search cores here also serve budgeted restructuring. Exact
 restructuring and ``exact_solve`` share one branch-and-bound, symmetry
 prune included. Greedy restructuring is local search's move/swap
 neighbourhood with best-improvement under a move allowance. Files new to a
-restructured stage are placed by ``spread_allocate``. Both descents ignore
-gains of at most ``_EPS``, and the branch-and-bound counts objectives
-within ``_EPS`` of each other as equal.
+restructured stage are placed by ``spread_allocate``. The searches run on
+``PairWeights``' exact integer weights, so a gain is a negative delta and a
+tie is equality; each objective they return is one division by the
+weights' ``scale``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from decimal import Decimal
+from math import lcm
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import EnumerationCapError, InfeasibleError, ValidationError
@@ -43,48 +46,50 @@ _NODE_BUDGET = 5_000_000
 # Local search gives up after this multiple of n^2 neighbour evaluations.
 _LOCAL_SEARCH_EVAL_FACTOR = 10
 
-# Objective tolerance. Fractional weights summed in different orders differ
-# in the last bits; a descent that took that for a gain could swap one pair
-# back and forth forever.
-_EPS = 1e-9
-
 
 class PairWeights:
-    """Interference weight of every unordered file pair of one stage.
+    """Interference weight of every unordered file pair of one stage, as an
+    exact integer in units of ``1 / scale``, so sums are exact in any order.
 
-    Uniform convention: weight 1.0 on each edge of the integrated relation.
-    Explicit movement probabilities: the two ordered entries of a pair add
-    up on its unordered edge, whether or not the relation links the pair.
+    Uniform convention: weight 1 on each edge of the integrated relation.
+    Explicit movement probabilities: each entry is the decimal its float
+    prints as, the two ordered entries of a pair add up on its unordered
+    edge, whether or not the relation links the pair, and ``scale`` is the
+    lcm of the entries' denominators, 1000 for 3-decimal ``phi``.
     """
 
     def __init__(self, stage: Stage, relation: Optional[IntegratedRelation] = None):
         """``relation``, when given, is the stage's integrated relation.
         Under uniform weights its neighbour map is the adjacency, shared."""
+        self.scale = 1
         if stage.phi is None:
             if relation is None:
                 relation = integrate_relations(stage)
             self._adjacent = relation._neighbours
             return
-        weights: dict[Pair, float] = {}
+        ratios = {w: Decimal(repr(w)).as_integer_ratio() for w in set(stage.phi.values())}
+        self.scale = lcm(*(den for _, den in ratios.values()))
+        scaled = {w: num * (self.scale // den) for w, (num, den) in ratios.items()}
+        weights: dict[Pair, int] = {}
         for (a, b), w in stage.phi.items():
             edge = canonical_edge(a, b)
-            weights[edge] = weights.get(edge, 0.0) + w
-        self._adjacent: dict[int, dict[int, float]] = {}
+            weights[edge] = weights.get(edge, 0) + scaled[w]
+        self._adjacent: dict[int, dict[int, int]] = {}
         for (a, b), w in weights.items():
-            if w != 0.0:
+            if w:
                 self._adjacent.setdefault(a, {})[b] = w
                 self._adjacent.setdefault(b, {})[a] = w
 
-    def pairs(self) -> list[tuple[Pair, float]]:
+    def pairs(self) -> list[tuple[Pair, int]]:
         return sorted(
             ((a, b), w) for a, adj in self._adjacent.items() for b, w in adj.items() if a <= b
         )
 
-    def attach_cost(self, f: int, others: Iterable[int]) -> float:
+    def attach_cost(self, f: int, others: Iterable[int]) -> int:
         """Cost added by placing ``f`` next to ``others`` on one disk."""
         adj = self._adjacent.get(f)
         if not adj:
-            return 0.0
+            return 0
         return sum(adj[g] for g in others if g in adj)
 
 
@@ -152,6 +157,8 @@ def evaluate_objective(
     pair costs its weight; under the ordered-distance model the cost of a
     pair is the distance between the two files' track midpoints, which
     requires the allocation to carry an ordering and ``sizes`` to be given.
+    The value is a float; under the uniform model it is the exact sum of
+    ``PairWeights``' integers, divided once by their ``scale``.
     """
     model = CostModel(model)
     active = stage.active_set
@@ -167,16 +174,15 @@ def evaluate_objective(
         positions = _ordered_positions(alloc, active, sizes)
 
     terms: list[ObjectiveTerm] = []
+    psi = 0
     for (a, b), w in weights.pairs():
         if alloc.assignment[a] != alloc.assignment[b]:
             continue
-        if model is CostModel.UNIFORM:
-            cost = 1.0
-        else:
-            cost = abs(positions[a] - positions[b])
-        terms.append(ObjectiveTerm((a, b), w, cost))
-    value = sum(t.contribution for t in terms)
-    return ObjectiveReport(value=value, terms=tuple(terms))
+        psi += w
+        cost = 1.0 if positions is None else abs(positions[a] - positions[b])
+        terms.append(ObjectiveTerm((a, b), w / weights.scale, cost))
+    value = psi / weights.scale if positions is None else sum(t.contribution for t in terms)
+    return ObjectiveReport(value=float(value), terms=tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -337,18 +343,18 @@ def _connection_tables(
     files: Sequence[int],
     on_disk: Mapping[int, Collection[int]],
     weights: PairWeights,
-) -> tuple[list[dict[int, float]], list[dict[int, float]], float]:
+) -> tuple[list[dict[int, int]], list[dict[int, int]], int]:
     """(rows, links, psi) of ``files``, built in O(E) from the weights'
     adjacency: ``rows[i][d]`` is the summed weight from ``files[i]`` to
-    the files in ``on_disk[d]``, added in that collection's order as
-    ``PairWeights.attach_cost`` adds them, ``links[i]`` maps j to the
-    weight of each neighbour ``files[j]``, and ``psi`` is the objective of
-    ``on_disk``, the weight of each pair within one of its sets, once."""
+    the files in ``on_disk[d]``, ``links[i]`` maps j to the weight of each
+    neighbour ``files[j]``, and ``psi`` is the objective of ``on_disk``,
+    the weight of each pair within one of its sets, once; all in the
+    weights' integer units."""
     adjacent = weights._adjacent
     position = {f: i for i, f in enumerate(files)}
     disk_of = {g: d for d, members in on_disk.items() for g in members}
-    rows = [dict.fromkeys(on_disk, 0.0) for _ in files]
-    psi = 0.0
+    rows = [dict.fromkeys(on_disk, 0) for _ in files]
+    psi = 0
     for d, members in on_disk.items():
         for g in members:
             for f, w in adjacent.get(g, {}).items():
@@ -380,27 +386,18 @@ class _Placement:
     per moved file, and so does keeping ``discontent``, the positions in
     ``files`` of the files with ``min(conn[f]) < conn[f][own]``, which
     tell the scan where a gain can be, the way Fiduccia and Mattheyses
-    keep their gain buckets. A move of any other file cannot gain, since
-    its own entry is its least. Two kinds of swap cannot gain either, and
-    the scan skips them:
+    keep their gain buckets. The table holds ``PairWeights``' integers, so
+    every delta is exact. A move of any other file cannot gain, since its
+    own entry is its least. Two kinds of swap cannot gain either, and the
+    scan skips them:
 
-    - Two files not linked by a weight, neither discontent. The computed
-      delta is ``conn[a][db] + conn[b][da] - conn[a][da] - conn[b][db]``
-      (``w_ab = 0.0`` drops out exactly), and each file's own entry is its
-      least, so the exact sum of those four floats is at least zero.
-      Where the table holds integers, as under uniform weights, the
-      computed delta is that sum. Otherwise its three roundings take it
-      below the sum by at most about ``3 * 2**-53`` times ``conn[a][db] +
-      conn[b][da]``, under ``_EPS`` while those two entries sum to less
-      than about 10**6.
-    - Two settled files, whose own entries are exactly 0.0. The delta is
+    - Two files not linked by a weight, neither discontent. The delta is
+      ``conn[a][db] + conn[b][da] - conn[a][da] - conn[b][db]``, and each
+      file's own entry is its least.
+    - Two settled files, whose own entries are 0. The delta is
       ``(conn[a][db] - w_ab) + (conn[b][da] - w_ab)``, and each of
       ``conn[a][db]`` and ``conn[b][da]`` sums ``w_ab`` with other
-      non-negative weights, so where the table holds those sums exactly
-      each bracket rounds to at least 0.0. Under fractional weights an
-      entry may drift below its exact sum by rounding in the incremental
-      updates, by many orders of magnitude less than ``_EPS`` (tests hold
-      the table to from-scratch sums).
+      non-negative weights.
     """
 
     def __init__(
@@ -459,9 +456,9 @@ class _Placement:
             return 0
         return (dst != home) - (src != home)
 
-    def neighbourhood(self) -> Iterator[tuple[float, tuple[tuple[int, int], ...], int]]:
-        """The steps that gain more than ``_EPS``, in scan order, as
-        (objective delta, step, files moved after it).
+    def neighbourhood(self) -> Iterator[tuple[int, tuple[tuple[int, int], ...], int]]:
+        """The steps that gain, in scan order, as (objective delta in the
+        weights' units, step, files moved after it).
 
         The scan order covers every capacity- and allowance-feasible step:
         single-file moves (file ascending, then disk ascending), then pair
@@ -493,7 +490,7 @@ class _Placement:
                     if after > allowance:
                         continue
                 delta = row[dst] - detach
-                if delta < -_EPS:
+                if delta < 0:
                     yield delta, ((files[i], dst),), after
 
         links, later_of = self.links, self.later
@@ -523,7 +520,7 @@ class _Placement:
                 if not later:
                     continue
             da, size_a, ha, row_a, link_a = disk_of[i], size_of[i], home_of[i], rows[i], links[i]
-            room_a, settled_a = free[da] + size_a, row_a[da] == 0.0
+            room_a, settled_a = free[da] + size_a, row_a[da] == 0
             for j in later:
                 db = disk_of[j]
                 if db == da or size_of[j] > room_a or size_a > free[db] + size_of[j]:
@@ -538,11 +535,11 @@ class _Placement:
                     if after > allowance:
                         continue
                 row_b = rows[j]
-                if settled_a and row_b[db] == 0.0:
+                if settled_a and row_b[db] == 0:
                     continue
-                w_ab = link_a.get(j, 0.0)
+                w_ab = link_a.get(j, 0)
                 delta = row_a[db] - w_ab + row_b[da] - w_ab - row_a[da] - row_b[db]
-                if delta < -_EPS:
+                if delta < 0:
                     yield delta, ((files[i], db), (files[j], da)), after
 
     def count(self, step: tuple[tuple[int, int], ...] = ()) -> int:
@@ -626,8 +623,8 @@ def local_search(
     Only the stage's active files move; any other assigned file acts as a
     capacity-consuming fixture. Scanning order is file ascending then disk
     ascending for moves, pair-lexicographic for swaps, restarting after
-    every accepted step, so the result is deterministic. A step counts as
-    an improvement only when it gains more than 1e-9. Every feasible step
+    every accepted step, so the result is deterministic. Deltas are exact
+    on ``PairWeights``' integers, so any gain counts. Every feasible step
     scanned counts as one evaluation, capped at 10 n^2; hitting the cap
     logs a warning and returns the best allocation found. Only steps that
     can gain have their delta computed, each in O(1) from ``_Placement``'s
@@ -665,7 +662,7 @@ def _local_search(
 
     def descend(
         charge: Callable[[_Placement, tuple[tuple[int, int], ...]], int]
-    ) -> tuple[_Placement, float, bool]:
+    ) -> tuple[_Placement, int, bool]:
         """(placement, objective, capped) of a descent that charges each
         scan ``charge(placement, first gaining step or ())`` evaluations."""
         state = _Placement(alloc.assignment, movable, stage, instance, weights, {}, 0)
@@ -673,7 +670,7 @@ def _local_search(
         evals = 0
         while True:
             # Only the first gaining step of each scan is taken.
-            delta, step, moved = next(state.neighbourhood(), (0.0, (), 0))
+            delta, step, moved = next(state.neighbourhood(), (0, (), 0))
             seen = charge(state, step)
             evals += seen
             # A scan step by step would have stopped at the cap on a step
@@ -695,10 +692,10 @@ def _local_search(
             log.warning(
                 "local search stopped at the evaluation cap (%d evaluations)", cap
             )
-    return Allocation(state.assignment, degraded=alloc.degraded), psi
+    return Allocation(state.assignment, degraded=alloc.degraded), psi / weights.scale
 
 
-def _suffix_floors(links: Sequence[Mapping[int, float]], k: int) -> list[float]:
+def _suffix_floors(links: Sequence[Mapping[int, int]], k: int) -> list[int]:
     """``floors[i]``: a lower bound of the weight of the same-disk pairs
     among ``files[i:]`` over every split of them onto ``k`` disks, for
     ``links`` as ``_connection_tables`` gives them; ``floors[n]`` is 0.
@@ -710,8 +707,8 @@ def _suffix_floors(links: Sequence[Mapping[int, float]], k: int) -> list[float]:
     weights. One descending pass; it sorts only where T > Z, so a sparse
     stage costs O(n + E)."""
     n = len(links)
-    floors = [0.0] * (n + 1)
-    weights: list[float] = []
+    floors = [0] * (n + 1)
+    weights: list[int] = []
     for i in range(n - 1, -1, -1):
         weights.extend(w for j, w in links[i].items() if j > i)
         u = n - i
@@ -741,13 +738,13 @@ def _branch_and_bound(
 
     A file counts as moved when it lands off its entry in ``homes``; at
     most ``allowance`` files may move. Minimizes (objective, moves,
-    assignment vector), objectives within ``_EPS`` counting as equal: disks
-    are tried ascending, so the first optimum recorded is the
-    lexicographically least. Prunes on capacity, on the allowance, on the
-    partial objective once an incumbent exists, on symmetry (an empty disk
-    that holds no pinned file and is home to no file still unplaced is
-    interchangeable with an earlier such disk of equal residual capacity),
-    and on an admissible lower bound.
+    assignment vector), exactly on the weights' integers: disks are tried
+    ascending, so the first optimum recorded is the lexicographically
+    least. Prunes on capacity, on the allowance, on the partial objective
+    once an incumbent exists, on symmetry (an empty disk that holds no
+    pinned file and is home to no file still unplaced is interchangeable
+    with an earlier such disk of equal residual capacity), and on an
+    admissible lower bound.
 
     The search numbers the disks ascending as slots 0..k-1 and keeps
     loads, capacities, homes and table rows as lists indexed by slot, so a
@@ -762,9 +759,8 @@ def _branch_and_bound(
     ``conn``, so the two parts count no edge twice. Capacity and the
     allowance are ignored, which only loosens the bound. A subtree is cut
     when partial objective plus the summed ``low`` of its unplaced files
-    plus their floor, less ``_EPS`` for rounding, fails the incumbent
-    test: none of its leaves could be accepted, so cutting it changes no
-    result.
+    plus their floor fails the incumbent test: none of its leaves could be
+    accepted, so cutting it changes no result.
 
     Where files have homes and fewer moves are allowed than there are
     homed files, a second bound prices the allowance. The completion that
@@ -776,8 +772,8 @@ def _branch_and_bound(
     unplaced homemates. At most r = allowance - moves more files move, so
     no completion costs less than ``stay`` less the r largest savings; an
     edge between two moved files is subtracted twice, which only loosens
-    it. A child whose partial objective plus this bound, less ``_EPS``,
-    fails the incumbent test is cut like any other node; the bound is
+    it. A child whose partial objective plus this bound fails the
+    incumbent test is cut like any other node; the bound is
     skipped where r is at least the number of unplaced homed files.
     A layer over the placements keeps the savings and ``stay``'s excess
     over the summed ``low`` current in O(deg) per placement, with the
@@ -813,7 +809,7 @@ def _branch_and_bound(
     rows, links, psi = _connection_tables(files, on_disk, weights)
     # Each row follows on_disk's keys, the disks ascending: slot order.
     conn = [list(row.values()) for row in rows]
-    low = [min(row, default=0.0) for row in conn]
+    low = [min(row, default=0) for row in conn]
     floors = _suffix_floors(links, len(disks))
     # later[i]: (j, weight) for each neighbour files[j] placed after files[i].
     later = [[(j, w) for j, w in link.items() if j > i] for i, link in enumerate(links)]
@@ -822,11 +818,9 @@ def _branch_and_bound(
     best: Optional[list[int]] = None
     best_psi = inf
     best_moves = 0
-    # Objectives in [tie, above] tie with the incumbent's.
-    above = tie = inf
     chosen: list[int] = []
 
-    def children(i: int, partial: float, bound: float, moves: int):
+    def children(i: int, partial: int, bound: int, moves: int):
         """Place files[i] on each slot in turn, yielding the child (partial,
         bound, moves) and undoing the placement when resumed."""
         home, size, cost = file_homes[i], sizes[i], conn[i]
@@ -846,15 +840,12 @@ def _branch_and_bound(
                     continue
                 seen_empty.add(key)
             child_partial = partial + cost[s]
-            if child_partial > above or (child_partial >= tie and used >= best_moves):
+            if child_partial > best_psi or (child_partial == best_psi and used >= best_moves):
                 continue
-            # Saved entries are restored, not subtracted back, so sibling
-            # subtrees see no rounding drift.
-            saved_conn, saved_low, child = [], [], rest
+            saved_low, child = [], rest
             for j, w in later[i]:
                 row = conn[j]
                 c = row[s]
-                saved_conn.append((row, c))
                 row[s] = c + w
                 if c == low[j]:
                     saved_low.append((j, c))
@@ -865,8 +856,8 @@ def _branch_and_bound(
             yield child_partial, child, used
             chosen.pop()
             loads[s] -= size
-            for row, c in saved_conn:
-                row[s] = c
+            for j, w in later[i]:
+                conn[j][s] -= w
             for j, c in saved_low:
                 low[j] = c
 
@@ -876,7 +867,7 @@ def _branch_and_bound(
     # the summed low: the savings less the weight between unplaced files
     # that share a home, which the savings count twice.
     homed = sum(h is not None for h in file_homes) > allowance
-    mates, saving, ranked, extra = [0.0] * n, [0.0] * n, [], 0.0
+    mates, saving, ranked, extra = [0] * n, [0] * n, [], 0
     if homed:
         homed_files = [(j, h) for j, h in enumerate(file_homes) if h is not None]
         for j, h in homed_files:
@@ -891,7 +882,7 @@ def _branch_and_bound(
         ranked.sort()
         extra += sum(ranked)
 
-    def moving_children(i: int, partial: float, bound: float, moves: int):
+    def moving_children(i: int, partial: int, bound: int, moves: int):
         """``children`` under the allowance bound: keeps ``mates``, the
         savings and ``extra`` current for each child, and passes on a child
         that the bound cuts with an infinite bound, so that the search loop
@@ -922,8 +913,8 @@ def _branch_and_bound(
             # saving from the stay-at-home completion.
             r = allowance - used
             if r < len(ranked):
-                floor = child_partial + child + extra - sum(ranked[len(ranked) - r:]) - _EPS
-                if floor > above or (floor >= tie and used >= best_moves):
+                floor = child_partial + child + extra - sum(ranked[len(ranked) - r:])
+                if floor > best_psi or (floor == best_psi and used >= best_moves):
                     child = inf
             yield child_partial, child, used
             extra = inner
@@ -947,12 +938,11 @@ def _branch_and_bound(
                     f"exact search passed its budget of {budget} nodes; use "
                     "greedy mode to restructure or the heuristic path to solve"
                 )
-            floor = partial + bound + floors[len(stack) - 1] - _EPS
-            if floor > above or (floor >= tie and moves >= best_moves):
+            floor = partial + bound + floors[len(stack) - 1]
+            if floor > best_psi or (floor == best_psi and moves >= best_moves):
                 continue
             if len(stack) > n:
                 best, best_psi, best_moves = chosen.copy(), partial, moves
-                above, tie = partial + _EPS, partial - _EPS
                 continue
             stack.append(expand(len(stack) - 1, partial, bound, moves))
             break
@@ -960,7 +950,7 @@ def _branch_and_bound(
             stack.pop()
     if best is None:
         return None
-    return {**fixed, **{f: disks[s] for f, s in zip(files, best)}}, best_psi
+    return {**fixed, **{f: disks[s] for f, s in zip(files, best)}}, best_psi / weights.scale
 
 
 def exact_solve(
@@ -980,9 +970,10 @@ def exact_solve(
     where that weight is least, plus a floor for the pairs among the
     unplaced files from how many of them must share a disk (see
     ``_suffix_floors``). Disks are numbered as list slots for the search
-    and mapped back in the result. Among minimum-objective placements (to
-    within ``_EPS``) it returns the lexicographically least assignment
-    vector; the bound prunes only subtrees that hold no such placement.
+    and mapped back in the result. Objectives compare exactly, on
+    ``PairWeights``' integers. Among minimum-objective placements it
+    returns the lexicographically least assignment vector; the bound
+    prunes only subtrees that hold no such placement.
     Raises EnumerationCapError beyond ``cap`` active files, up front, or
     once the search has entered more than ``_NODE_BUDGET`` nodes.
     """

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain, starmap
+from math import isfinite
 from operator import eq
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -329,8 +330,8 @@ def validate_instance(instance: Instance) -> Instance:
         )
         # Set operations test every pair at once. Only a stage that fails
         # them is walked in sorted order, so the least offending pair is the
-        # one named. A NaN weight passes, as it always has.
-        if min(phi.values(), default=0.0) >= 0 and all(
+        # one named. A NaN or an infinity makes the sum non-finite.
+        if min(phi.values(), default=0.0) >= 0 and isfinite(sum(phi.values())) and all(
             active.issuperset(chain.from_iterable(pairs)) and not any(starmap(eq, pairs))
             for _, pairs, _ in relations
         ):
@@ -349,6 +350,8 @@ def validate_instance(instance: Instance) -> Instance:
                     raise ValidationError(
                         f"stage {j}: {kind} ({a}, {b}) references an inactive file"
                     )
+                if w is not None and not isfinite(w):
+                    raise ValidationError(f"stage {j}: {kind} ({a}, {b}) is not finite")
                 if w is not None and w < 0:
                     raise ValidationError(f"stage {j}: {kind} ({a}, {b}) is negative")
 

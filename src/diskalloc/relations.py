@@ -33,13 +33,13 @@ class IntegratedRelation:
         return canonical_edge(a, b) in self.edges
 
     @cached_property
-    def _neighbours(self) -> dict[int, dict[int, float]]:
-        """``{f: {g: 1.0}}`` for every edge (f, g), built on first use; the
+    def _neighbours(self) -> dict[int, dict[int, int]]:
+        """``{f: {g: 1}}`` for every edge (f, g), built on first use; the
         uniform ``PairWeights`` of the stage share it."""
-        out: dict[int, dict[int, float]] = {}
+        out: dict[int, dict[int, int]] = {}
         for a, b in self.edges:
-            out.setdefault(a, {})[b] = 1.0
-            out.setdefault(b, {})[a] = 1.0
+            out.setdefault(a, {})[b] = 1
+            out.setdefault(b, {})[a] = 1
         return out
 
     def adjacency(self, files: Iterable[int]) -> dict[int, frozenset[int]]:

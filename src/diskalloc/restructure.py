@@ -12,7 +12,8 @@ and node budget included, run with each file's previous disk as its home
 and a move allowance. Greedy restructuring places files new to the stage
 with ``spread_allocate``, then takes local search's move/swap
 neighbourhood with best-improvement instead of first-improvement under the
-move allowance. Both descents ignore gains of at most 1e-9.
+move allowance. Both run on exact integer weights, so an objective that
+ties the reference reads a proximity of exactly 0.0.
 """
 
 from __future__ import annotations
@@ -32,11 +33,9 @@ from .model import (
     Trajectory,
 )
 from .allocator import (
-    _EPS,
     EXACT_CAP_DEFAULT,
     PairWeights,
     _branch_and_bound,
-    _connection_tables,
     _pinned_loads,
     _Placement,
     _resolve_pinned,
@@ -45,6 +44,10 @@ from .allocator import (
     spread_allocate,
 )
 from .relations import Community, integrate_relations
+
+# Budgets are floats: a budget of k unit moves buys k moves even where the
+# division rounds just below k.
+_BUDGET_TOL = 1e-9
 
 
 def _relocation_plan(
@@ -115,7 +118,7 @@ def _move_allowance(budget: float, unit_cost: float, n_movable: int) -> int:
     """Whole moves the budget buys, at most ``n_movable`` (all when free)."""
     if unit_cost <= 0:
         return n_movable
-    return int(min(budget / unit_cost + _EPS, n_movable))
+    return int(min(budget / unit_cost + _BUDGET_TOL, n_movable))
 
 
 def restructure_one_stage(
@@ -134,10 +137,10 @@ def restructure_one_stage(
     subtree by the moves left: only that many more files may leave their
     previous disks, each saving at most its own weight there. Greedy mode
     repeatedly applies the single move or disk swap that most reduces the
-    objective while the result stays within the allowance; steps that gain
-    no more than 1e-9 are ignored. With fewer than two moves left, its
-    scan pairs a file on its previous disk only with files that are off
-    theirs or new to the stage.
+    objective while the result stays within the allowance, the first in
+    scan order among equal gains, which are exact on integer weights. With
+    fewer than two moves left, its scan pairs a file on its previous disk
+    only with files that are off theirs or new to the stage.
 
     Files of the previous allocation that are inactive in the target stage
     hold their disks and are never moved. Active files absent from the
@@ -190,24 +193,23 @@ def restructure_one_stage(
         start = {**fixed, **{f: base[f] for f in based}}
         seeded = spread_allocate([Community((f,)) for f in new_files], instance, stage, pinned=start)
         state = _Placement(seeded.assignment, searched, stage, instance, weights, base, m)
-        # Best-improvement descent; a step must beat the best so far by more
-        # than _EPS, so ties go to the first step in scan order.
+        # Best-improvement descent; a step must beat the best so far, so
+        # ties go to the first step in scan order.
+        psi = state.psi
         while True:
-            bar, best = -_EPS, None
+            bar, best = 0, None
             for delta, step, moved in state.neighbourhood():
                 if delta < bar:
-                    bar, best = delta - _EPS, (step, moved)
+                    bar, best = delta, (step, moved)
             if best is None:
                 break
             state.apply(*best)
+            psi += bar
         final = state.assignment
-        # Summed afresh over the final disk sets, where deltas would drift.
-        psi = _connection_tables((), state.on_disk, weights)[2]
+        psi /= weights.scale
 
     if psi < psi_star:
-        # The search and the reference sum the same pairs in different
-        # orders, so a certified optimum may sit above psi by rounding.
-        if certified and psi < psi_star - _EPS:
+        if certified:
             raise InternalError(
                 "restructuring beat a certified optimum; enumeration is broken"
             )
@@ -215,7 +217,7 @@ def restructure_one_stage(
     rho = psi - psi_star
 
     plan = _relocation_plan(base, final, based, unit)
-    if unit > 0 and plan.total_cost > problem.budget + _EPS:
+    if unit > 0 and plan.total_cost > problem.budget + _BUDGET_TOL:
         raise InternalError("restructuring plan exceeds its budget")
     return RestructureResult(
         allocation=Allocation(final),
@@ -350,9 +352,7 @@ def paper_replay_trajectories(instance: Instance) -> tuple[Trajectory, Trajector
             plans=plans,
             objectives=objectives,
             optima=tuple(optima),
-            proximities=tuple(
-                max(psi - star, 0.0) for psi, star in zip(objectives, optima)
-            ),
+            proximities=tuple(psi - star for psi, star in zip(objectives, optima)),
             certified=tuple(True for _ in instance.stages),
             total_modification_cost=sum(p.total_cost for p in plans),
         )

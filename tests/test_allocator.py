@@ -99,6 +99,13 @@ def test_explicit_probabilities_sum_ordered_entries():
     assert apart.value == 0.0
 
 
+@pytest.mark.parametrize("phi", [None, {(1, 2): 0.5}], ids=["uniform", "phi"])
+def test_objective_with_no_pair_on_one_disk_is_a_float(phi):
+    stage = Stage(index=1, active_files=(1, 2), concurrency={(1, 2)}, phi=phi)
+    value = evaluate_objective(Allocation({1: 1, 2: 2}), stage).value
+    assert value == 0.0 and type(value) is float
+
+
 def test_uniform_weights_share_the_relations_neighbour_map():
     # A heuristic stage solve builds the map once, for communities and
     # weights alike.
@@ -570,6 +577,27 @@ def test_suffix_floors_hold_against_brute_force(shape):
                 assert floors[i] <= least + 1e-9
 
 
+def test_heuristic_objective_is_its_placements_on_sparse_fractional_phi():
+    # 18-file, 5-disk stages where one ordered pair in 5, 10 or 20 carries
+    # a 3-decimal weight. Float deltas summed onto the start value used to
+    # drift to objectives a few 1e-16 below zero, or off the placement's
+    # own in the last bits.
+    for seed in range(40):
+        rng = random.Random(seed)
+        doc = generate_instance(18, 5, 1, 0.0, (1, 3), rng.uniform(1.3, 1.6), seed)
+        sparsity = rng.choice([5, 10, 20])
+        doc["stages"][0]["phi"] = [
+            [round(rng.uniform(0.0, 0.3), 3) if i != j and rng.randrange(sparsity) == 0 else 0.0
+             for j in range(18)]
+            for i in range(18)
+        ]
+        inst = parse_instance_document(doc)
+        alloc, psi, certified = solve_stage(inst, 1, exact=False)
+        assert not certified
+        assert psi >= 0, seed
+        assert psi == evaluate_objective(alloc, inst.stage(1)).value, seed
+
+
 # Node budgets for test_exact_search_stays_within_its_node_count's stages,
 # by seed: one below the nodes the search enters without the pair floor of
 # ``_suffix_floors`` (1148, 1836, 1875, 2161, 1117 and 549), so the test
@@ -590,6 +618,25 @@ def test_exact_search_stays_within_its_node_count(seed, monkeypatch):
     brute = naive_exact_decimal(stage, inst)
     assert dict(alloc.assignment) == brute[0]
     assert psi == pytest.approx(float(brute[1]), abs=1e-9)
+
+
+# Node budgets for test_exact_search_cuts_subtrees_that_can_only_tie's
+# uniform stages, by seed: one below the nodes the search enters when it
+# keeps a subtree whose bound only ties the incumbent, with no fewer moves
+# (5568, 344, 2449, 207 and 962). With the cut it enters 2778, 183, 1259,
+# 133 and 449.
+TIE_NODE_BUDGETS = {0: 5567, 2: 343, 4: 2448, 5: 206, 6: 961}
+
+
+@pytest.mark.parametrize("seed", sorted(TIE_NODE_BUDGETS))
+def test_exact_search_cuts_subtrees_that_can_only_tie(seed, monkeypatch):
+    import diskalloc.allocator as mod
+
+    inst = parse_instance_document(generate_instance(12, 3 + seed % 2, 1, 0.25, (1, 3), 1.3, seed))
+    stage = inst.stage(1)
+    want = exact_solve(stage, inst)
+    monkeypatch.setattr(mod, "_NODE_BUDGET", TIE_NODE_BUDGETS[seed])
+    assert exact_solve(stage, inst) == want
 
 
 def test_exact_respects_pins():

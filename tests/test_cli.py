@@ -509,6 +509,22 @@ def test_trajectory_replay_prints_both_chains(capsys, tmp_path):
     assert dict(doc.stage(3).assignment) == ref.X3_STAR
 
 
+def test_trajectory_replay_document_writes_every_objective_as_a_float(capsys, tmp_path):
+    # Stage 1 of the restructured chain has no related pair on one disk;
+    # its objective used to be written as the integer 0.
+    out_path = tmp_path / "replay.json"
+    code, _, _ = run(
+        capsys,
+        "trajectory", "--instance", INSTANCE, "--strategy", "replay",
+        "--output", str(out_path),
+    )
+    assert code == 0
+    assert '"objective": 0,' not in out_path.read_text()
+    objectives = [stage["objective"] for stage in json.loads(out_path.read_text())["stages"]]
+    assert objectives == [0.0, 1.0, 1.0]
+    assert all(type(value) is float for value in objectives)
+
+
 def test_trajectory_sequential_needs_budgets(capsys):
     code, _, err = run(
         capsys, "trajectory", "--instance", INSTANCE, "--strategy", "sequential"

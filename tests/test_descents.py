@@ -5,7 +5,7 @@ which keeps a connection table instead of rescanning disks and computes
 deltas only for steps that can gain. These tests hold it to the scan
 order, evaluation count and cap of ``tests/naive.py``, which recounts
 every delta from the assignment, hold each scan to an enumeration of
-every feasible step, and bound the rounding drift of its incremental sums
+every feasible step, and hold its incremental sums to from-scratch sums
 under fractional ``phi``.
 """
 
@@ -16,7 +16,6 @@ import pytest
 
 from diskalloc import allocator
 from diskalloc.allocator import (
-    _EPS,
     PairWeights,
     _Placement,
     evaluate_objective,
@@ -28,6 +27,9 @@ from diskalloc.model import Allocation
 from diskalloc.restructure import RestructureMode, RestructuringProblem, restructure_one_stage
 
 from naive import naive_feasible_steps, naive_greedy_descent, naive_local_search
+
+# Assertion tolerance of the float comparisons below.
+_EPS = 1e-9
 
 
 def _uniform_case(seed):

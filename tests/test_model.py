@@ -174,6 +174,20 @@ def test_validate_rejects_a_phi_diagonal_on_a_directly_built_stage():
     )
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("first", [True, False], ids=["first", "after-a-finite-entry"])
+def test_validate_rejects_a_non_finite_phi_entry(value, first):
+    # Exact weights read each entry as a decimal, which a NaN or an
+    # infinity has not; documents reject them as they are read.
+    entries = [((2, 1), value), ((1, 2), 0.5)]
+    if not first:
+        entries.reverse()
+    stage = Stage(index=1, active_files=(1, 2), phi=dict(entries))
+    with pytest.raises(ValidationError) as caught:
+        validate_instance(make_instance(stages=(stage,)))
+    assert str(caught.value) == "stage 1: movement probability entry (2, 1) is not finite"
+
+
 @pytest.mark.parametrize(
     "stage, message",
     [

@@ -415,6 +415,36 @@ def test_descents_ignore_rounding_gains_on_fractional_phi(strict_descent, descen
             assert len(result.plan.moves) == 2
 
 
+@pytest.mark.parametrize("mode", list(RestructureMode))
+def test_restructuring_a_certified_optimum_reads_zero_proximity_on_fractional_phi(mode):
+    # 8-11-file stages with dense or 1-in-5 sparse 3-decimal phi,
+    # restructured from their own certified optimum: nothing beats it, so
+    # the objective ties the reference. Objectives summed in different
+    # orders used to read a proximity of a few 1e-16 on such ties.
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(8, 11)
+        doc = generate_instance(n, rng.choice((3, 4)), 1, 0.0, (1, 2), rng.uniform(1.1, 1.4), seed)
+        sparsity = rng.choice([1, 5])
+        doc["stages"][0]["phi"] = [
+            [round(rng.uniform(0.0, 0.3), 3) if i != j and rng.randrange(sparsity) == 0 else 0.0
+             for j in range(n)]
+            for i in range(n)
+        ]
+        inst = parse_instance_document(doc)
+        stage = inst.stage(1)
+        optimum, _ = exact_solve(stage, inst)
+        for budget in (1, 2, n):
+            result = restructure_one_stage(
+                RestructuringProblem(instance=inst, stage=stage, previous=optimum, budget=budget),
+                mode,
+            )
+            assert result.certified
+            assert result.objective == result.reference, (seed, budget)
+            assert result.proximity == 0.0, (seed, budget)
+            assert result.objective == evaluate_objective(result.allocation, stage).value
+
+
 def test_capacity_variant_needs_only_one_move(instance):
     import json
 
