@@ -23,7 +23,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from decimal import Decimal
 from math import lcm
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import EnumerationCapError, InfeasibleError, ValidationError
 from .model import Allocation, CostModel, Instance, Pair, Stage, canonical_edge
@@ -79,11 +79,6 @@ class PairWeights:
             if w:
                 self._adjacent.setdefault(a, {})[b] = w
                 self._adjacent.setdefault(b, {})[a] = w
-
-    def pairs(self) -> list[tuple[Pair, int]]:
-        return sorted(
-            ((a, b), w) for a, adj in self._adjacent.items() for b, w in adj.items() if a <= b
-        )
 
     def attach_cost(self, f: int, others: Iterable[int]) -> int:
         """Cost added by placing ``f`` next to ``others`` on one disk."""
@@ -175,7 +170,8 @@ def evaluate_objective(
 
     terms: list[ObjectiveTerm] = []
     psi = 0
-    for (a, b), w in weights.pairs():
+    pairs = ((a, b, w) for a, adj in weights._adjacent.items() for b, w in adj.items() if a <= b)
+    for a, b, w in sorted(pairs):
         if alloc.assignment[a] != alloc.assignment[b]:
             continue
         psi += w
@@ -341,28 +337,29 @@ def spread_allocate(
 
 def _connection_tables(
     files: Sequence[int],
-    on_disk: Mapping[int, Collection[int]],
+    placed: Mapping[int, int],
+    disks: Sequence[int],
     weights: PairWeights,
 ) -> tuple[list[dict[int, int]], list[dict[int, int]], int]:
     """(rows, links, psi) of ``files``, built in O(E) from the weights'
     adjacency: ``rows[i][d]`` is the summed weight from ``files[i]`` to
-    the files in ``on_disk[d]``, ``links[i]`` maps j to the weight of each
-    neighbour ``files[j]``, and ``psi`` is the objective of ``on_disk``,
-    the weight of each pair within one of its sets, once; all in the
-    weights' integer units."""
+    the files that ``placed`` puts on disk ``d``, keyed by ``disks`` in
+    their order, ``links[i]`` maps j to the weight of each neighbour
+    ``files[j]``, and ``psi`` is the objective of ``placed``, the weight
+    of each pair on one disk, once; all in the weights' integer units.
+    Only linked files count: an inactive file, which ``validate_instance``
+    leaves unlinked, only fills its disk."""
     adjacent = weights._adjacent
     position = {f: i for i, f in enumerate(files)}
-    disk_of = {g: d for d, members in on_disk.items() for g in members}
-    rows = [dict.fromkeys(on_disk, 0) for _ in files]
+    rows = [dict.fromkeys(disks, 0) for _ in files]
     psi = 0
-    for d, members in on_disk.items():
-        for g in members:
-            for f, w in adjacent.get(g, {}).items():
-                if f > g and disk_of.get(f) == d:
-                    psi += w
-                i = position.get(f)
-                if i is not None:
-                    rows[i][d] += w
+    for g, d in placed.items():
+        for f, w in adjacent.get(g, {}).items():
+            if f > g and placed.get(f) == d:
+                psi += w
+            i = position.get(f)
+            if i is not None:
+                rows[i][d] += w
     links = [
         {position[g]: w for g, w in adjacent.get(f, {}).items() if g in position}
         for f in files
@@ -371,32 +368,34 @@ def _connection_tables(
 
 
 class _Placement:
-    """Mutable placement of one stage, searched by moving and swapping
-    ``files``.
+    """Mutable placement of ``assignment``, every file to its disk,
+    searched by moving and swapping ``files``.
 
-    Holds the assignment, the per-disk loads, the per-disk sets of active
-    files, pinned ones included, and ``psi``, the objective when built.
-    Every file starts on its entry in ``homes``, if it has one, and counts
-    as moved while it sits elsewhere; no step may leave more than
-    ``allowance`` files moved.
+    Holds the searched files' disks, ``disk_of[i]`` for ``files[i]``, the
+    per-disk loads, the table rows below, and ``psi``, the objective when
+    built; the other files of ``assignment`` stay fixed. Only linked files
+    count: an inactive file, which ``validate_instance`` leaves unlinked,
+    only fills its disk. Every file starts on its entry in ``homes``, if
+    it has one, and counts as moved while it sits elsewhere; no step may
+    leave more than ``allowance`` files moved.
 
-    ``conn[f][d]`` is the summed weight from searched file ``f`` to the
-    active files on disk ``d`` (Kernighan and Lin's gain bookkeeping),
-    built in O(E). Evaluating a step costs O(1). Applying one costs O(deg)
-    per moved file, and so does keeping ``discontent``, the positions in
-    ``files`` of the files with ``min(conn[f]) < conn[f][own]``, which
-    tell the scan where a gain can be, the way Fiduccia and Mattheyses
-    keep their gain buckets. The table holds ``PairWeights``' integers, so
-    every delta is exact. A move of any other file cannot gain, since its
-    own entry is its least. Two kinds of swap cannot gain either, and the
-    scan skips them:
+    ``rows[i][d]`` is the summed weight from ``files[i]`` to the files on
+    disk ``d`` (Kernighan and Lin's gain bookkeeping), built in O(E).
+    Evaluating a step costs O(1). Applying one costs O(deg) per moved
+    file, and so does keeping ``discontent``, the positions ``i`` with
+    ``min(rows[i].values()) < rows[i][disk_of[i]]``, which tell the scan
+    where a gain can be, the way Fiduccia and Mattheyses keep their gain
+    buckets.
+    The table holds ``PairWeights``' integers, so every delta is exact. A
+    move of any other file cannot gain, since its own entry is its least.
+    Two kinds of swap cannot gain either, and the scan skips them:
 
     - Two files not linked by a weight, neither discontent. The delta is
-      ``conn[a][db] + conn[b][da] - conn[a][da] - conn[b][db]``, and each
+      ``rows[a][db] + rows[b][da] - rows[a][da] - rows[b][db]``, and each
       file's own entry is its least.
     - Two settled files, whose own entries are 0. The delta is
-      ``(conn[a][db] - w_ab) + (conn[b][da] - w_ab)``, and each of
-      ``conn[a][db]`` and ``conn[b][da]`` sums ``w_ab`` with other
+      ``(rows[a][db] - w_ab) + (rows[b][da] - w_ab)``, and each of
+      ``rows[a][db]`` and ``rows[b][da]`` sums ``w_ab`` with other
       non-negative weights.
     """
 
@@ -404,33 +403,25 @@ class _Placement:
         self,
         assignment: Mapping[int, int],
         files: Sequence[int],
-        stage: Stage,
         instance: Instance,
         weights: PairWeights,
         homes: Mapping[int, Optional[int]],
         allowance: int,
     ):
-        self.assignment = dict(assignment)
         self.files = files
-        self.weights = weights
-        self.sizes = instance.sizes
         self.capacities = instance.capacities
         self.disks = sorted(self.capacities)
         self.homes = homes
         self.allowance = allowance
         self.moved = 0
         self.loads = dict.fromkeys(self.disks, 0)
-        self.on_disk: dict[int, set[int]] = {d: set() for d in self.disks}
-        active = stage.active_set
-        for f, d in self.assignment.items():
-            self.loads[d] += self.sizes[f]
-            if f in active:
-                self.on_disk[d].add(f)
-        self.rows, self.links, self.psi = _connection_tables(files, self.on_disk, weights)
-        self.conn = dict(zip(files, self.rows))
+        for f, d in assignment.items():
+            self.loads[d] += instance.sizes[f]
+        self.rows, self.links, self.psi = _connection_tables(files, assignment, self.disks, weights)
         self.position = {f: i for i, f in enumerate(files)}
-        self.disk_of = [self.assignment[f] for f in files]
-        self.size_of = [self.sizes[f] for f in files]
+        self.fixed = {f: d for f, d in assignment.items() if f not in self.position}
+        self.disk_of = [assignment[f] for f in files]
+        self.size_of = [instance.sizes[f] for f in files]
         self.home_of = [homes.get(f) for f in files]
         # later[i]: positions of files[i]'s neighbours after it, ascending.
         self.later = [
@@ -438,6 +429,11 @@ class _Placement:
         ]
         self.discontent: set[int] = set()
         self._classify(range(len(files)))
+
+    @property
+    def assignment(self) -> dict[int, int]:
+        """Every file's disk, the fixed files' and the searched files'."""
+        return {**self.fixed, **dict(zip(self.files, self.disk_of))}
 
     def _classify(self, positions: Iterable[int]) -> None:
         """Put each of ``positions`` in or out of ``discontent``."""
@@ -591,22 +587,20 @@ class _Placement:
     def apply(self, step: tuple[tuple[int, int], ...], moved: int) -> None:
         """Take ``step``, after which ``moved`` files sit off their homes."""
         self.moved = moved
-        assignment, loads, sizes = self.assignment, self.loads, self.sizes
-        rows, disk_of, position = self.rows, self.disk_of, self.position
-        touched = {position[f] for f, _ in step}
+        loads, rows, disk_of, links = self.loads, self.rows, self.disk_of, self.links
+        touched = set()
         for f, dst in step:
-            src = assignment[f]
-            i = position[f]
-            assignment[f] = disk_of[i] = dst
-            self.on_disk[src].discard(f)
-            self.on_disk[dst].add(f)
-            loads[src] -= sizes[f]
-            loads[dst] += sizes[f]
-            for j, w in self.links[i].items():
+            i = self.position[f]
+            src, size = disk_of[i], self.size_of[i]
+            disk_of[i] = dst
+            loads[src] -= size
+            loads[dst] += size
+            for j, w in links[i].items():
                 row = rows[j]
                 row[src] -= w
                 row[dst] += w
-            touched.update(self.links[i])
+            touched.add(i)
+            touched.update(links[i])
         self._classify(touched)
 
 
@@ -632,6 +626,8 @@ def local_search(
     step costs O(deg) per moved file. The descent charges each scan an
     O(1) upper bound of its evaluations, and counts them exactly, in a
     second descent from the start, only when those bounds meet the cap.
+    Raises InfeasibleError for an infeasible ``alloc`` and ValidationError
+    when a file of ``pinned`` is not on its pinned disk in ``alloc``.
     """
     model = CostModel(model)
     if model is not CostModel.UNIFORM:
@@ -639,25 +635,26 @@ def local_search(
             "local search only optimizes uniform costs; ordered-distance is "
             "evaluation-only"
         )
-    return _local_search(alloc, stage, instance, PairWeights(stage), pinned)
+    report = check_allocation_feasible(alloc, stage, instance)
+    if not report.feasible:
+        raise InfeasibleError("; ".join(report.violations))
+    fixed = _resolve_pinned(stage, None, pinned)
+    for f, d in fixed.items():
+        if alloc.assignment.get(f) != d:
+            raise ValidationError(f"pinned file {f} is not on disk {d} in the allocation")
+    movable = [f for f in stage.active_files if f not in fixed]
+    return _local_search(alloc, movable, instance, PairWeights(stage))
 
 
 def _local_search(
     alloc: Allocation,
-    stage: Stage,
+    movable: Sequence[int],
     instance: Instance,
     weights: PairWeights,
-    pinned: Optional[Mapping[int, int]],
 ) -> tuple[Allocation, float]:
-    """``local_search`` under uniform costs with the stage's ``weights``."""
-    report = check_allocation_feasible(alloc, stage, instance)
-    if not report.feasible:
-        raise InfeasibleError("; ".join(report.violations))
-
-    if pinned is not None:
-        movable = sorted(set(stage.active_files) - set(pinned))
-    else:
-        movable = sorted(set(stage.active_files) & set(alloc.assignment))
+    """``local_search`` of a feasible ``alloc`` under uniform costs,
+    moving ``movable``, ascending. Only linked files count: an inactive
+    file, which ``validate_instance`` leaves unlinked, only fills its disk."""
     cap = _LOCAL_SEARCH_EVAL_FACTOR * len(movable) ** 2
 
     def descend(
@@ -665,7 +662,7 @@ def _local_search(
     ) -> tuple[_Placement, int, bool]:
         """(placement, objective, capped) of a descent that charges each
         scan ``charge(placement, first gaining step or ())`` evaluations."""
-        state = _Placement(alloc.assignment, movable, stage, instance, weights, {}, 0)
+        state = _Placement(alloc.assignment, movable, instance, weights, {}, 0)
         psi = state.psi
         evals = 0
         while True:
@@ -726,7 +723,6 @@ def _branch_and_bound(
     files: Sequence[int],
     fixed: Mapping[int, int],
     pinned_loads: Mapping[int, int],
-    stage: Stage,
     instance: Instance,
     weights: PairWeights,
     homes: Mapping[int, Optional[int]],
@@ -734,7 +730,9 @@ def _branch_and_bound(
 ) -> Optional[tuple[dict[int, int], float]]:
     """Depth-first search over placements of ``files``, in the given order,
     beside the ``fixed`` ones; returns (assignment of the fixed and searched
-    files, objective), or None when nothing fits.
+    files, objective), or None when nothing fits. Only linked files count:
+    an inactive file, which ``validate_instance`` leaves unlinked, only
+    fills its disk.
 
     A file counts as moved when it lands off its entry in ``homes``; at
     most ``allowance`` files may move. Minimizes (objective, moves,
@@ -750,17 +748,17 @@ def _branch_and_bound(
     loads, capacities, homes and table rows as lists indexed by slot, so a
     placement hashes no disk id; slots turn back into disk ids only in the
     returned assignment. The bound keeps ``conn[i][s]``, the summed weight
-    from ``files[i]`` to the active files now on slot ``s`` (the
-    connection table of ``_Placement``), so placing a file costs one
-    lookup. Each unplaced file adds at least its cheapest entry,
-    ``low[i]``, because weights are non-negative and later placements only
-    raise ``conn``. The pairs among the unplaced files add at least
-    ``floors[i]`` (see ``_suffix_floors``); those edges are not yet in
-    ``conn``, so the two parts count no edge twice. Capacity and the
-    allowance are ignored, which only loosens the bound. A subtree is cut
-    when partial objective plus the summed ``low`` of its unplaced files
-    plus their floor fails the incumbent test: none of its leaves could be
-    accepted, so cutting it changes no result.
+    from ``files[i]`` to the files now on slot ``s`` (the connection
+    table of ``_Placement``), so placing a file costs one lookup. Each
+    unplaced file adds at least its cheapest entry, ``low[i]``, because
+    weights are non-negative and later placements only raise ``conn``.
+    The pairs among the unplaced files add at least ``floors[i]`` (see
+    ``_suffix_floors``); those edges are not yet in ``conn``, so the two
+    parts count no edge twice. Capacity and the allowance are ignored,
+    which only loosens the bound. A subtree is cut when partial objective
+    plus the summed ``low`` of its unplaced files plus their floor fails
+    the incumbent test: none of its leaves could be accepted, so cutting
+    it changes no result.
 
     Where files have homes and fewer moves are allowed than there are
     homed files, a second bound prices the allowance. The completion that
@@ -798,16 +796,10 @@ def _branch_and_bound(
         reserved.append(reserved[-1] | {home})
     reserved.reverse()
 
-    # Interference of pinned active files among themselves is a constant
-    # floor; interference with searched files accrues during the descent.
-    active = stage.active_set
-    on_disk: dict[int, list[int]] = {d: [] for d in disks}
-    for f, d in fixed.items():
-        if f in active:
-            on_disk[d].append(f)
-
-    rows, links, psi = _connection_tables(files, on_disk, weights)
-    # Each row follows on_disk's keys, the disks ascending: slot order.
+    # Interference of fixed files among themselves is a constant floor;
+    # interference with searched files accrues during the descent.
+    rows, links, psi = _connection_tables(files, fixed, disks, weights)
+    # Each row follows the disks ascending: slot order.
     conn = [list(row.values()) for row in rows]
     low = [min(row, default=0) for row in conn]
     floors = _suffix_floors(links, len(disks))
@@ -993,7 +985,7 @@ def exact_solve(
             f"exact search over {n} files exceeds the cap of {cap}; "
             "raise the cap explicitly or use the heuristic path"
         )
-    found = _branch_and_bound(files, fixed, loads, stage, instance, PairWeights(stage), {}, n)
+    found = _branch_and_bound(files, fixed, loads, instance, PairWeights(stage), {}, n)
     if found is None:
         raise InfeasibleError("no placement satisfies the disk capacities")
     return Allocation(found[0]), found[1]
@@ -1025,8 +1017,7 @@ def _solve_stage(
     free = [f for f in stage.active_files if f not in fixed]
     communities = detect_communities(relation, free, instance.gamma)
     seeded = spread_allocate(communities, instance, stage, pinned=fixed)
-    weights = PairWeights(stage, relation)
-    alloc, psi = _local_search(seeded, stage, instance, weights, fixed)
+    alloc, psi = _local_search(seeded, free, instance, PairWeights(stage, relation))
     return alloc, psi, False
 
 

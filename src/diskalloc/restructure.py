@@ -146,6 +146,8 @@ def restructure_one_stage(
     hold their disks and are never moved. Active files absent from the
     previous allocation are placed fresh; placing them costs nothing.
     Greedy mode places them with ``spread_allocate`` before its descent.
+    A previous allocation that names a file or disk the instance lacks
+    raises ValidationError, whether or not the file is active.
     """
     mode = RestructureMode(mode)
     instance, stage, previous = problem.instance, problem.stage, problem.previous
@@ -153,6 +155,11 @@ def restructure_one_stage(
     capacities = instance.capacities
     unit = instance.relocation_unit_cost
 
+    for f, d in previous.assignment.items():
+        if f not in sizes:
+            raise ValidationError(f"previous allocation names unknown file {f}")
+        if d not in capacities:
+            raise ValidationError(f"previous allocation puts file {f} on unknown disk {d}")
     fixed = _resolve_pinned(stage, previous, None)
     loads = _pinned_loads(fixed, sizes, capacities)
 
@@ -167,8 +174,6 @@ def restructure_one_stage(
     trial = dict(loads)
     for f in based:
         d = base[f]
-        if d not in capacities:
-            raise ValidationError(f"previous allocation puts file {f} on unknown disk {d}")
         trial[d] += sizes[f]
         if trial[d] > capacities[d]:
             raise InfeasibleError("previous allocation infeasible for stage")
@@ -184,7 +189,7 @@ def restructure_one_stage(
         _, psi_star, certified = _solve_stage(stage, instance, fixed, cap, relation=relation)
 
     if mode is RestructureMode.EXACT:
-        found = _branch_and_bound(searched, fixed, loads, stage, instance, weights, base, m)
+        found = _branch_and_bound(searched, fixed, loads, instance, weights, base, m)
         if found is None:
             raise InfeasibleError("no placement within the move allowance fits the disks")
         final, psi = found
@@ -192,7 +197,7 @@ def restructure_one_stage(
         # New files start where spreading puts them, move-free.
         start = {**fixed, **{f: base[f] for f in based}}
         seeded = spread_allocate([Community((f,)) for f in new_files], instance, stage, pinned=start)
-        state = _Placement(seeded.assignment, searched, stage, instance, weights, base, m)
+        state = _Placement(seeded.assignment, searched, instance, weights, base, m)
         # Best-improvement descent; a step must beat the best so far, so
         # ties go to the first step in scan order.
         psi = state.psi

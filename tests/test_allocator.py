@@ -338,6 +338,15 @@ def test_local_search_respects_pins(instance):
     assert psi <= evaluate_objective(Allocation(ref.X1), instance.stage(2)).value
 
 
+@pytest.mark.parametrize(
+    "pinned", [{1: 2}, {99: 1}, {1: 9}], ids=["other-disk", "unknown-file", "unknown-disk"]
+)
+def test_local_search_rejects_pins_that_the_allocation_breaks(instance, pinned):
+    # X1 puts file 1 on disk 1; the instance has no file 99 and no disk 9.
+    with pytest.raises(ValidationError, match="pinned file"):
+        local_search(Allocation(ref.X1), instance.stage(2), instance, pinned=pinned)
+
+
 def test_local_search_keeps_inactive_entries():
     inst = validate_instance(
         Instance(
@@ -665,6 +674,20 @@ def test_exact_counts_pinned_inactive_capacity():
     # disk 1 is full; both active files must share disk 2
     assert alloc.assignment == {1: 2, 2: 2, 3: 1}
     assert psi == 1.0
+
+
+def test_exact_objective_is_evaluate_objective_on_a_pair_with_an_inactive_file():
+    # Unvalidated: the pair names file 2, inactive and pinned. The search
+    # counts the pair as the evaluation does, so file 1 leaves disk 1.
+    inst = Instance(
+        files=(FileSpec(1, 1), FileSpec(2, 1)),
+        disks=(DiskSpec(1, 2), DiskSpec(2, 2)),
+        stages=(Stage(index=1, active_files=(1,), concurrency=frozenset({(1, 2)})),),
+    )
+    stage = inst.stage(1)
+    alloc, psi = exact_solve(stage, inst, pinned={2: 1})
+    assert psi == evaluate_objective(alloc, stage).value
+    assert alloc.assignment == {1: 2, 2: 1}
 
 
 def test_exact_handles_stage_with_no_active_files():

@@ -449,8 +449,8 @@ def test_plan_past_the_budget_exits_2_without_a_traceback(capsys, tmp_path, monk
 
     search = restructure._branch_and_bound
 
-    def unlimited(files, fixed, loads, stage, instance, weights, homes, allowance):
-        return search(files, fixed, loads, stage, instance, weights, homes, len(files))
+    def unlimited(files, fixed, loads, instance, weights, homes, allowance):
+        return search(files, fixed, loads, instance, weights, homes, len(files))
 
     # The optimum of stage 2 from X1 takes two moves; the budget pays one.
     monkeypatch.setattr(restructure, "_branch_and_bound", unlimited)

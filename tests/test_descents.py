@@ -122,11 +122,11 @@ def test_greedy_restructure_follows_the_naive_scan():
 
 
 def _scan_states(case, with_homes):
-    """(placement, instance, homes, allowance) of 30 seeds of ``case``,
-    each after a few random feasible steps and a few first-improvement
-    steps, so the table has been updated in place and files sit off their
-    homes. With homes, three files in four have one and the allowance
-    varies."""
+    """(placement, instance, weights, homes, allowance) of 30 seeds of
+    ``case``, each after a few random feasible steps and a few
+    first-improvement steps, so the table has been updated in place and
+    files sit off their homes. With homes, three files in four have one
+    and the allowance varies."""
     for seed in range(30):
         inst, assignment, rng = case(seed)
         stage = inst.stage(1)
@@ -135,7 +135,8 @@ def _scan_states(case, with_homes):
         if with_homes:
             homes = {f: assignment[f] for f in files if rng.random() < 0.75}
             allowance = rng.choice([1, 2, len(homes)])
-        state = _Placement(assignment, files, stage, inst, PairWeights(stage), homes, allowance)
+        weights = PairWeights(stage)
+        state = _Placement(assignment, files, inst, weights, homes, allowance)
         for _ in range(rng.randint(0, 3)):
             steps = list(naive_feasible_steps(state.assignment, files, inst, homes, allowance))
             if steps:
@@ -145,31 +146,41 @@ def _scan_states(case, with_homes):
             if item is None:
                 break
             state.apply(item[1], item[2])
-        yield state, inst, homes, allowance
+        yield state, inst, weights, homes, allowance
 
 
-def _table_delta(state, step):
+def _table_delta(state, weights, step):
     """A step's delta from the connection table, in the expression and
     summation order of the neighbourhood."""
-    conn = state.conn
+    rows, position = state.rows, state.position
     if len(step) == 1:
         ((f, dst),) = step
-        return conn[f][dst] - conn[f][state.assignment[f]]
+        row = rows[position[f]]
+        return row[dst] - row[state.assignment[f]]
     (a, db), (b, da) = step
-    w_ab = state.weights._adjacent.get(a, {}).get(b, 0.0)
-    return conn[a][db] - w_ab + conn[b][da] - w_ab - conn[a][da] - conn[b][db]
+    row_a, row_b = rows[position[a]], rows[position[b]]
+    w_ab = weights._adjacent.get(a, {}).get(b, 0.0)
+    return row_a[db] - w_ab + row_b[da] - w_ab - row_a[da] - row_b[db]
+
+
+def _on_disk(state):
+    """Each disk's files, from the placement's assignment."""
+    on_disk = {d: set() for d in state.disks}
+    for f, d in state.assignment.items():
+        on_disk[d].add(f)
+    return on_disk
 
 
 @pytest.mark.parametrize("with_homes", [False, True])
 @pytest.mark.parametrize("case", [_uniform_case, _dense_phi_case])
 def test_neighbourhood_yields_every_gaining_step_and_counts_the_rest(case, with_homes):
     skipped = 0
-    for state, inst, homes, allowance in _scan_states(case, with_homes):
+    for state, inst, weights, homes, allowance in _scan_states(case, with_homes):
         want, total = [], 0
         steps = naive_feasible_steps(state.assignment, state.files, inst, homes, allowance)
         for step, after in steps:
             total += 1
-            delta = _table_delta(state, step)
+            delta = _table_delta(state, weights, step)
             if delta < -_EPS:
                 want.append((total, delta, step, after))
         got = [
@@ -184,21 +195,23 @@ def test_neighbourhood_yields_every_gaining_step_and_counts_the_rest(case, with_
 
 @pytest.fixture
 def checked_tables(monkeypatch):
-    """Check every connection-table entry against a from-scratch sum after
-    each applied step; returns the list of steps applied."""
+    """Check every connection-table entry against a from-scratch sum by
+    the test's ``weights`` after each applied step; returns a dict of the
+    ``weights``, which the test sets, and the ``steps`` applied."""
     apply = _Placement.apply
-    steps = []
+    checks = {"weights": None, "steps": []}
 
     def checked(self, step, moved):
         apply(self, step, moved)
-        for f, row in self.conn.items():
-            for d, value in row.items():
-                scratch = self.weights.attach_cost(f, self.on_disk[d])
+        on_disk = _on_disk(self)
+        for f in self.files:
+            for d, value in self.rows[self.position[f]].items():
+                scratch = checks["weights"].attach_cost(f, on_disk[d])
                 assert abs(value - scratch) <= _EPS, (f, d, value, scratch)
-        steps.append(step)
+        checks["steps"].append(step)
 
     monkeypatch.setattr(_Placement, "apply", checked)
-    return steps
+    return checks
 
 
 @pytest.mark.parametrize("descent", ["greedy", "local_search"])
@@ -206,6 +219,7 @@ def test_connection_tables_stay_exact_on_fractional_phi(checked_tables, descent)
     for seed in range(20):
         inst, assignment, rng = _dense_phi_case(seed)
         stage = inst.stage(1)
+        checked_tables["weights"] = PairWeights(stage)
         if descent == "local_search":
             alloc, psi = local_search(Allocation(assignment), stage, inst)
         else:
@@ -221,7 +235,7 @@ def test_connection_tables_stay_exact_on_fractional_phi(checked_tables, descent)
             alloc, psi = result.allocation, result.objective
         value = evaluate_objective(alloc, stage).value
         assert abs(psi - value) <= _EPS * max(1.0, abs(psi)), seed
-    assert checked_tables
+    assert checked_tables["steps"]
 
 
 def _sparse_phi_case(seed):
@@ -242,8 +256,10 @@ def _sparse_phi_case(seed):
 def _recount(state):
     """Discontent positions, recomputed from the assignment and the table."""
     discontent = set()
-    for i, f in enumerate(state.files):
-        row, own = state.conn[f], state.assignment[f]
+    assignment = state.assignment
+    for f in state.files:
+        i = state.position[f]
+        row, own = state.rows[i], assignment[f]
         if min(row.values()) < row[own]:
             discontent.add(i)
     return discontent
@@ -263,7 +279,7 @@ def test_placement_bookkeeping_matches_a_recount(case, with_homes):
             homes = {f: assignment[f] for f in files if rng.random() < 0.75}
             allowance = rng.choice([1, 2, len(homes)])
         weights = PairWeights(stage)
-        state = _Placement(assignment, files, stage, inst, weights, homes, allowance)
+        state = _Placement(assignment, files, inst, weights, homes, allowance)
         for _ in range(rng.randint(10, 60)):
             item = next(state.neighbourhood(), None) if rng.random() < 0.5 else None
             if item is not None:
@@ -274,9 +290,10 @@ def test_placement_bookkeeping_matches_a_recount(case, with_homes):
                     break
                 state.apply(*rng.choice(steps))
             assert state.discontent == _recount(state), seed
+            on_disk = _on_disk(state)
             for f in files:
-                for d, value in state.conn[f].items():
-                    assert abs(value - weights.attach_cost(f, state.on_disk[d])) <= _EPS
+                for d, value in state.rows[state.position[f]].items():
+                    assert abs(value - weights.attach_cost(f, on_disk[d])) <= _EPS
 
 
 @pytest.mark.parametrize("with_homes", [False, True])
@@ -286,9 +303,9 @@ def test_swap_filter_never_skips_a_gaining_pair(case, with_homes):
     pairs two neighbours or a discontent file; the states include local
     optima of the moves, where only swaps are left to gain."""
     skipped = 0
-    for state, inst, homes, allowance in _scan_states(case, with_homes):
+    for state, inst, weights, homes, allowance in _scan_states(case, with_homes):
         for _ in range(2):
-            adjacent = state.weights._adjacent
+            adjacent = weights._adjacent
             position = {f: i for i, f in enumerate(state.files)}
             for step, _ in naive_feasible_steps(state.assignment, state.files, inst, homes, allowance):
                 if len(step) == 1:
@@ -297,7 +314,7 @@ def test_swap_filter_never_skips_a_gaining_pair(case, with_homes):
                 if b in adjacent.get(a, {}) or {position[a], position[b]} & state.discontent:
                     continue
                 skipped += 1
-                assert _table_delta(state, step) >= -_EPS, step
+                assert _table_delta(state, weights, step) >= -_EPS, step
             _descend_through_the_moves(state)
     assert skipped
 
@@ -320,7 +337,7 @@ def test_scan_bounds_cover_the_exact_counts(case, with_homes):
     without a gain. ``count(step)`` is the step's position among every
     feasible step. The states include local optima of the moves."""
     yielded = 0
-    for state, inst, homes, allowance in _scan_states(case, with_homes):
+    for state, inst, _, homes, allowance in _scan_states(case, with_homes):
         for _ in range(2):
             feasible = naive_feasible_steps(state.assignment, state.files, inst, homes, allowance)
             steps = [step for step, _ in feasible]
@@ -348,7 +365,7 @@ def test_scan_bounds_are_exact_where_every_step_is_feasible():
         disks = sorted(inst.capacities)
         rng.shuffle(disks)
         assignment = dict(zip(files, disks))
-        state = _Placement(assignment, files, stage, inst, PairWeights(stage), {}, 0)
+        state = _Placement(assignment, files, inst, PairWeights(stage), {}, 0)
         steps = [step for step, _ in naive_feasible_steps(assignment, files, inst, {}, 0)]
         assert len(steps) == n * (n - 1) + n * (n - 1) // 2
         last = {step[0][0]: step for step in steps if len(step) == 1}

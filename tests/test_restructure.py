@@ -475,7 +475,8 @@ def test_free_relocations_unlock_every_file(instance):
     assert result.objective == 0.0
 
 
-def test_restructure_pins_files_inactive_in_the_stage():
+@pytest.mark.parametrize("mode", list(RestructureMode))
+def test_restructure_pins_files_inactive_in_the_stage(mode):
     inst = validate_instance(
         Instance(
             files=(FileSpec(1, 1), FileSpec(2, 1), FileSpec(3, 1), FileSpec(4, 1)),
@@ -487,7 +488,7 @@ def test_restructure_pins_files_inactive_in_the_stage():
         )
     )
     previous = Allocation({1: 1, 2: 1, 3: 2})
-    result = restructure_one_stage(problem(inst, 2, dict(previous.assignment), 0.0))
+    result = restructure_one_stage(problem(inst, 2, dict(previous.assignment), 0.0), mode)
     final = dict(result.allocation.assignment)
     assert final[3] == 2  # inactive, held in place
     assert final[4] == 2  # new file lands on the emptier disk, free of charge
@@ -508,6 +509,32 @@ def test_restructure_rejects_previous_on_unknown_disk(instance):
     bad = {**ref.X1, 8: 9}
     with pytest.raises(ValidationError, match="unknown disk 9"):
         restructure_one_stage(problem(instance, 2, bad, 2.0))
+
+
+@pytest.mark.parametrize(
+    "previous, message",
+    [
+        ({1: 1, 2: 1, 3: 9}, "previous allocation puts file 3 on unknown disk 9"),
+        ({1: 1, 2: 1, 3: 2, 4: 1}, "previous allocation names unknown file 4"),
+    ],
+    ids=["inactive-file-on-unknown-disk", "unknown-file"],
+)
+def test_restructure_rejects_previous_entries_beyond_the_stage(previous, message):
+    # File 3 is inactive in stage 2 and file 4 does not exist; neither was
+    # pinned by the caller.
+    inst = validate_instance(
+        Instance(
+            files=(FileSpec(1, 1), FileSpec(2, 1), FileSpec(3, 1)),
+            disks=(DiskSpec(1, 2), DiskSpec(2, 2)),
+            stages=(
+                Stage(index=1, active_files=(1, 2, 3)),
+                Stage(index=2, active_files=(1, 2), concurrency=frozenset({(1, 2)})),
+            ),
+        )
+    )
+    with pytest.raises(ValidationError) as caught:
+        restructure_one_stage(problem(inst, 2, previous, 1.0))
+    assert str(caught.value) == message
 
 
 def test_exact_restructure_fails_when_no_placement_fits_the_allowance():
