@@ -6,14 +6,14 @@ point is deterministic for a given input. Files outside the stage's active
 set may appear in an assignment (they keep their spot from an earlier
 stage); they contribute nothing to the objective and are never moved.
 
-The search cores here also serve budgeted restructuring. Exact
-restructuring and ``exact_solve`` share one branch-and-bound, symmetry
-prune included. Greedy restructuring is local search's move/swap
-neighbourhood with best-improvement under a move allowance. Files new to a
-restructured stage are placed by ``spread_allocate``. The searches run on
-``PairWeights``' exact integer weights, so a gain is a negative delta and a
-tie is equality; each objective they return is one division by the
-weights' ``scale``.
+Budgeted restructuring takes every placement, the stage's weights and the
+reading of a previous allocation (``_held``) from here. Exact
+restructuring and ``exact_solve`` share one branch-and-bound; greedy
+restructuring is ``_Placement``'s best-improvement descent over local
+search's move/swap neighbourhood. Spreading places files new to a stage.
+The searches run on ``PairWeights``' exact integer weights, so a gain is
+a negative delta and a tie is equality; each objective they return is one
+division by the weights' ``scale``.
 """
 
 from __future__ import annotations
@@ -56,16 +56,17 @@ class PairWeights:
     prints as, the two ordered entries of a pair add up on its unordered
     edge, whether or not the relation links the pair, and ``scale`` is the
     lcm of the entries' denominators, 1000 for 3-decimal ``phi``.
+
+    Under uniform weights ``_relation`` is the stage's integrated relation,
+    whose neighbour map is the adjacency, shared; under ``phi`` it is None.
     """
 
-    def __init__(self, stage: Stage, relation: Optional[IntegratedRelation] = None):
-        """``relation``, when given, is the stage's integrated relation.
-        Under uniform weights its neighbour map is the adjacency, shared."""
+    def __init__(self, stage: Stage):
         self.scale = 1
+        self._relation: Optional[IntegratedRelation] = None
         if stage.phi is None:
-            if relation is None:
-                relation = integrate_relations(stage)
-            self._adjacent = relation._neighbours
+            self._relation = integrate_relations(stage)
+            self._adjacent = self._relation._neighbours
             return
         ratios = {w: Decimal(repr(w)).as_integer_ratio() for w in set(stage.phi.values())}
         self.scale = lcm(*(den for _, den in ratios.values()))
@@ -253,22 +254,36 @@ def _pinned_loads(
     return loads
 
 
-def _resolve_pinned(
-    stage: Stage,
-    previous: Optional[Allocation],
-    pinned: Optional[Mapping[int, int]],
-) -> dict[int, int]:
-    """Files that must keep a fixed disk while this stage is solved.
-
-    Explicit ``pinned`` wins; otherwise every file of ``previous`` that is
-    not active in this stage stays where it was.
-    """
-    if pinned is not None:
-        return {int(f): int(d) for f, d in pinned.items()}
-    if previous is None:
-        return {}
+def _held(
+    stage: Stage, previous: Optional[Allocation], instance: Instance
+) -> tuple[dict[int, int], dict[int, int]]:
+    """(files, loads): the files of ``previous`` inactive in ``stage``, each
+    on its disk, and the tracks they fill on every disk. Raises
+    ValidationError for an entry, active or not, that names a file or disk
+    the instance lacks, and InfeasibleError when they overfill a disk."""
+    sizes, capacities = instance.sizes, instance.capacities
     active = stage.active_set
-    return {f: d for f, d in previous.assignment.items() if f not in active}
+    held: dict[int, int] = {}
+    loads = dict.fromkeys(capacities, 0)
+    for f, d in previous.assignment.items() if previous is not None else ():
+        if f not in sizes:
+            raise ValidationError(f"previous allocation names unknown file {f}")
+        if d not in capacities:
+            raise ValidationError(f"previous allocation puts file {f} on unknown disk {d}")
+        if f not in active:
+            held[f] = d
+            loads[d] += sizes[f]
+    if any(loads[d] > capacities[d] for d in loads):
+        raise InfeasibleError("previous allocation infeasible for stage")
+    return held, loads
+
+
+def _check_active(stage: Stage, instance: Instance) -> None:
+    """Raise ValidationError, in ``validate_instance``'s wording, for an
+    active file of ``stage`` that the instance lacks."""
+    for f in stage.active_files:
+        if f not in instance.sizes:
+            raise ValidationError(f"stage {stage.index}: active file {f} does not exist")
 
 
 def _best_fit(
@@ -299,13 +314,19 @@ def spread_allocate(
     member goes to the disk with the most residual capacity among those it
     fits that the community has not used yet (ties to the lowest disk id).
     When no unused disk fits, the distinct-disk rule is dropped for that
-    member and the result is flagged degraded. Raises InfeasibleError only
-    when some member fits no disk at all.
+    member and the result is flagged degraded. Raises InfeasibleError when
+    some member fits no disk at all.
+
+    The files of ``pinned``, or else those of ``previous`` inactive in
+    ``stage``, keep their disks; ``_held`` reads ``previous``, checks all
+    its entries and rejects held files that overfill a disk.
     """
     sizes = instance.sizes
     capacities = instance.capacities
-    fixed = _resolve_pinned(stage, previous, pinned)
-    loads = _pinned_loads(fixed, sizes, capacities)
+    if pinned is None:
+        fixed, loads = _held(stage, previous, instance)
+    else:
+        fixed, loads = pinned, _pinned_loads(pinned, sizes, capacities)
 
     assignment: dict[int, int] = dict(fixed)
     degraded = False
@@ -413,6 +434,7 @@ class _Placement:
         self.disks = sorted(self.capacities)
         self.homes = homes
         self.allowance = allowance
+        self.scale = weights.scale
         self.moved = 0
         self.loads = dict.fromkeys(self.disks, 0)
         for f, d in assignment.items():
@@ -584,6 +606,20 @@ class _Placement:
         j = self.position[step[1][0]]
         return n * moves + i * (2 * n - i - 1) // 2 + (j - i)
 
+    def steepest_descent(self) -> tuple[dict[int, int], float]:
+        """(assignment, objective) after best-improvement descent: while a
+        step gains, take the one that gains most, the first in scan order."""
+        psi = self.psi
+        while True:
+            bar, best = 0, None
+            for delta, step, moved in self.neighbourhood():
+                if delta < bar:
+                    bar, best = delta, (step, moved)
+            if best is None:
+                return self.assignment, psi / self.scale
+            self.apply(*best)
+            psi += bar
+
     def apply(self, step: tuple[tuple[int, int], ...], moved: int) -> None:
         """Take ``step``, after which ``moved`` files sit off their homes."""
         self.moved = moved
@@ -638,7 +674,7 @@ def local_search(
     report = check_allocation_feasible(alloc, stage, instance)
     if not report.feasible:
         raise InfeasibleError("; ".join(report.violations))
-    fixed = _resolve_pinned(stage, None, pinned)
+    fixed = pinned or {}
     for f, d in fixed.items():
         if alloc.assignment.get(f) != d:
             raise ValidationError(f"pinned file {f} is not on disk {d} in the allocation")
@@ -967,7 +1003,9 @@ def exact_solve(
     returns the lexicographically least assignment vector; the bound
     prunes only subtrees that hold no such placement.
     Raises EnumerationCapError beyond ``cap`` active files, up front, or
-    once the search has entered more than ``_NODE_BUDGET`` nodes.
+    once the search has entered more than ``_NODE_BUDGET`` nodes, and
+    ValidationError, before the cap check, for an active file the
+    instance lacks.
     """
     model = CostModel(model)
     if model is not CostModel.UNIFORM:
@@ -975,7 +1013,8 @@ def exact_solve(
             "exact search only optimizes uniform costs; ordered-distance is "
             "evaluation-only"
         )
-    fixed = _resolve_pinned(stage, None, pinned)
+    _check_active(stage, instance)
+    fixed = pinned or {}
     loads = _pinned_loads(fixed, instance.sizes, instance.capacities)
 
     files = [f for f in stage.active_files if f not in fixed]
@@ -997,13 +1036,13 @@ def _solve_stage(
     fixed: Mapping[int, int],
     cap: int,
     exact: Optional[bool] = None,
-    relation: Optional[IntegratedRelation] = None,
+    weights: Optional[PairWeights] = None,
 ) -> tuple[Allocation, float, bool]:
     """(allocation, objective, certified) of one stage around the ``fixed``
     files: enumeration unless ``exact`` is False, falling back to spreading
-    plus local search past the cap unless ``exact`` is True. ``relation``,
-    when given, is the stage's integrated relation, which the heuristic path
-    then does not build again."""
+    plus local search past the cap unless ``exact`` is True. The heuristic
+    path reuses ``weights``, the stage's ``PairWeights``, when given, and
+    the relation they integrated; enumeration builds its own."""
     if exact is None or exact:
         try:
             alloc, psi = exact_solve(stage, instance, cap=cap, pinned=fixed)
@@ -1012,12 +1051,12 @@ def _solve_stage(
             if exact:
                 raise
 
-    if relation is None:
-        relation = integrate_relations(stage)
+    weights = weights or PairWeights(stage)
+    relation = weights._relation or integrate_relations(stage)
     free = [f for f in stage.active_files if f not in fixed]
     communities = detect_communities(relation, free, instance.gamma)
     seeded = spread_allocate(communities, instance, stage, pinned=fixed)
-    alloc, psi = _local_search(seeded, free, instance, PairWeights(stage, relation))
+    alloc, psi = _local_search(seeded, free, instance, weights)
     return alloc, psi, False
 
 

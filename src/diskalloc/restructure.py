@@ -5,15 +5,15 @@ allocation already on the disks and buys improvement with relocation moves,
 each priced at the instance's unit cost. The proximity rho of the result is
 its objective's excess over the stage's reference optimum.
 
-This module holds only budget logic (move allowance, reference, plan,
-rho); every placement decision comes from the allocator. Exact
-restructuring is the branch-and-bound of ``exact_solve``, symmetry prune
-and node budget included, run with each file's previous disk as its home
-and a move allowance. Greedy restructuring places files new to the stage
-with ``spread_allocate``, then takes local search's move/swap
-neighbourhood with best-improvement instead of first-improvement under the
-move allowance. Both run on exact integer weights, so an objective that
-ties the reference reads a proximity of exactly 0.0.
+This module holds only budget logic (move allowance, reference, rho,
+plan and its budget check); the allocator reads the previous allocation,
+holds the stage's weights and takes every placement. Exact restructuring
+is the branch-and-bound of ``exact_solve``, symmetry prune and node
+budget included, run with each file's previous disk as its home and a
+move allowance. Greedy restructuring places files new to the stage with
+``spread_allocate``, then runs ``_Placement``'s best-improvement descent
+under the move allowance. Both run on exact integer weights, so an
+objective that ties the reference reads a proximity of exactly 0.0.
 """
 
 from __future__ import annotations
@@ -36,14 +36,14 @@ from .allocator import (
     EXACT_CAP_DEFAULT,
     PairWeights,
     _branch_and_bound,
-    _pinned_loads,
+    _check_active,
+    _held,
     _Placement,
-    _resolve_pinned,
     _solve_stage,
     exact_solve,
     spread_allocate,
 )
-from .relations import Community, integrate_relations
+from .relations import Community
 
 # Budgets are floats: a budget of k unit moves buys k moves even where the
 # division rounds just below k.
@@ -146,72 +146,45 @@ def restructure_one_stage(
     hold their disks and are never moved. Active files absent from the
     previous allocation are placed fresh; placing them costs nothing.
     Greedy mode places them with ``spread_allocate`` before its descent.
-    A previous allocation that names a file or disk the instance lacks
-    raises ValidationError, whether or not the file is active.
+    A stage, or a previous allocation, that names a file or disk the
+    instance lacks raises ValidationError, whether or not the file is
+    active and even with a declared reference.
     """
     mode = RestructureMode(mode)
     instance, stage, previous = problem.instance, problem.stage, problem.previous
-    sizes = instance.sizes
-    capacities = instance.capacities
     unit = instance.relocation_unit_cost
 
-    for f, d in previous.assignment.items():
-        if f not in sizes:
-            raise ValidationError(f"previous allocation names unknown file {f}")
-        if d not in capacities:
-            raise ValidationError(f"previous allocation puts file {f} on unknown disk {d}")
-    fixed = _resolve_pinned(stage, previous, None)
-    loads = _pinned_loads(fixed, sizes, capacities)
-
-    searched = stage.active_files
-    base = {f: previous.assignment.get(f) for f in searched}
-
-    based = [f for f in searched if base[f] is not None]
-    new_files = [f for f in searched if base[f] is None]
+    _check_active(stage, instance)
+    fixed, loads = _held(stage, previous, instance)
+    # Each active file's previous disk, where it has one.
+    base = {f: previous.assignment[f] for f in stage.active_files if f in previous.assignment}
 
     # The unmodified allocation must fit; a previous allocation that
     # overfills a disk for this stage is rejected outright.
     trial = dict(loads)
-    for f in based:
-        d = base[f]
-        trial[d] += sizes[f]
-        if trial[d] > capacities[d]:
-            raise InfeasibleError("previous allocation infeasible for stage")
-    m = _move_allowance(problem.budget, unit, len(based))
+    for f, d in base.items():
+        trial[d] += instance.sizes[f]
+    if any(trial[d] > instance.capacities[d] for d in trial):
+        raise InfeasibleError("previous allocation infeasible for stage")
+    m = _move_allowance(problem.budget, unit, len(base))
 
-    # Uniform weights are the integrated relation, which a heuristic
-    # reference solve then reuses; movement probabilities need none.
-    relation = integrate_relations(stage) if stage.phi is None else None
-    weights = PairWeights(stage, relation)
+    weights = PairWeights(stage)
     if problem.reference is not None:
         psi_star, certified = problem.reference, False
     else:
-        _, psi_star, certified = _solve_stage(stage, instance, fixed, cap, relation=relation)
+        _, psi_star, certified = _solve_stage(stage, instance, fixed, cap, weights=weights)
 
     if mode is RestructureMode.EXACT:
-        found = _branch_and_bound(searched, fixed, loads, instance, weights, base, m)
+        found = _branch_and_bound(stage.active_files, fixed, loads, instance, weights, base, m)
         if found is None:
             raise InfeasibleError("no placement within the move allowance fits the disks")
         final, psi = found
     else:
         # New files start where spreading puts them, move-free.
-        start = {**fixed, **{f: base[f] for f in based}}
-        seeded = spread_allocate([Community((f,)) for f in new_files], instance, stage, pinned=start)
-        state = _Placement(seeded.assignment, searched, instance, weights, base, m)
-        # Best-improvement descent; a step must beat the best so far, so
-        # ties go to the first step in scan order.
-        psi = state.psi
-        while True:
-            bar, best = 0, None
-            for delta, step, moved in state.neighbourhood():
-                if delta < bar:
-                    bar, best = delta, (step, moved)
-            if best is None:
-                break
-            state.apply(*best)
-            psi += bar
-        final = state.assignment
-        psi /= weights.scale
+        new_files = [Community((f,)) for f in stage.active_files if f not in base]
+        seeded = spread_allocate(new_files, instance, stage, pinned={**fixed, **base})
+        state = _Placement(seeded.assignment, stage.active_files, instance, weights, base, m)
+        final, psi = state.steepest_descent()
 
     if psi < psi_star:
         if certified:
@@ -221,7 +194,7 @@ def restructure_one_stage(
         psi_star = psi
     rho = psi - psi_star
 
-    plan = _relocation_plan(base, final, based, unit)
+    plan = _relocation_plan(base, final, base, unit)
     if unit > 0 and plan.total_cost > problem.budget + _BUDGET_TOL:
         raise InternalError("restructuring plan exceeds its budget")
     return RestructureResult(
@@ -279,7 +252,7 @@ def plan_trajectory(
     for pos, stage in enumerate(stages):
         previous = allocations[-1] if allocations else None
         if previous is None or strategy is TrajectoryStrategy.INDEPENDENT_OPTIMAL:
-            alloc, psi, cert = _solve_stage(stage, instance, _resolve_pinned(stage, previous, None), cap)
+            alloc, psi, cert = _solve_stage(stage, instance, _held(stage, previous, instance)[0], cap)
             psi_star, rho = psi, 0.0
             if previous is not None:
                 # Files entering the stage are placed, not relocated.

@@ -110,8 +110,10 @@ def test_uniform_weights_share_the_relations_neighbour_map():
     # A heuristic stage solve builds the map once, for communities and
     # weights alike.
     stage = Stage(index=1, active_files=(1, 2, 3), concurrency={(1, 2), (2, 3)})
-    relation = integrate_relations(stage)
-    assert PairWeights(stage, relation)._adjacent is relation._neighbours
+    weights = PairWeights(stage)
+    relation = weights._relation
+    assert relation == integrate_relations(stage)
+    assert weights._adjacent is relation._neighbours
     assert relation._neighbours == {1: {2: 1.0}, 2: {1: 1.0, 3: 1.0}, 3: {2: 1.0}}
 
 
@@ -255,6 +257,34 @@ def test_spread_rejects_community_overlapping_pins(instance):
 def test_spread_rejects_pins_off_the_instance(instance, pinned, message):
     with pytest.raises(ValidationError) as caught:
         spread_allocate([], instance, instance.stage(1), pinned=pinned)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "previous, message",
+    [
+        ({1: 1, 2: 1, 3: 9}, "previous allocation puts file 3 on unknown disk 9"),
+        ({1: 1, 2: 1, 3: 2, 4: 1}, "previous allocation names unknown file 4"),
+        ({1: 9, 2: 1, 3: 2}, "previous allocation puts file 1 on unknown disk 9"),
+    ],
+    ids=["inactive-file-on-unknown-disk", "unknown-file", "active-file-on-unknown-disk"],
+)
+def test_spread_rejects_previous_entries_off_the_instance(previous, message):
+    # File 3 is inactive in stage 2 and file 4 does not exist; the caller
+    # pinned nothing, so no message speaks of pins.
+    inst = validate_instance(
+        Instance(
+            files=(FileSpec(1, 1), FileSpec(2, 1), FileSpec(3, 1)),
+            disks=(DiskSpec(1, 2), DiskSpec(2, 2)),
+            stages=(
+                Stage(index=1, active_files=(1, 2, 3)),
+                Stage(index=2, active_files=(1, 2), concurrency=frozenset({(1, 2)})),
+            ),
+        )
+    )
+    communities = [Community((1,)), Community((2,))]
+    with pytest.raises(ValidationError) as caught:
+        spread_allocate(communities, inst, inst.stage(2), Allocation(previous))
     assert str(caught.value) == message
 
 
@@ -712,6 +742,15 @@ def test_exact_raises_past_the_cap():
         exact_solve(inst.stage(1), inst)
     alloc, psi = exact_solve(inst.stage(1), inst, cap=13)
     assert psi == 0.0
+
+
+def test_exact_rejects_a_stage_file_the_instance_lacks(instance):
+    # Checked before the cap, which 3 files pass at cap 0.
+    stage = Stage(index=2, active_files=(1, 2, 99))
+    for cap in (0, 12):
+        with pytest.raises(ValidationError) as caught:
+            exact_solve(stage, instance, cap=cap)
+        assert str(caught.value) == "stage 2: active file 99 does not exist"
 
 
 def test_exact_raises_when_nothing_fits():

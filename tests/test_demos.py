@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package sources."""
+"""Every demo script runs to completion against the package sources and
+prints the text recorded for it in ``tests/demo_output``."""
 
 import os
 import subprocess
@@ -9,15 +10,28 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+EXPECTED = Path(__file__).resolve().parent / "demo_output"
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_exits_cleanly(demo):
+def run_demo(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_exits_cleanly(demo):
+    done = run_demo(demo)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_prints_its_recorded_output(demo):
+    # The demos are deterministic; a change in what they print is a change
+    # in behaviour.
+    done = run_demo(demo)
+    assert done.stdout == (EXPECTED / f"{demo.stem}.txt").read_text()

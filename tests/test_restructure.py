@@ -25,6 +25,7 @@ from diskalloc import (
     relocation_diff,
     restructure_one_stage,
     solve_stage,
+    spread_allocate,
     validate_instance,
 )
 from diskalloc.generator import generate_instance
@@ -537,6 +538,42 @@ def test_restructure_rejects_previous_entries_beyond_the_stage(previous, message
     assert str(caught.value) == message
 
 
+def test_restructure_rejects_inactive_files_that_overfill():
+    # Files 3 and 4 are inactive in stage 2 and fill 3 tracks of disk 1,
+    # which holds 2; the caller pinned nothing.
+    inst = validate_instance(
+        Instance(
+            files=(FileSpec(1, 1), FileSpec(2, 1), FileSpec(3, 2), FileSpec(4, 1)),
+            disks=(DiskSpec(1, 2), DiskSpec(2, 3)),
+            stages=(
+                Stage(index=1, active_files=(1, 2, 3, 4)),
+                Stage(index=2, active_files=(1, 2), concurrency=frozenset({(1, 2)})),
+            ),
+        )
+    )
+    previous = {1: 2, 2: 2, 3: 1, 4: 1}
+    for mode in RestructureMode:
+        with pytest.raises(InfeasibleError) as caught:
+            restructure_one_stage(problem(inst, 2, previous, 1.0), mode)
+        assert str(caught.value) == "previous allocation infeasible for stage"
+    with pytest.raises(InfeasibleError) as caught:
+        spread_allocate([], inst, inst.stage(2), Allocation(previous))
+    assert str(caught.value) == "previous allocation infeasible for stage"
+
+
+@pytest.mark.parametrize("reference", [None, 0.0], ids=["solved", "declared"])
+def test_restructure_rejects_a_stage_file_the_instance_lacks(instance, reference):
+    stage = Stage(index=2, active_files=(1, 2, 99))
+    for mode in RestructureMode:
+        restructuring = RestructuringProblem(
+            instance=instance, stage=stage, previous=Allocation(ref.X1), budget=1.0,
+            reference=reference,
+        )
+        with pytest.raises(ValidationError) as caught:
+            restructure_one_stage(restructuring, mode)
+        assert str(caught.value) == "stage 2: active file 99 does not exist"
+
+
 def test_exact_restructure_fails_when_no_placement_fits_the_allowance():
     # New file 2 needs both tracks of disk 1, which only a move of file 1
     # frees, and the budget buys none. The declared reference skips the
@@ -614,6 +651,21 @@ def test_beating_an_uncertified_reference_lowers_it(instance):
     assert not result.certified
 
 
+def restructuring_case(shape, fractional):
+    """The generated instance of ``shape``, with dense 3-decimal ``phi`` on
+    stage 2 if ``fractional``, and the solve of its stage 1."""
+    doc = generate_instance(*shape)
+    if fractional:
+        n, rng = shape[0], random.Random(shape[-1])
+        doc["stages"][1]["phi"] = [
+            [0.0 if i == j else round(rng.uniform(0, 0.3), 3) for j in range(n)]
+            for i in range(n)
+        ]
+    inst = parse_instance_document(doc)
+    first, _, _ = solve_stage(inst, 1)
+    return inst, first
+
+
 @pytest.mark.parametrize(
     "mode, shape, fractional, expected",
     [
@@ -634,26 +686,41 @@ def test_restructuring_integrates_the_stage_only_where_it_is_read(
     import diskalloc.restructure
     from diskalloc.relations import integrate_relations
 
-    doc = generate_instance(*shape)
-    if fractional:
-        n, rng = shape[0], random.Random(shape[-1])
-        doc["stages"][1]["phi"] = [
-            [0.0 if i == j else round(rng.uniform(0, 0.3), 3) for j in range(n)]
-            for i in range(n)
-        ]
-    inst = parse_instance_document(doc)
-    first, _, _ = solve_stage(inst, 1)
+    inst, first = restructuring_case(shape, fractional)
     calls = []
 
     def counted(stage):
         calls.append(stage.index)
         return integrate_relations(stage)
 
-    for module in (diskalloc.allocator, diskalloc.restructure):
-        monkeypatch.setattr(module, "integrate_relations", counted)
+    # Only the allocator integrates: restructuring takes the stage's
+    # weights from it.
+    assert not hasattr(diskalloc.restructure, "integrate_relations")
+    monkeypatch.setattr(diskalloc.allocator, "integrate_relations", counted)
     result = restructure_one_stage(problem(inst, 2, first.assignment, 2.0), mode)
     assert calls == expected
     assert result.certified is (mode is RestructureMode.EXACT)
+
+
+@pytest.mark.parametrize("fractional", [False, True], ids=["uniform", "phi"])
+def test_greedy_restructuring_past_the_cap_builds_the_weights_once(monkeypatch, fractional):
+    # The heuristic reference solve reuses the search's weights.
+    import diskalloc.allocator
+
+    inst, first = restructuring_case((60, 4, 2, 0.1, (1, 2), 1.4, 3), fractional)
+    weights = diskalloc.allocator.PairWeights
+    init, built = weights.__init__, []
+
+    def counted(self, stage, *rest):
+        built.append(stage.index)
+        init(self, stage, *rest)
+
+    monkeypatch.setattr(weights, "__init__", counted)
+    result = restructure_one_stage(
+        problem(inst, 2, first.assignment, 2.0), RestructureMode.GREEDY
+    )
+    assert built == [2]
+    assert not result.certified
 
 
 # --- trajectories --------------------------------------------------------
