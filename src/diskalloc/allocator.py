@@ -1,5 +1,11 @@
-"""Single-stage allocation: objective, spreading heuristic, local search,
-exact enumeration, and feasibility checking.
+"""Single-stage allocation: objective, the least-connection seed, local
+search, exact enumeration, the paper's spreading heuristic, and
+feasibility checking.
+
+A heuristic stage solve seeds by least connection, the greedy Max-k-Cut
+seed, then runs local search. Community spreading (``spread_allocate`` over
+``detect_communities``) remains the paper's scheme, public and unchanged,
+but off the solve path.
 
 All tie-breaks run ascending file id then ascending disk id, so every entry
 point is deterministic for a given input. Files outside the stage's active
@@ -27,12 +33,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import EnumerationCapError, InfeasibleError, ValidationError
 from .model import Allocation, CostModel, Instance, Pair, Stage, canonical_edge
-from .relations import (
-    Community,
-    IntegratedRelation,
-    detect_communities,
-    integrate_relations,
-)
+from .relations import Community, IntegratedRelation, integrate_relations
 
 log = logging.getLogger(__name__)
 
@@ -388,6 +389,47 @@ def _connection_tables(
     return rows, links, psi
 
 
+def _least_connection(
+    files: Sequence[int],
+    fixed: Mapping[int, int],
+    instance: Instance,
+    weights: PairWeights,
+) -> dict[int, int]:
+    """The greedy Max-k-Cut seed of Sahni and Gonzalez (1976): ``fixed``
+    and ``files``, each on its disk. Files go largest first, then by
+    linked neighbours, most first (Welsh and Powell), then by id; each to
+    the disk it fits with the least summed weight to the files already
+    placed, the ``fixed`` ones from the start, ties to the lowest disk id.
+    Keeps one connection row per unplaced file, as ``_connection_tables``
+    does, so it costs O(E + n·k). Where capacity never binds, each file
+    pays at most 1/k of its weight to the files before it, so at most 1/k
+    of the weight it places shares a disk. Raises InfeasibleError, as
+    ``spread_allocate`` words it, for a file that fits no disk, and the
+    errors of ``_pinned_loads`` for ``fixed``."""
+    sizes, capacities = instance.sizes, instance.capacities
+    loads = _pinned_loads(fixed, sizes, capacities)
+    disks = sorted(capacities)
+    adjacent = weights._adjacent
+    rows = {f: dict.fromkeys(disks, 0) for f in files}
+    for g, d in fixed.items():
+        for f, w in adjacent.get(g, {}).items():
+            if f in rows:
+                rows[f][d] += w
+    assignment = dict(fixed)
+    for f in sorted(files, key=lambda f: (-sizes[f], -len(adjacent.get(f, ())), f)):
+        size, row = sizes[f], rows.pop(f)
+        fits = [d for d in disks if loads[d] + size <= capacities[d]]
+        if not fits:
+            raise InfeasibleError(f"file {f} ({size} tracks) fits on no disk")
+        d = min(fits, key=row.__getitem__)
+        assignment[f] = d
+        loads[d] += size
+        for g, w in adjacent.get(f, {}).items():
+            if g in rows:
+                rows[g][d] += w
+    return assignment
+
+
 class _Placement:
     """Mutable placement of ``assignment``, every file to its disk,
     searched by moving and swapping ``files``.
@@ -662,8 +704,10 @@ def local_search(
     step costs O(deg) per moved file. The descent charges each scan an
     O(1) upper bound of its evaluations, and counts them exactly, in a
     second descent from the start, only when those bounds meet the cap.
-    Raises InfeasibleError for an infeasible ``alloc`` and ValidationError
-    when a file of ``pinned`` is not on its pinned disk in ``alloc``.
+    Raises ValidationError, as ``exact_solve`` does, for an active file
+    the instance lacks, InfeasibleError for an infeasible ``alloc``, and
+    ValidationError when a file of ``pinned`` is not on its pinned disk in
+    ``alloc``.
     """
     model = CostModel(model)
     if model is not CostModel.UNIFORM:
@@ -671,6 +715,7 @@ def local_search(
             "local search only optimizes uniform costs; ordered-distance is "
             "evaluation-only"
         )
+    _check_active(stage, instance)
     report = check_allocation_feasible(alloc, stage, instance)
     if not report.feasible:
         raise InfeasibleError("; ".join(report.violations))
@@ -1039,10 +1084,10 @@ def _solve_stage(
     weights: Optional[PairWeights] = None,
 ) -> tuple[Allocation, float, bool]:
     """(allocation, objective, certified) of one stage around the ``fixed``
-    files: enumeration unless ``exact`` is False, falling back to spreading
-    plus local search past the cap unless ``exact`` is True. The heuristic
-    path reuses ``weights``, the stage's ``PairWeights``, when given, and
-    the relation they integrated; enumeration builds its own."""
+    files: enumeration unless ``exact`` is False, falling back past the cap,
+    unless ``exact`` is True, to the heuristic: the least-connection seed
+    plus local search. The heuristic reuses ``weights``, the stage's
+    ``PairWeights``, when given; enumeration builds its own."""
     if exact is None or exact:
         try:
             alloc, psi = exact_solve(stage, instance, cap=cap, pinned=fixed)
@@ -1051,12 +1096,11 @@ def _solve_stage(
             if exact:
                 raise
 
+    _check_active(stage, instance)
     weights = weights or PairWeights(stage)
-    relation = weights._relation or integrate_relations(stage)
     free = [f for f in stage.active_files if f not in fixed]
-    communities = detect_communities(relation, free, instance.gamma)
-    seeded = spread_allocate(communities, instance, stage, pinned=fixed)
-    alloc, psi = _local_search(seeded, free, instance, weights)
+    seeded = _least_connection(free, fixed, instance, weights)
+    alloc, psi = _local_search(Allocation(seeded), free, instance, weights)
     return alloc, psi, False
 
 
@@ -1070,7 +1114,10 @@ def solve_stage(
     """One-stop single-stage solve: (allocation, objective, certified).
 
     ``exact=True`` forces enumeration (EnumerationCapError above the cap),
-    ``exact=False`` forces the spreading heuristic plus local search, and
-    None tries enumeration first, falling back when the stage is too wide.
+    ``exact=False`` forces the heuristic, and None tries enumeration first,
+    falling back when the stage is too wide. The heuristic seeds by least
+    connection: largest files first, each to the disk it fits with the
+    least weight to the files placed so far; then local search. Community
+    spreading, the paper's scheme, stays available as ``spread_allocate``.
     """
     return _solve_stage(instance.stage(stage_index), instance, {}, cap, exact)

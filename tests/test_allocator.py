@@ -1,8 +1,10 @@
-"""Objective evaluation, spreading, local search, and exact enumeration."""
+"""Objective evaluation, spreading, the least-connection seed, local
+search, and exact enumeration."""
 
 import dataclasses
 import logging
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -28,11 +30,17 @@ from diskalloc import (
     spread_allocate,
     validate_instance,
 )
-from diskalloc.allocator import PairWeights, _suffix_floors
+from diskalloc.allocator import PairWeights, _least_connection, _solve_stage, _suffix_floors
 from diskalloc.generator import generate_instance
 
 import reference_data as ref
-from naive import naive_exact, naive_exact_decimal, naive_internal_floor, naive_psi
+from naive import (
+    naive_exact,
+    naive_exact_decimal,
+    naive_integrated,
+    naive_internal_floor,
+    naive_psi,
+)
 
 
 def communities_for(instance, index):
@@ -107,8 +115,8 @@ def test_objective_with_no_pair_on_one_disk_is_a_float(phi):
 
 
 def test_uniform_weights_share_the_relations_neighbour_map():
-    # A heuristic stage solve builds the map once, for communities and
-    # weights alike.
+    # The uniform weights take the relation's neighbour map, built once,
+    # as their adjacency.
     stage = Stage(index=1, active_files=(1, 2, 3), concurrency={(1, 2), (2, 3)})
     weights = PairWeights(stage)
     relation = weights._relation
@@ -399,6 +407,15 @@ def test_local_search_rejects_ordered_distance(instance):
         local_search(
             Allocation(ref.X1), instance.stage(1), instance, CostModel.ORDERED_DISTANCE
         )
+
+
+def test_local_search_rejects_a_stage_file_the_instance_lacks(instance):
+    # In exact_solve's words, whether or not the allocation places it.
+    stage = Stage(index=2, active_files=(1, 2, 99))
+    for start in ({**ref.X1, 99: 1}, ref.X1):
+        with pytest.raises(ValidationError) as caught:
+            local_search(Allocation(start), stage, instance)
+        assert str(caught.value) == "stage 2: active file 99 does not exist"
 
 
 def test_local_search_rejects_infeasible_start(instance):
@@ -771,6 +788,102 @@ def test_exact_raises_when_nothing_fits():
 def test_exact_rejects_ordered_distance(instance):
     with pytest.raises(ValidationError, match="uniform"):
         exact_solve(instance.stage(1), instance, CostModel.ORDERED_DISTANCE)
+
+
+# --- least-connection seed -----------------------------------------------
+
+
+def exact_weight(stage, together):
+    """Summed weight, in exact fractions, of the pairs of ``stage`` for
+    which ``together(a, b)`` holds; each ``phi`` entry counts as the
+    decimal it prints as."""
+    if stage.phi is None:
+        pairs = [(a, b, Fraction(1)) for a, b in naive_integrated(stage)]
+    else:
+        pairs = [(a, b, Fraction(repr(w))) for (a, b), w in stage.phi.items()]
+    return sum((w for a, b, w in pairs if together(a, b)), Fraction(0))
+
+
+def seed_case(seed, fractional, slack):
+    """(rng, stage, instance): one generated stage of 10-30 files on 2-6
+    disks, uniform or under dense 3-decimal ``phi``, at capacity slack
+    ``slack(disks, rng)``."""
+    rng = random.Random(seed)
+    n, k = rng.randint(10, 30), rng.randint(2, 6)
+    doc = generate_instance(n, k, 1, rng.uniform(0.1, 0.4), (1, 3), slack(k, rng), seed)
+    inst = parse_instance_document(doc)
+    if fractional:
+        stage, inst = with_dense_phi(rng, inst)
+        return rng, stage, inst
+    return rng, inst.stage(1), inst
+
+
+@pytest.mark.parametrize("fractional", [False, True], ids=["uniform", "phi"])
+def test_least_connection_leaves_at_most_a_kth_of_the_weight_on_one_disk(fractional):
+    # Slack k gives every disk room for all the files, so capacity never
+    # binds; each file then pays at most 1/k of its weight to the files
+    # placed before it, pinned ones included (Sahni and Gonzalez). Of the
+    # pairs it places, at most 1/k of the weight shares a disk.
+    for seed in range(40):
+        rng, stage, inst = seed_case(seed, fractional, lambda k, rng: float(k))
+        pinned = random_pins(rng, stage, inst) if seed % 2 else {}
+        free = [f for f in stage.active_files if f not in pinned]
+        seeded = _least_connection(free, pinned, inst, PairWeights(stage))
+
+        def placed(a, b):
+            return a not in pinned or b not in pinned
+
+        same = exact_weight(stage, lambda a, b: placed(a, b) and seeded[a] == seeded[b])
+        assert inst.gamma * same <= exact_weight(stage, placed), seed
+
+
+def test_least_connection_places_the_largest_files_first():
+    # In id order files 1 and 2 would fill disk 1 to 2 tracks, and file 3
+    # disk 2, leaving file 4 no room.
+    inst = validate_instance(
+        Instance(
+            files=(FileSpec(1, 1), FileSpec(2, 1), FileSpec(3, 2), FileSpec(4, 2)),
+            disks=(DiskSpec(1, 3), DiskSpec(2, 3)),
+            stages=(Stage(index=1, active_files=(1, 2, 3, 4)),),
+        )
+    )
+    stage = inst.stage(1)
+    seeded = _least_connection(stage.active_files, {}, inst, PairWeights(stage))
+    assert seeded == {3: 1, 4: 2, 1: 1, 2: 2}
+
+
+@pytest.mark.parametrize("fractional", [False, True], ids=["uniform", "phi"])
+def test_least_connection_is_a_feasible_deterministic_start_that_keeps_pins(fractional):
+    for seed in range(40):
+        rng, stage, inst = seed_case(seed, fractional, lambda k, rng: rng.uniform(1.2, 1.6))
+        pinned = random_pins(rng, stage, inst)
+        free = [f for f in stage.active_files if f not in pinned]
+        weights = PairWeights(stage)
+        seeded = _least_connection(free, pinned, inst, weights)
+        assert seeded == _least_connection(free, pinned, inst, weights), seed
+        assert all(seeded[f] == d for f, d in pinned.items()), seed
+        assert check_allocation_feasible(Allocation(seeded), stage, inst).feasible, seed
+        alloc, psi, certified = _solve_stage(stage, inst, pinned, 0, exact=False)
+        assert not certified
+        assert psi <= evaluate_objective(Allocation(seeded), stage).value, seed
+
+
+def test_least_connection_counts_pinned_files_as_placed():
+    # File 1 is pinned to disk 1, so its neighbour 2 avoids it; file 3,
+    # linked to neither, takes the lowest disk.
+    inst = small_instance()
+    stage = Stage(index=1, active_files=(1, 2, 3), concurrency=frozenset({(1, 2)}))
+    seeded = _least_connection([2, 3], {1: 1}, inst, PairWeights(stage))
+    assert seeded == {1: 1, 2: 2, 3: 1}
+
+
+def test_heuristic_solves_a_tight_stage_that_spreading_could_not_start():
+    # Spreading placed file 25 (4 tracks) after smaller files had filled
+    # every disk; taking the largest files first leaves room.
+    inst = parse_instance_document(generate_instance(28, 6, 1, 0.17, (1, 4), 1.1, 54))
+    alloc, psi, certified = solve_stage(inst, 1, exact=False)
+    assert check_allocation_feasible(alloc, inst.stage(1), inst).feasible
+    assert psi == 0.0 and not certified
 
 
 # --- one-stop solve ------------------------------------------------------

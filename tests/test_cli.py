@@ -356,12 +356,12 @@ def test_restructure_marks_a_heuristic_reference(capsys, tmp_path):
     assert code == 0 and err == ""
     assert out == (
         "stage 2: objective 8.0, rho 3.0\n"
-        "  disk 1 (capacity 7): 1 2 4 7\n"
-        "  disk 2 (capacity 7): 5 6 8 9 12\n"
-        "  disk 3 (capacity 6): 3 10 11 13\n"
+        "  disk 1 (capacity 7): 1 2 5 7\n"
+        "  disk 2 (capacity 7): 4 8 9 11 12\n"
+        "  disk 3 (capacity 6): 3 6 10 13\n"
         "transition 1 -> 2 (modification cost 2.0):\n"
-        "  file 3: disk 2 -> disk 3\n"
-        "  file 8: disk 3 -> disk 2\n"
+        "  file 12: disk 3 -> disk 2\n"
+        "  file 13: disk 2 -> disk 3\n"
         "total modification cost 2.0\n"
         "reference optimum is heuristic, not certified\n"
     )

@@ -674,7 +674,7 @@ def restructuring_case(shape, fractional):
         # Below it exact_solve builds its own weights, as a direct call does.
         (RestructureMode.EXACT, (10, 3, 2, 0.3, (1, 2), 1.4, 3), False, [2, 2]),
         # Movement probabilities are weighed without the relation.
-        (RestructureMode.GREEDY, (60, 4, 2, 0.1, (1, 2), 1.4, 3), True, [2]),
+        (RestructureMode.GREEDY, (60, 4, 2, 0.1, (1, 2), 1.4, 3), True, []),
         (RestructureMode.EXACT, (10, 3, 2, 0.3, (1, 2), 1.4, 3), True, []),
     ],
     ids=["greedy", "exact", "greedy-phi", "exact-phi"],
