@@ -3,9 +3,11 @@ search, exact enumeration, the paper's spreading heuristic, and
 feasibility checking.
 
 A heuristic stage solve seeds by least connection, the greedy Max-k-Cut
-seed, then runs local search. Community spreading (``spread_allocate`` over
-``detect_communities``) remains the paper's scheme, public and unchanged,
-but off the solve path.
+seed, then runs local search. It builds the stage's ``PairWeights`` once,
+straight from the stage's pairs, and one connection table: the seed fills
+the ``_Placement`` that local search then descends on. Community spreading
+(``spread_allocate`` over ``detect_communities``) remains the paper's
+scheme, public and unchanged, but off the solve path.
 
 All tie-breaks run ascending file id then ascending disk id, so every entry
 point is deterministic for a given input. Files outside the stage's active
@@ -33,7 +35,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import EnumerationCapError, InfeasibleError, ValidationError
 from .model import Allocation, CostModel, Instance, Pair, Stage, canonical_edge
-from .relations import Community, IntegratedRelation, integrate_relations
+from .relations import Community, _related_pairs
 
 log = logging.getLogger(__name__)
 
@@ -52,22 +54,22 @@ class PairWeights:
     """Interference weight of every unordered file pair of one stage, as an
     exact integer in units of ``1 / scale``, so sums are exact in any order.
 
-    Uniform convention: weight 1 on each edge of the integrated relation.
-    Explicit movement probabilities: each entry is the decimal its float
-    prints as, the two ordered entries of a pair add up on its unordered
-    edge, whether or not the relation links the pair, and ``scale`` is the
-    lcm of the entries' denominators, 1000 for 3-decimal ``phi``.
-
-    Under uniform weights ``_relation`` is the stage's integrated relation,
-    whose neighbour map is the adjacency, shared; under ``phi`` it is None.
+    Uniform convention: weight 1 on each pair the stage relates, its
+    override or else its precedence arcs and concurrency edges, set in
+    both directions in one pass over them. Explicit movement
+    probabilities: each entry is the decimal its float prints as, the two
+    ordered entries of a pair add up on its unordered edge, whether or not
+    the stage relates the pair, and ``scale`` is the lcm of the entries'
+    denominators, 1000 for 3-decimal ``phi``.
     """
 
     def __init__(self, stage: Stage):
         self.scale = 1
-        self._relation: Optional[IntegratedRelation] = None
+        self._adjacent: dict[int, dict[int, int]] = {}
         if stage.phi is None:
-            self._relation = integrate_relations(stage)
-            self._adjacent = self._relation._neighbours
+            for a, b in _related_pairs(stage):
+                self._adjacent.setdefault(a, {})[b] = 1
+                self._adjacent.setdefault(b, {})[a] = 1
             return
         ratios = {w: Decimal(repr(w)).as_integer_ratio() for w in set(stage.phi.values())}
         self.scale = lcm(*(den for _, den in ratios.values()))
@@ -76,7 +78,6 @@ class PairWeights:
         for (a, b), w in stage.phi.items():
             edge = canonical_edge(a, b)
             weights[edge] = weights.get(edge, 0) + scaled[w]
-        self._adjacent: dict[int, dict[int, int]] = {}
         for (a, b), w in weights.items():
             if w:
                 self._adjacent.setdefault(a, {})[b] = w
@@ -389,61 +390,25 @@ def _connection_tables(
     return rows, links, psi
 
 
-def _least_connection(
-    files: Sequence[int],
-    fixed: Mapping[int, int],
-    instance: Instance,
-    weights: PairWeights,
-) -> dict[int, int]:
-    """The greedy Max-k-Cut seed of Sahni and Gonzalez (1976): ``fixed``
-    and ``files``, each on its disk. Files go largest first, then by
-    linked neighbours, most first (Welsh and Powell), then by id; each to
-    the disk it fits with the least summed weight to the files already
-    placed, the ``fixed`` ones from the start, ties to the lowest disk id.
-    Keeps one connection row per unplaced file, as ``_connection_tables``
-    does, so it costs O(E + n·k). Where capacity never binds, each file
-    pays at most 1/k of its weight to the files before it, so at most 1/k
-    of the weight it places shares a disk. Raises InfeasibleError, as
-    ``spread_allocate`` words it, for a file that fits no disk, and the
-    errors of ``_pinned_loads`` for ``fixed``."""
-    sizes, capacities = instance.sizes, instance.capacities
-    loads = _pinned_loads(fixed, sizes, capacities)
-    disks = sorted(capacities)
-    adjacent = weights._adjacent
-    rows = {f: dict.fromkeys(disks, 0) for f in files}
-    for g, d in fixed.items():
-        for f, w in adjacent.get(g, {}).items():
-            if f in rows:
-                rows[f][d] += w
-    assignment = dict(fixed)
-    for f in sorted(files, key=lambda f: (-sizes[f], -len(adjacent.get(f, ())), f)):
-        size, row = sizes[f], rows.pop(f)
-        fits = [d for d in disks if loads[d] + size <= capacities[d]]
-        if not fits:
-            raise InfeasibleError(f"file {f} ({size} tracks) fits on no disk")
-        d = min(fits, key=row.__getitem__)
-        assignment[f] = d
-        loads[d] += size
-        for g, w in adjacent.get(f, {}).items():
-            if g in rows:
-                rows[g][d] += w
-    return assignment
-
-
 class _Placement:
     """Mutable placement of ``assignment``, every file to its disk,
     searched by moving and swapping ``files``.
 
     Holds the searched files' disks, ``disk_of[i]`` for ``files[i]``, the
-    per-disk loads, the table rows below, and ``psi``, the objective when
-    built; the other files of ``assignment`` stay fixed. Only linked files
-    count: an inactive file, which ``validate_instance`` leaves unlinked,
-    only fills its disk. Every file starts on its entry in ``homes``, if
-    it has one, and counts as moved while it sits elsewhere; no step may
-    leave more than ``allowance`` files moved.
+    per-disk loads, the table rows below, and ``psi``, the objective of
+    the files placed so far; the other files of ``assignment`` stay fixed.
+    Only linked files count: an inactive file, which ``validate_instance``
+    leaves unlinked, only fills its disk. Every file starts on its entry
+    in ``homes``, if it has one, and counts as moved while it sits
+    elsewhere; no step may leave more than ``allowance`` files moved.
 
     ``rows[i][d]`` is the summed weight from ``files[i]`` to the files on
-    disk ``d`` (Kernighan and Lin's gain bookkeeping), built in O(E).
+    disk ``d`` (Kernighan and Lin's gain bookkeeping). One
+    ``_connection_tables`` call builds the rows over the fixed files, then
+    ``place`` puts each searched file on its disk in O(deg), so the table
+    costs O(E). A file of ``files`` that ``assignment`` leaves out starts
+    unplaced, for ``_least_connection`` to place and classify; the scan
+    needs every file placed.
     Evaluating a step costs O(1). Applying one costs O(deg) per moved
     file, and so does keeping ``discontent``, the positions ``i`` with
     ``min(rows[i].values()) < rows[i][disk_of[i]]``, which tell the scan
@@ -478,13 +443,13 @@ class _Placement:
         self.allowance = allowance
         self.scale = weights.scale
         self.moved = 0
-        self.loads = dict.fromkeys(self.disks, 0)
-        for f, d in assignment.items():
-            self.loads[d] += instance.sizes[f]
-        self.rows, self.links, self.psi = _connection_tables(files, assignment, self.disks, weights)
         self.position = {f: i for i, f in enumerate(files)}
         self.fixed = {f: d for f, d in assignment.items() if f not in self.position}
-        self.disk_of = [assignment[f] for f in files]
+        self.loads = dict.fromkeys(self.disks, 0)
+        for f, d in self.fixed.items():
+            self.loads[d] += instance.sizes[f]
+        self.rows, self.links, self.psi = _connection_tables(files, self.fixed, self.disks, weights)
+        self.disk_of: list[Optional[int]] = [None] * len(files)
         self.size_of = [instance.sizes[f] for f in files]
         self.home_of = [homes.get(f) for f in files]
         # later[i]: positions of files[i]'s neighbours after it, ascending.
@@ -492,12 +457,26 @@ class _Placement:
             sorted([j for j in link if j > i]) for i, link in enumerate(self.links)
         ]
         self.discontent: set[int] = set()
-        self._classify(range(len(files)))
+        placed = [i for i, f in enumerate(files) if f in assignment]
+        for i in placed:
+            self.place(i, assignment[files[i]])
+        self._classify(placed)
 
     @property
     def assignment(self) -> dict[int, int]:
         """Every file's disk, the fixed files' and the searched files'."""
         return {**self.fixed, **dict(zip(self.files, self.disk_of))}
+
+    def place(self, i: int, d: int) -> None:
+        """Put the unplaced ``files[i]`` on disk ``d``, in O(deg): its own
+        entry there joins ``psi``, and its weight joins its neighbours'
+        entries for ``d``."""
+        self.disk_of[i] = d
+        self.loads[d] += self.size_of[i]
+        rows = self.rows
+        self.psi += rows[i][d]
+        for j, w in self.links[i].items():
+            rows[j][d] += w
 
     def _classify(self, positions: Iterable[int]) -> None:
         """Put each of ``positions`` in or out of ``discontent``."""
@@ -682,6 +661,43 @@ class _Placement:
         self._classify(touched)
 
 
+def _least_connection(
+    files: Sequence[int],
+    fixed: Mapping[int, int],
+    instance: Instance,
+    weights: PairWeights,
+) -> _Placement:
+    """The greedy Max-k-Cut seed of Sahni and Gonzalez (1976): the
+    ``_Placement`` of ``files`` beside ``fixed``, ready to search. Files go
+    largest first, then by linked neighbours, pinned ones included, most
+    first (Welsh and Powell), then by id; each to the disk it fits with
+    the least summed weight to the files already placed, the ``fixed``
+    ones from the start, ties to the lowest disk id. That weight is the
+    file's own table row, so the seed builds the table once, over the
+    ``fixed`` files, and each placement updates it in O(deg): O(E + n·k)
+    in all. Where capacity never binds, each file pays at most 1/k of its
+    weight to the files before it, so at most 1/k of the weight it places
+    shares a disk. Raises InfeasibleError, as ``spread_allocate`` words
+    it, for a file that fits no disk, and the errors of ``_pinned_loads``
+    for ``fixed``."""
+    capacities = instance.capacities
+    _pinned_loads(fixed, instance.sizes, capacities)
+    state = _Placement(fixed, files, instance, weights, {}, 0)
+    loads, rows, size_of, adjacent = state.loads, state.rows, state.size_of, weights._adjacent
+    order = sorted(
+        range(len(files)),
+        key=lambda i: (-size_of[i], -len(adjacent.get(files[i], ())), files[i]),
+    )
+    for i in order:
+        size = size_of[i]
+        fits = [d for d in state.disks if loads[d] + size <= capacities[d]]
+        if not fits:
+            raise InfeasibleError(f"file {files[i]} ({size} tracks) fits on no disk")
+        state.place(i, min(fits, key=rows[i].__getitem__))
+    state._classify(range(len(files)))
+    return state
+
+
 def local_search(
     alloc: Allocation,
     stage: Stage,
@@ -724,26 +740,28 @@ def local_search(
         if alloc.assignment.get(f) != d:
             raise ValidationError(f"pinned file {f} is not on disk {d} in the allocation")
     movable = [f for f in stage.active_files if f not in fixed]
-    return _local_search(alloc, movable, instance, PairWeights(stage))
+    weights = PairWeights(stage)
+    state = _Placement(alloc.assignment, movable, instance, weights, {}, 0)
+    assignment, psi = _local_search(state, instance, weights)
+    return Allocation(assignment, degraded=alloc.degraded), psi
 
 
 def _local_search(
-    alloc: Allocation,
-    movable: Sequence[int],
-    instance: Instance,
-    weights: PairWeights,
-) -> tuple[Allocation, float]:
-    """``local_search`` of a feasible ``alloc`` under uniform costs,
-    moving ``movable``, ascending. Only linked files count: an inactive
-    file, which ``validate_instance`` leaves unlinked, only fills its disk."""
-    cap = _LOCAL_SEARCH_EVAL_FACTOR * len(movable) ** 2
+    state: _Placement, instance: Instance, weights: PairWeights
+) -> tuple[dict[int, int], float]:
+    """(assignment, objective): ``local_search`` of the feasible placement
+    ``state``, built on ``weights`` with no homes, under uniform costs.
+    Only linked files count: an inactive file, which ``validate_instance``
+    leaves unlinked, only fills its disk."""
+    cap = _LOCAL_SEARCH_EVAL_FACTOR * len(state.files) ** 2
+    start = state.assignment
 
     def descend(
-        charge: Callable[[_Placement, tuple[tuple[int, int], ...]], int]
+        state: _Placement, charge: Callable[[_Placement, tuple[tuple[int, int], ...]], int]
     ) -> tuple[_Placement, int, bool]:
-        """(placement, objective, capped) of a descent that charges each
-        scan ``charge(placement, first gaining step or ())`` evaluations."""
-        state = _Placement(alloc.assignment, movable, instance, weights, {}, 0)
+        """(placement, objective, capped) of a descent from ``state`` that
+        charges each scan ``charge(placement, first gaining step or ())``
+        evaluations."""
         psi = state.psi
         evals = 0
         while True:
@@ -763,14 +781,15 @@ def _local_search(
 
     # Each bound is at least the exact count, so where the bounds never
     # meet the cap, counting exactly would take the same steps.
-    state, psi, capped = descend(_Placement.bound)
+    state, psi, capped = descend(state, _Placement.bound)
     if capped:
-        state, psi, capped = descend(_Placement.count)
+        state = _Placement(start, state.files, instance, weights, {}, 0)
+        state, psi, capped = descend(state, _Placement.count)
         if capped:
             log.warning(
                 "local search stopped at the evaluation cap (%d evaluations)", cap
             )
-    return Allocation(state.assignment, degraded=alloc.degraded), psi / weights.scale
+    return state.assignment, psi / weights.scale
 
 
 def _suffix_floors(links: Sequence[Mapping[int, int]], k: int) -> list[int]:
@@ -1086,8 +1105,9 @@ def _solve_stage(
     """(allocation, objective, certified) of one stage around the ``fixed``
     files: enumeration unless ``exact`` is False, falling back past the cap,
     unless ``exact`` is True, to the heuristic: the least-connection seed
-    plus local search. The heuristic reuses ``weights``, the stage's
-    ``PairWeights``, when given; enumeration builds its own."""
+    plus local search, which descends on the seed's ``_Placement``, so the
+    heuristic builds one connection table. It reuses ``weights``, the
+    stage's ``PairWeights``, when given; enumeration builds its own."""
     if exact is None or exact:
         try:
             alloc, psi = exact_solve(stage, instance, cap=cap, pinned=fixed)
@@ -1099,9 +1119,9 @@ def _solve_stage(
     _check_active(stage, instance)
     weights = weights or PairWeights(stage)
     free = [f for f in stage.active_files if f not in fixed]
-    seeded = _least_connection(free, fixed, instance, weights)
-    alloc, psi = _local_search(Allocation(seeded), free, instance, weights)
-    return alloc, psi, False
+    state = _least_connection(free, fixed, instance, weights)
+    assignment, psi = _local_search(state, instance, weights)
+    return Allocation(assignment), psi, False
 
 
 def solve_stage(

@@ -34,8 +34,7 @@ class IntegratedRelation:
 
     @cached_property
     def _neighbours(self) -> dict[int, dict[int, int]]:
-        """``{f: {g: 1}}`` for every edge (f, g), built on first use; the
-        uniform ``PairWeights`` of the stage share it."""
+        """``{f: {g: 1}}`` for every edge (f, g), built on first use."""
         out: dict[int, dict[int, int]] = {}
         for a, b in self.edges:
             out.setdefault(a, {})[b] = 1
@@ -49,14 +48,21 @@ class IntegratedRelation:
         return {f: frozenset(neighbours.get(f, {}).keys() & members) for f in sorted(members)}
 
 
+def _related_pairs(stage: Stage) -> frozenset[Pair]:
+    """The pairs that a stage relates, each in either direction: its
+    explicit override when it carries one, else its precedence arcs and
+    concurrency edges."""
+    if stage.e3_override is not None:
+        return stage.e3_override
+    return stage.precedence | stage.concurrency
+
+
 def integrate_relations(stage: Stage) -> IntegratedRelation:
     """Merge a stage's precedence and concurrency into one undirected relation.
 
     Stages carrying an explicit override use it verbatim instead.
     """
-    if stage.e3_override is not None:
-        return IntegratedRelation(stage.e3_override)
-    return IntegratedRelation(stage.precedence | stage.concurrency)
+    return IntegratedRelation(_related_pairs(stage))
 
 
 @dataclass(frozen=True)

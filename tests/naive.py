@@ -160,6 +160,42 @@ def naive_exact_decimal(stage, instance, pinned=None):
     return best[1], Fraction(best[0][0], scale)
 
 
+def naive_least_connection(stage, instance, fixed):
+    """The least-connection seed, recounted from the stage's pairs for
+    every file. The active files not in ``fixed`` go largest first, then
+    by the files they share a weight with, ``fixed`` ones included, most
+    first, then by id; each to the disk it fits with the least exact
+    weight to the files placed before it and the ``fixed`` ones, the
+    lowest such disk on a tie. Returns the assignment of the ``fixed``
+    and the placed files, or None when a file fits no disk."""
+    if stage.phi is None:
+        pairs = [(a, b, Fraction(1)) for a, b in naive_integrated(stage)]
+    else:
+        pairs = [(a, b, Fraction(repr(w))) for (a, b), w in stage.phi.items()]
+    weight = {}
+    for a, b, w in pairs:
+        key = (min(a, b), max(a, b))
+        weight[key] = weight.get(key, 0) + w
+
+    def partners(f):
+        """(other file, weight) of each weighted pair that holds ``f``."""
+        return [(b if a == f else a, w) for (a, b), w in weight.items() if w and f in (a, b)]
+
+    sizes, capacities = instance.sizes, instance.capacities
+    assignment = dict(fixed)
+    free = [f for f in stage.active_files if f not in fixed]
+    for f in sorted(free, key=lambda f: (-sizes[f], -len(partners(f)), f)):
+        options = []
+        for d in sorted(capacities):
+            load = sum(sizes[g] for g, e in assignment.items() if e == d)
+            if load + sizes[f] <= capacities[d]:
+                options.append((sum(w for g, w in partners(f) if assignment.get(g) == d), d))
+        if not options:
+            return None
+        assignment[f] = min(options)[1]
+    return assignment
+
+
 def naive_internal_floor(weights, files, k):
     """Least summed weight of the same-disk pairs among ``files`` over
     every assignment of them to ``k`` disks, capacity ignored.

@@ -30,7 +30,13 @@ from diskalloc import (
     spread_allocate,
     validate_instance,
 )
-from diskalloc.allocator import PairWeights, _least_connection, _solve_stage, _suffix_floors
+from diskalloc.allocator import (
+    PairWeights,
+    _connection_tables,
+    _least_connection,
+    _solve_stage,
+    _suffix_floors,
+)
 from diskalloc.generator import generate_instance
 
 import reference_data as ref
@@ -39,6 +45,7 @@ from naive import (
     naive_exact_decimal,
     naive_integrated,
     naive_internal_floor,
+    naive_least_connection,
     naive_psi,
 )
 
@@ -115,14 +122,48 @@ def test_objective_with_no_pair_on_one_disk_is_a_float(phi):
 
 
 def test_uniform_weights_share_the_relations_neighbour_map():
-    # The uniform weights take the relation's neighbour map, built once,
-    # as their adjacency.
+    # The uniform weights build, from the stage's pairs, the adjacency
+    # that the relation's neighbour map holds.
     stage = Stage(index=1, active_files=(1, 2, 3), concurrency={(1, 2), (2, 3)})
     weights = PairWeights(stage)
-    relation = weights._relation
-    assert relation == integrate_relations(stage)
-    assert weights._adjacent is relation._neighbours
-    assert relation._neighbours == {1: {2: 1.0}, 2: {1: 1.0, 3: 1.0}, 3: {2: 1.0}}
+    assert weights._adjacent == integrate_relations(stage)._neighbours
+    assert weights._adjacent == {1: {2: 1.0}, 2: {1: 1.0, 3: 1.0}, 3: {2: 1.0}}
+
+
+@pytest.mark.parametrize(
+    "stage, adjacent",
+    [
+        (
+            Stage(index=1, active_files=(1, 2, 3, 4), precedence={(1, 2), (2, 1), (3, 2)}),
+            {1: {2: 1}, 2: {1: 1, 3: 1}, 3: {2: 1}},
+        ),
+        (
+            Stage(
+                index=1,
+                active_files=(1, 2, 3, 4),
+                precedence={(2, 1), (4, 3)},
+                concurrency={(1, 2), (2, 3)},
+            ),
+            {1: {2: 1}, 2: {1: 1, 3: 1}, 3: {2: 1, 4: 1}, 4: {3: 1}},
+        ),
+        (
+            Stage(
+                index=1,
+                active_files=(1, 2, 3, 4),
+                precedence={(1, 2)},
+                concurrency={(3, 4)},
+                e3_override={(3, 1), (2, 4)},
+            ),
+            {1: {3: 1}, 3: {1: 1}, 2: {4: 1}, 4: {2: 1}},
+        ),
+    ],
+    ids=["arcs-both-ways", "arcs-repeat-edges", "override"],
+)
+def test_uniform_adjacency_equals_the_integrated_relation(stage, adjacent):
+    # The uniform weights read the stage's pairs directly; they must link
+    # what the integrated relation links, the override replacing both
+    # pair sets.
+    assert PairWeights(stage)._adjacent == integrate_relations(stage)._neighbours == adjacent
 
 
 def test_explicit_probabilities_need_no_relation_edge():
@@ -828,7 +869,7 @@ def test_least_connection_leaves_at_most_a_kth_of_the_weight_on_one_disk(fractio
         rng, stage, inst = seed_case(seed, fractional, lambda k, rng: float(k))
         pinned = random_pins(rng, stage, inst) if seed % 2 else {}
         free = [f for f in stage.active_files if f not in pinned]
-        seeded = _least_connection(free, pinned, inst, PairWeights(stage))
+        seeded = _least_connection(free, pinned, inst, PairWeights(stage)).assignment
 
         def placed(a, b):
             return a not in pinned or b not in pinned
@@ -848,7 +889,7 @@ def test_least_connection_places_the_largest_files_first():
         )
     )
     stage = inst.stage(1)
-    seeded = _least_connection(stage.active_files, {}, inst, PairWeights(stage))
+    seeded = _least_connection(stage.active_files, {}, inst, PairWeights(stage)).assignment
     assert seeded == {3: 1, 4: 2, 1: 1, 2: 2}
 
 
@@ -859,8 +900,8 @@ def test_least_connection_is_a_feasible_deterministic_start_that_keeps_pins(frac
         pinned = random_pins(rng, stage, inst)
         free = [f for f in stage.active_files if f not in pinned]
         weights = PairWeights(stage)
-        seeded = _least_connection(free, pinned, inst, weights)
-        assert seeded == _least_connection(free, pinned, inst, weights), seed
+        seeded = _least_connection(free, pinned, inst, weights).assignment
+        assert seeded == _least_connection(free, pinned, inst, weights).assignment, seed
         assert all(seeded[f] == d for f, d in pinned.items()), seed
         assert check_allocation_feasible(Allocation(seeded), stage, inst).feasible, seed
         alloc, psi, certified = _solve_stage(stage, inst, pinned, 0, exact=False)
@@ -873,8 +914,89 @@ def test_least_connection_counts_pinned_files_as_placed():
     # linked to neither, takes the lowest disk.
     inst = small_instance()
     stage = Stage(index=1, active_files=(1, 2, 3), concurrency=frozenset({(1, 2)}))
-    seeded = _least_connection([2, 3], {1: 1}, inst, PairWeights(stage))
+    seeded = _least_connection([2, 3], {1: 1}, inst, PairWeights(stage)).assignment
     assert seeded == {1: 1, 2: 2, 3: 1}
+
+
+def held_case(seed, fractional):
+    """(stage, instance, fixed): ``seed_case``'s stage at slack 1.2-1.6
+    with one to three files made inactive and held on disks they fit, and,
+    on odd seeds, one to three active files pinned the same way."""
+    rng, stage, inst = seed_case(seed, fractional, lambda k, rng: rng.uniform(1.2, 1.6))
+    held = set(rng.sample(stage.active_files, rng.randint(1, 3)))
+
+    def kept(pair):
+        return not held & set(pair)
+
+    stage = Stage(
+        index=1,
+        active_files=[f for f in stage.active_files if f not in held],
+        precedence=filter(kept, stage.precedence),
+        concurrency=filter(kept, stage.concurrency),
+        phi=None if stage.phi is None else {p: w for p, w in stage.phi.items() if kept(p)},
+    )
+    inst = dataclasses.replace(inst, stages=(stage,))
+    pins = rng.sample(stage.active_files, rng.randint(1, 3)) if seed % 2 else []
+    loads = dict.fromkeys(inst.capacities, 0)
+    fixed = {}
+    for f in sorted(held) + pins:
+        room = [d for d in loads if loads[d] + inst.sizes[f] <= inst.capacities[d]]
+        fixed[f] = rng.choice(room)
+        loads[fixed[f]] += inst.sizes[f]
+    return stage, inst, fixed
+
+
+@pytest.mark.parametrize("fractional", [False, True], ids=["uniform", "phi"])
+def test_the_seeded_placement_holds_the_table_of_a_fresh_build(fractional):
+    # The seed fills the table that local search descends on one file at a
+    # time; it must end where a build from scratch for the seeded
+    # assignment starts, held and pinned files included. The oracle seed
+    # orders the files by all their neighbours, pinned ones included.
+    for seed in range(40):
+        stage, inst, fixed = held_case(seed, fractional)
+        weights = PairWeights(stage)
+        free = [f for f in stage.active_files if f not in fixed]
+        state = _least_connection(free, fixed, inst, weights)
+        assignment = state.assignment
+        assert assignment == naive_least_connection(stage, inst, fixed), seed
+        rows, links, psi = _connection_tables(free, assignment, state.disks, weights)
+        assert (state.rows, state.links, state.psi) == (rows, links, psi), seed
+        loads = dict.fromkeys(inst.capacities, 0)
+        for f, d in assignment.items():
+            loads[d] += inst.sizes[f]
+        assert state.loads == loads, seed
+        own = [row[assignment[f]] for f, row in zip(free, rows)]
+        assert state.discontent == {i for i, row in enumerate(rows) if min(row.values()) < own[i]}
+        value = evaluate_objective(Allocation(assignment), stage).value
+        assert state.psi / weights.scale == value, seed
+
+
+@pytest.mark.parametrize("fractional", [False, True], ids=["uniform", "phi"])
+def test_heuristic_solve_builds_its_weights_and_table_once(monkeypatch, caplog, fractional):
+    # Past the cap the seed builds the one table that local search
+    # descends on, from the one set of weights.
+    from diskalloc import allocator
+
+    rng = random.Random(3)
+    inst = parse_instance_document(generate_instance(40, 4, 1, 0.1, (1, 2), 1.4, 3))
+    if fractional:
+        inst = with_dense_phi(rng, inst)[1]
+    tables, init, built = allocator._connection_tables, PairWeights.__init__, []
+
+    def counted_tables(*args):
+        built.append("table")
+        return tables(*args)
+
+    def counted_init(self, stage):
+        built.append("weights")
+        init(self, stage)
+
+    monkeypatch.setattr(allocator, "_connection_tables", counted_tables)
+    monkeypatch.setattr(PairWeights, "__init__", counted_init)
+    with caplog.at_level(logging.WARNING, logger="diskalloc.allocator"):
+        alloc, psi, certified = solve_stage(inst, 1)
+    assert not caplog.records and not certified
+    assert built == ["weights", "table"]
 
 
 def test_heuristic_solves_a_tight_stage_that_spreading_could_not_start():

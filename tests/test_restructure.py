@@ -669,11 +669,11 @@ def restructuring_case(shape, fractional):
 @pytest.mark.parametrize(
     "mode, shape, fractional, expected",
     [
-        # Past the cap the heuristic reference reuses the search's relation.
+        # Past the cap the heuristic reference reuses the search's weights.
         (RestructureMode.GREEDY, (60, 4, 2, 0.1, (1, 2), 1.4, 3), False, [2]),
         # Below it exact_solve builds its own weights, as a direct call does.
         (RestructureMode.EXACT, (10, 3, 2, 0.3, (1, 2), 1.4, 3), False, [2, 2]),
-        # Movement probabilities are weighed without the relation.
+        # Movement probabilities are weighed without the stage's pairs.
         (RestructureMode.GREEDY, (60, 4, 2, 0.1, (1, 2), 1.4, 3), True, []),
         (RestructureMode.EXACT, (10, 3, 2, 0.3, (1, 2), 1.4, 3), True, []),
     ],
@@ -684,19 +684,20 @@ def test_restructuring_integrates_the_stage_only_where_it_is_read(
 ):
     import diskalloc.allocator
     import diskalloc.restructure
-    from diskalloc.relations import integrate_relations
+    from diskalloc.relations import _related_pairs
 
     inst, first = restructuring_case(shape, fractional)
     calls = []
 
     def counted(stage):
         calls.append(stage.index)
-        return integrate_relations(stage)
+        return _related_pairs(stage)
 
-    # Only the allocator integrates: restructuring takes the stage's
-    # weights from it.
+    # Only the allocator's uniform weights read the stage's pairs:
+    # restructuring takes the stage's weights from it.
     assert not hasattr(diskalloc.restructure, "integrate_relations")
-    monkeypatch.setattr(diskalloc.allocator, "integrate_relations", counted)
+    assert not hasattr(diskalloc.restructure, "_related_pairs")
+    monkeypatch.setattr(diskalloc.allocator, "_related_pairs", counted)
     result = restructure_one_stage(problem(inst, 2, first.assignment, 2.0), mode)
     assert calls == expected
     assert result.certified is (mode is RestructureMode.EXACT)
@@ -720,6 +721,27 @@ def test_greedy_restructuring_past_the_cap_builds_the_weights_once(monkeypatch, 
         problem(inst, 2, first.assignment, 2.0), RestructureMode.GREEDY
     )
     assert built == [2]
+    assert not result.certified
+
+
+@pytest.mark.parametrize("fractional", [False, True], ids=["uniform", "phi"])
+def test_greedy_restructuring_past_the_cap_builds_two_tables(monkeypatch, fractional):
+    # One table for the heuristic reference solve, which its seed fills,
+    # and one for the descent from the previous allocation.
+    import diskalloc.allocator
+
+    inst, first = restructuring_case((60, 4, 2, 0.1, (1, 2), 1.4, 3), fractional)
+    tables, built = diskalloc.allocator._connection_tables, []
+
+    def counted(*args):
+        built.append(args)
+        return tables(*args)
+
+    monkeypatch.setattr(diskalloc.allocator, "_connection_tables", counted)
+    result = restructure_one_stage(
+        problem(inst, 2, first.assignment, 2.0), RestructureMode.GREEDY
+    )
+    assert len(built) == 2
     assert not result.certified
 
 
