@@ -410,21 +410,27 @@ class _Placement:
     unplaced, for ``_least_connection`` to place and classify; the scan
     needs every file placed.
     Evaluating a step costs O(1). Applying one costs O(deg) per moved
-    file, and so does keeping ``discontent``, the positions ``i`` with
-    ``min(rows[i].values()) < rows[i][disk_of[i]]``, which tell the scan
-    where a gain can be, the way Fiduccia and Mattheyses keep their gain
-    buckets.
-    The table holds ``PairWeights``' integers, so every delta is exact. A
-    move of any other file cannot gain, since its own entry is its least.
-    Two kinds of swap cannot gain either, and the scan skips them:
+    file, and so does keeping each file's ``gain``, ``rows[i][disk_of[i]]
+    - min(rows[i].values())``, the most a move of ``files[i]`` can save,
+    and ``discontent``, the positions whose gain is positive, the way
+    Fiduccia and Mattheyses keep their gain buckets.
+    The table holds ``PairWeights``' integers, so every delta is exact.
+    No step's delta can get below its floor:
 
-    - Two files not linked by a weight, neither discontent. The delta is
-      ``rows[a][db] + rows[b][da] - rows[a][da] - rows[b][db]``, and each
-      file's own entry is its least.
-    - Two settled files, whose own entries are 0. The delta is
-      ``(rows[a][db] - w_ab) + (rows[b][da] - w_ab)``, and each of
-      ``rows[a][db]`` and ``rows[b][da]`` sums ``w_ab`` with other
-      non-negative weights.
+    - A move of ``files[i]``: ``-gain[i]``, since its new entry is at
+      least the least of its row.
+    - A swap of a and b: ``-(gain[a] + gain[b] + 2·w_ab)``. The delta is
+      ``rows[a][db] + rows[b][da] - rows[a][da] - rows[b][db] - 2·w_ab``,
+      and ``rows[a][db]`` and ``rows[b][da]`` are at least the least of
+      their rows.
+
+    The scan yields only records, the steps whose delta is below every
+    delta yielded before them, and skips every step whose floor cannot get
+    below the last record, or below 0 before the first. It also skips the
+    swaps of two settled files, whose own entries are 0: the delta is
+    ``(rows[a][db] - w_ab) + (rows[b][da] - w_ab)``, and each of
+    ``rows[a][db]`` and ``rows[b][da]`` sums ``w_ab`` with other
+    non-negative weights.
     """
 
     def __init__(
@@ -456,6 +462,7 @@ class _Placement:
         self.later = [
             sorted([j for j in link if j > i]) for i, link in enumerate(self.links)
         ]
+        self.gain = [0] * len(files)
         self.discontent: set[int] = set()
         placed = [i for i, f in enumerate(files) if f in assignment]
         for i in placed:
@@ -479,11 +486,13 @@ class _Placement:
             rows[j][d] += w
 
     def _classify(self, positions: Iterable[int]) -> None:
-        """Put each of ``positions`` in or out of ``discontent``."""
-        rows, disk_of, discontent = self.rows, self.disk_of, self.discontent
+        """Set the ``gain`` of each of ``positions`` and put it in or out
+        of ``discontent``."""
+        rows, disk_of, discontent, gain = self.rows, self.disk_of, self.discontent, self.gain
         for i in positions:
             row = rows[i]
-            if min(row.values()) < row[disk_of[i]]:
+            gain[i] = g = row[disk_of[i]] - min(row.values())
+            if g:
                 discontent.add(i)
             else:
                 discontent.discard(i)
@@ -496,28 +505,36 @@ class _Placement:
         return (dst != home) - (src != home)
 
     def neighbourhood(self) -> Iterator[tuple[int, tuple[tuple[int, int], ...], int]]:
-        """The steps that gain, in scan order, as (objective delta in the
-        weights' units, step, files moved after it).
+        """The records of the scan, in scan order, as (objective delta in
+        the weights' units, step, files moved after it): each step whose
+        delta is below 0 and below every delta yielded before it. The first
+        record is the first step that gains, the last the first step that
+        gains most.
 
         The scan order covers every capacity- and allowance-feasible step:
         single-file moves (file ascending, then disk ascending), then pair
         swaps (pair-lexicographic). A step lists (file, new disk). The
         generator must not be resumed after apply.
 
-        It visits only steps that can gain (see the class docstring): the
-        moves of discontent files, and the swaps that pair a discontent
-        file with every later file and any other file with its later
-        neighbours and the later discontent files. With ``homes`` set and
-        fewer than two moves left, a swap of two files at home would move
-        both, so a file at home pairs only with later files that are off
-        their homes or have none; the steps yielded stay the same.
+        It visits only the steps whose floor (see the class docstring) is
+        below ``bar``, the last delta yielded or 0: the moves of the files
+        whose gain exceeds ``-bar``, and for each i, with ``need = -bar -
+        gain[i]``, the swaps with every later file if ``need < 0``, else
+        with its later neighbours and the later files whose gain exceeds
+        ``need``. With ``homes`` set and fewer than two moves left, a swap
+        of two files at home would move both, so a file at home pairs only
+        with those of them that are off their homes or have none; the steps
+        yielded stay the same.
         """
         loads, rows, capacities, disks = self.loads, self.rows, self.capacities, self.disks
         files, disk_of, size_of, home_of = self.files, self.disk_of, self.size_of, self.home_of
         allowance, moved = self.allowance, self.moved
-        homes, discontent = self.homes, self.discontent
-        worried = sorted(discontent)
+        homes, gain = self.homes, self.gain
+        worried = sorted(self.discontent)
+        bar = 0
         for i in worried:
+            if gain[i] <= -bar:
+                continue
             src, home, size, row = disk_of[i], home_of[i], size_of[i], rows[i]
             detach = row[src]
             for dst in disks:
@@ -529,35 +546,42 @@ class _Placement:
                     if after > allowance:
                         continue
                 delta = row[dst] - detach
-                if delta < 0:
+                if delta < bar:
+                    bar = delta
                     yield delta, ((files[i], dst),), after
 
         links, later_of = self.links, self.later
         free = {d: capacities[d] - loads[d] for d in disks}
-        n, k, m = len(files), 0, len(worried)
+        n = len(files)
+        # hot: the discontent files whose gain exceeds -hot_bar, the partners
+        # of a file with no gain while the bar is hot_bar.
+        hot, hot_bar = worried, 0
         # roaming: the files off their homes or with none, where a file at
         # home may find its only partners (see above).
         roaming = None
         if homes and allowance - moved < 2:
             roaming = [j for j in range(n) if disk_of[j] != home_of[j]]
         for i in range(n - 1):
+            need = -bar - gain[i]
             if roaming is not None and disk_of[i] == home_of[i]:
                 later = roaming[bisect_right(roaming, i):]
-                if i not in discontent:
+                if need >= 0:
                     link_a = links[i]
-                    later = [j for j in later if j in link_a or j in discontent]
-                if not later:
-                    continue
-            elif i in discontent:
+                    later = [j for j in later if j in link_a or gain[j] > need]
+            elif need < 0:
                 later = range(i + 1, n)
             else:
+                if gain[i]:
+                    rivals = [j for j in worried[bisect_right(worried, i):] if gain[j] > need]
+                else:
+                    if hot_bar != bar:
+                        hot, hot_bar = [j for j in hot if gain[j] > need], bar
+                    rivals = hot[bisect_right(hot, i):]
                 later = later_of[i]
-                while k < m and worried[k] <= i:
-                    k += 1
-                if k < m:
-                    later = sorted(set(later).union(worried[k:])) if later else worried[k:]
-                if not later:
-                    continue
+                if rivals:
+                    later = sorted(set(later).union(rivals)) if later else rivals
+            if not later:
+                continue
             da, size_a, ha, row_a, link_a = disk_of[i], size_of[i], home_of[i], rows[i], links[i]
             room_a, settled_a = free[da] + size_a, row_a[da] == 0
             for j in later:
@@ -578,7 +602,8 @@ class _Placement:
                     continue
                 w_ab = link_a.get(j, 0)
                 delta = row_a[db] - w_ab + row_b[da] - w_ab - row_a[da] - row_b[db]
-                if delta < 0:
+                if delta < bar:
+                    bar = delta
                     yield delta, ((files[i], db), (files[j], da)), after
 
     def count(self, step: tuple[tuple[int, int], ...] = ()) -> int:
@@ -629,17 +654,18 @@ class _Placement:
 
     def steepest_descent(self) -> tuple[dict[int, int], float]:
         """(assignment, objective) after best-improvement descent: while a
-        step gains, take the one that gains most, the first in scan order."""
+        step gains, take the one that gains most, the first in scan order,
+        which is the scan's last record."""
         psi = self.psi
         while True:
-            bar, best = 0, None
-            for delta, step, moved in self.neighbourhood():
-                if delta < bar:
-                    bar, best = delta, (step, moved)
+            best = None
+            for best in self.neighbourhood():
+                pass
             if best is None:
                 return self.assignment, psi / self.scale
-            self.apply(*best)
-            psi += bar
+            delta, step, moved = best
+            self.apply(step, moved)
+            psi += delta
 
     def apply(self, step: tuple[tuple[int, int], ...], moved: int) -> None:
         """Take ``step``, after which ``moved`` files sit off their homes."""

@@ -138,9 +138,12 @@ def restructure_one_stage(
     previous disks, each saving at most its own weight there. Greedy mode
     repeatedly applies the single move or disk swap that most reduces the
     objective while the result stays within the allowance, the first in
-    scan order among equal gains, which are exact on integer weights. With
-    fewer than two moves left, its scan pairs a file on its previous disk
-    only with files that are off theirs or new to the stage.
+    scan order among equal gains, which are exact on integer weights. Its
+    scan yields only records, the steps that gain more than every step
+    before them, and skips each step whose floor, the least delta its
+    files' gains allow, cannot beat the last record. With fewer than two
+    moves left, it also pairs a file on its previous disk only with files
+    that are off theirs or new to the stage.
 
     Files of the previous allocation that are inactive in the target stage
     hold their disks and are never moved. Active files absent from the

@@ -371,3 +371,38 @@ def naive_greedy_descent(previous, stage, instance, allowance):
         if best is None:
             return assignment, naive_psi(assignment, stage)
         assignment.update(best[0])
+
+
+def naive_greedy_descent_decimal(previous, stage, instance, allowance):
+    """``naive_greedy_descent`` for explicit ``phi``, in exact decimal
+    arithmetic as in ``naive_exact_decimal``: each step's delta is recounted
+    from every ``phi`` entry that names a moved file, so equal gains tie
+    exactly and the first of them in scan order wins. Returns (assignment,
+    psi as a Fraction)."""
+    assignment = dict(previous)
+    files = sorted(stage.active_files)
+    homes = {f: assignment[f] for f in files}
+    scaled, scale = _decimal_weights(stage)
+    entries = {}
+    for a, b, w in scaled:
+        entries.setdefault(a, []).append((a, b, w))
+        entries.setdefault(b, []).append((a, b, w))
+
+    def delta(step):
+        new = dict(step)
+        touched = {e for f in new for e in entries.get(f, ())}
+        return sum(
+            w * ((new.get(a, assignment[a]) == new.get(b, assignment[b])) - (assignment[a] == assignment[b]))
+            for a, b, w in touched
+        )
+
+    while True:
+        best = None
+        for step, _ in naive_feasible_steps(assignment, files, instance, homes, allowance):
+            change = delta(step)
+            if change < 0 and (best is None or change < best[1]):
+                best = step, change
+        if best is None:
+            psi = sum(w for a, b, w in scaled if assignment[a] == assignment[b])
+            return assignment, Fraction(psi, scale)
+        assignment.update(best[0])

@@ -2,11 +2,12 @@
 
 Local search and greedy restructuring share ``allocator._Placement``,
 which keeps a connection table instead of rescanning disks and computes
-deltas only for steps that can gain. These tests hold it to the scan
-order, evaluation count and cap of ``tests/naive.py``, which recounts
-every delta from the assignment, hold each scan to an enumeration of
-every feasible step, and hold its incremental sums to from-scratch sums
-under fractional ``phi``.
+deltas only for steps that can beat the best delta of the scan so far.
+These tests hold it to the scan order, evaluation count and cap of
+``tests/naive.py``, which recounts every delta from the assignment, in
+exact decimals under fractional ``phi``, hold each scan to an
+enumeration of every feasible step, and hold its incremental sums to
+from-scratch sums under fractional ``phi``.
 """
 
 import logging
@@ -26,7 +27,12 @@ from diskalloc.io import parse_instance_document
 from diskalloc.model import Allocation
 from diskalloc.restructure import RestructureMode, RestructuringProblem, restructure_one_stage
 
-from naive import naive_feasible_steps, naive_greedy_descent, naive_local_search
+from naive import (
+    naive_feasible_steps,
+    naive_greedy_descent,
+    naive_greedy_descent_decimal,
+    naive_local_search,
+)
 
 # Assertion tolerance of the float comparisons below.
 _EPS = 1e-9
@@ -57,6 +63,21 @@ def _dense_phi_case(seed):
     doc = generate_instance(n, rng.randint(3, 5), 1, 0.0, (1, 3), rng.uniform(1.1, 1.5), seed)
     doc["stages"][0]["phi"] = [
         [0.0 if i == j else round(rng.uniform(0.0, 0.3), 3) for j in range(n)]
+        for i in range(n)
+    ]
+    inst = parse_instance_document(doc)
+    return inst, _random_placement(inst, rng), rng
+
+
+def _sparse_phi_case(seed):
+    """A one-stage instance of 20-40 files on tight disks where one pair
+    in five carries a 3-decimal fractional weight, so that many files are
+    not linked and the table holds inexact sums."""
+    rng = random.Random(seed)
+    n = rng.randint(20, 40)
+    doc = generate_instance(n, rng.randint(3, 5), 1, 0.0, (1, 3), rng.uniform(1.05, 1.3), seed)
+    doc["stages"][0]["phi"] = [
+        [round(rng.uniform(0.0, 0.3), 3) if i != j and rng.random() < 0.2 else 0.0 for j in range(n)]
         for i in range(n)
     ]
     inst = parse_instance_document(doc)
@@ -172,16 +193,22 @@ def _on_disk(state):
 
 
 @pytest.mark.parametrize("with_homes", [False, True])
-@pytest.mark.parametrize("case", [_uniform_case, _dense_phi_case])
+@pytest.mark.parametrize("case", [_uniform_case, _dense_phi_case, _sparse_phi_case])
 def test_neighbourhood_yields_every_gaining_step_and_counts_the_rest(case, with_homes):
+    """The scan yields its records, each feasible step whose delta is below
+    0 and below every delta before it in scan order, with the step's
+    position among every feasible step; ``count`` counts them all. With
+    homes, the sparse case has files of no gain and few links at home
+    under an allowance with fewer than two moves left."""
     skipped = 0
     for state, inst, weights, homes, allowance in _scan_states(case, with_homes):
-        want, total = [], 0
+        want, total, bar = [], 0, 0
         steps = naive_feasible_steps(state.assignment, state.files, inst, homes, allowance)
         for step, after in steps:
             total += 1
             delta = _table_delta(state, weights, step)
-            if delta < -_EPS:
+            if delta < bar:
+                bar = delta
                 want.append((total, delta, step, after))
         got = [
             (state.count(step), delta, step, after)
@@ -238,38 +265,47 @@ def test_connection_tables_stay_exact_on_fractional_phi(checked_tables, descent)
     assert checked_tables["steps"]
 
 
-def _sparse_phi_case(seed):
-    """A one-stage instance of 20-40 files on tight disks where one pair
-    in five carries a 3-decimal fractional weight, so that many files are
-    not linked and the table holds inexact sums."""
-    rng = random.Random(seed)
-    n = rng.randint(20, 40)
-    doc = generate_instance(n, rng.randint(3, 5), 1, 0.0, (1, 3), rng.uniform(1.05, 1.3), seed)
-    doc["stages"][0]["phi"] = [
-        [round(rng.uniform(0.0, 0.3), 3) if i != j and rng.random() < 0.2 else 0.0 for j in range(n)]
-        for i in range(n)
-    ]
-    inst = parse_instance_document(doc)
-    return inst, _random_placement(inst, rng), rng
+@pytest.mark.parametrize("case", [_dense_phi_case, _sparse_phi_case])
+def test_greedy_restructure_follows_the_decimal_scan(case):
+    """Under fractional ``phi``, greedy restructuring takes the first step
+    of largest gain in exact decimals, at allowances 1, 2, random and n,
+    the first two of which leave the scan fewer than two moves."""
+    for seed in range(12):
+        inst, assignment, rng = case(seed)
+        stage = inst.stage(1)
+        n = len(stage.active_files)
+        for allowance in (1, 2, rng.randint(1, n), n):
+            problem = RestructuringProblem(
+                instance=inst,
+                stage=stage,
+                previous=Allocation(assignment),
+                budget=float(allowance),
+                reference=0.0,
+            )
+            result = restructure_one_stage(problem, RestructureMode.GREEDY)
+            want, want_psi = naive_greedy_descent_decimal(assignment, stage, inst, allowance)
+            got = (dict(result.allocation.assignment), result.objective)
+            assert got == (want, float(want_psi)), (seed, allowance)
 
 
 def _recount(state):
-    """Discontent positions, recomputed from the assignment and the table."""
-    discontent = set()
+    """Each file's gain and the discontent positions, recomputed from the
+    assignment and the table."""
+    gain, discontent = [], set()
     assignment = state.assignment
-    for f in state.files:
-        i = state.position[f]
-        row, own = state.rows[i], assignment[f]
-        if min(row.values()) < row[own]:
+    for i, f in enumerate(state.files):
+        row = state.rows[i]
+        gain.append(row[assignment[f]] - min(row.values()))
+        if gain[i] > 0:
             discontent.add(i)
-    return discontent
+    return gain, discontent
 
 
 @pytest.mark.parametrize("with_homes", [False, True])
 @pytest.mark.parametrize("case", [_uniform_case, _dense_phi_case, _sparse_phi_case])
 def test_placement_bookkeeping_matches_a_recount(case, with_homes):
-    """After random and first-improvement steps, the set the scan visits
-    equals a recount, and the table equals from-scratch sums."""
+    """After random and first-improvement steps, the gains and the set the
+    scan visits equal a recount, and the table equals from-scratch sums."""
     for seed in range(30):
         inst, assignment, rng = case(seed)
         stage = inst.stage(1)
@@ -289,7 +325,7 @@ def test_placement_bookkeeping_matches_a_recount(case, with_homes):
                 if not steps:
                     break
                 state.apply(*rng.choice(steps))
-            assert state.discontent == _recount(state), seed
+            assert (state.gain, state.discontent) == _recount(state), seed
             on_disk = _on_disk(state)
             for f in files:
                 for d, value in state.rows[state.position[f]].items():
@@ -333,22 +369,23 @@ def _descend_through_the_moves(state):
 @pytest.mark.parametrize("case", [_uniform_case, _sparse_phi_case])
 def test_scan_bounds_cover_the_exact_counts(case, with_homes):
     """Local search charges each scan ``bound``, which must be at least
-    the exact ``count``: for each gaining step yielded and for a scan
-    without a gain. ``count(step)`` is the step's position among every
-    feasible step. The states include local optima of the moves."""
-    yielded = 0
+    the exact ``count``: for every feasible step, any of which a scan may
+    yield first, and for a scan without a gain. ``count(step)`` is the
+    step's position among every feasible step. The states include local
+    optima of the moves."""
+    checked = 0
     for state, inst, _, homes, allowance in _scan_states(case, with_homes):
         for _ in range(2):
             feasible = naive_feasible_steps(state.assignment, state.files, inst, homes, allowance)
             steps = [step for step, _ in feasible]
-            for _, step, _ in state.neighbourhood():
-                yielded += 1
-                assert state.count(step) == steps.index(step) + 1
-                assert state.bound(step) >= state.count(step), step
+            for index, step in enumerate(steps):
+                checked += 1
+                assert state.count(step) == index + 1, step
+                assert state.bound(step) >= index + 1, step
             assert state.count() == len(steps)
             assert state.bound() >= state.count()
             _descend_through_the_moves(state)
-    assert yielded
+    assert checked
 
 
 def test_scan_bounds_are_exact_where_every_step_is_feasible():
