@@ -8,6 +8,7 @@ document. Exit codes: 0 success, 1 infeasible, 2 usage or document errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from contextlib import contextmanager
@@ -321,11 +322,15 @@ _COMMANDS = {
 }
 
 
+# Building the parser costs about as much as a small command; parsing
+# leaves no state in it, so one serves every command line of a process.
+_parser = functools.cache(build_parser)
+
+
 def run_command(argv: Sequence[str]) -> int:
     """Parse and run one command line; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parser().parse_args(list(argv))
     except SystemExit as exc:  # argparse handles usage and --help itself
         return int(exc.code or 0)
     try:

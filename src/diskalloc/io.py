@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -265,12 +266,16 @@ def _read_document(path, kind: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DocumentError(f"cannot read {kind} file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{kind} file is not UTF-8: {exc.reason} at byte {exc.start}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:  # the decoder recurses once per open bracket
+        raise DocumentError(f"{kind} file nests JSON too deeply to read") from None
 
 
 def parse_instance(path) -> Instance:
@@ -511,12 +516,112 @@ def allocation_from_solution_stage(stage: SolutionStage) -> Allocation:
 
 
 def write_document(doc: dict, path) -> None:
-    """Write a document dict as stable, human-diffable JSON."""
+    """Write ``dump_document(doc)`` and a newline to ``path``."""
     try:
         Path(path).write_text(dump_document(doc) + "\n", encoding="utf-8")
     except OSError as exc:
         raise DocumentError(f"cannot write output file: {exc}") from exc
 
 
-def dump_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=False)
+_INDENT = "  "
+
+
+def _scalar_text(value) -> Optional[str]:
+    """JSON text of a string, number, bool or None; None for anything else."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def _key_text(key) -> str:
+    text = key if isinstance(key, str) else _scalar_text(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return encode_basestring_ascii(text)
+
+
+def _leaf_text(items: list, depth: int) -> Optional[str]:
+    """The text of a non-empty list at ``depth`` holding only exact ints or
+    only pairs of exact ints, formatted in one call; None for any other
+    list."""
+    kinds = set(map(type, items))
+    inner = "\n" + _INDENT * (depth + 1)
+    close = "\n" + _INDENT * depth + "]"
+    if kinds == {int}:
+        return "[" + inner + ("," + inner).join(map(int.__repr__, items)) + close
+    if kinds <= {list, tuple} and set(map(len, items)) == {2}:
+        ends = tuple(chain.from_iterable(items))
+        if set(map(type, ends)) == {int}:
+            end = inner + _INDENT + "%d"
+            pair = "[" + end + "," + end + inner + "]"
+            return ("[" + inner + ("," + inner).join([pair] * len(items)) + close) % ends
+    return None
+
+
+def dump_document(doc) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, with its errors: a
+    ``TypeError`` for a value or key JSON cannot hold and a ``ValueError``
+    for a container that holds itself.
+
+    One loop walks the document with a stack of open containers, so depth
+    is not bounded by the recursion limit, and each list of exact ints or
+    of exact-int pairs is written in one formatting call.
+    """
+    chunks: list[str] = []
+    emit = chunks.append
+    # One frame per open container: its (separator, item) pairs, its
+    # closing text, whether its items are (key, value) pairs, and its id.
+    frames: list[tuple] = []
+    open_ids: set[int] = set()
+    value = doc
+    while True:
+        text = _scalar_text(value)
+        if text is None:
+            is_dict = isinstance(value, dict)
+            if not is_dict and not isinstance(value, (list, tuple)):
+                raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+            if not value:
+                text = "{}" if is_dict else "[]"
+            elif not is_dict:
+                text = _leaf_text(value, len(frames))
+        if text is not None:
+            emit(text)
+        else:
+            if id(value) in open_ids:
+                raise ValueError("Circular reference detected")
+            open_ids.add(id(value))
+            inner = "\n" + _INDENT * (len(frames) + 1)
+            separators = chain((inner,), repeat("," + inner))
+            close = inner[: -len(_INDENT)] + ("}" if is_dict else "]")
+            emit("{" if is_dict else "[")
+            items = value.items() if is_dict else value
+            frames.append((zip(separators, items), close, is_dict, id(value)))
+        while frames:
+            items, close, is_dict, ident = frames[-1]
+            item = next(items, None)
+            if item is not None:
+                break
+            frames.pop()
+            open_ids.discard(ident)
+            emit(close)
+        else:
+            return "".join(chunks)
+        separator, value = item
+        emit(separator)
+        if is_dict:
+            key, value = value
+            emit(_key_text(key) + ": ")

@@ -596,6 +596,60 @@ def test_missing_instance_file_exits_2(capsys):
     assert "cannot read instance file" in err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"files": [\xff]}', "file is not UTF-8: invalid start byte at byte 11"),
+        (b"[" * 100000 + b"]" * 100000, "file nests JSON too deeply to read"),
+    ],
+    ids=["not utf-8", "nested too deeply"],
+)
+@pytest.mark.parametrize("kind", ["instance", "solution"])
+def test_an_unreadable_document_exits_2_with_one_error_line(capsys, tmp_path, kind, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    if kind == "instance":
+        argv = ["solve", "--instance", str(bad), "--stage", "1"]
+    else:
+        argv = ["evaluate", "--instance", INSTANCE, "--solution", str(bad), "--stage", "1"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {kind} {message}\n"
+
+
+def _fresh_process(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "diskalloc", *argv], capture_output=True, text=True
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "first, first_code, then",
+    [
+        # 14 files: past the exact cap, so --exact refuses and solve does not
+        (["solve", "--instance", "WIDE", "--stage", "1", "--exact"], 2,
+         ["solve", "--instance", "WIDE", "--stage", "1"]),
+        (["solve", "--instance", INSTANCE, "--stage", "2", "--dump-relations"], 0,
+         ["solve", "--instance", INSTANCE, "--stage", "2"]),
+        (["solve", "--instance", INSTANCE, "--stage", "1", "--exact", "--local-search"], 2,
+         ["solve", "--instance", INSTANCE, "--stage", "1", "--local-search"]),
+    ],
+    ids=["exact", "dump-relations", "usage error"],
+)
+def test_the_reused_parser_keeps_nothing_between_commands(
+    capsys, tmp_path, monkeypatch, first, first_code, then
+):
+    # The same width for usage text here and in the child processes.
+    monkeypatch.setenv("COLUMNS", "80")
+    wide = tmp_path / "wide.json"
+    write_document(generate_instance(14, 3, 2, 0.3, (1, 2), 1.5, 7), wide)
+    first, then = ([str(wide) if a == "WIDE" else a for a in argv] for argv in (first, then))
+    in_process = [run(capsys, *first), run(capsys, *then)]
+    assert [code for code, _, _ in in_process] == [first_code, 0]
+    assert in_process == [_fresh_process(first), _fresh_process(then)]
+
+
 def test_unwritable_output_exits_2(capsys, tmp_path):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(

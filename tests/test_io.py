@@ -445,6 +445,46 @@ def test_write_document_ends_with_newline(tmp_path, instance):
     assert parse_instance_document(json.loads(text)) == instance
 
 
+def _circular_list():
+    value = [1, [2]]
+    value[1].append(value)
+    return value
+
+
+def _circular_dict():
+    value = {"a": {}}
+    value["a"]["b"] = value
+    return value
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        ({"stages": [{1, 2}]}, TypeError),
+        ([[1, 2], [object(), 3]], TypeError),
+        ({(1, 2): 3}, TypeError),
+        (_circular_list(), ValueError),
+        (_circular_dict(), ValueError),
+    ],
+    ids=["set", "object", "tuple key", "circular list", "circular dict"],
+)
+def test_dump_document_refuses_what_json_dumps_refuses(value, error):
+    with pytest.raises(error) as expected:
+        json.dumps(value, indent=2)
+    with pytest.raises(error, match=f"^{expected.value}$"):
+        dump_document(value)
+
+
+def test_dump_document_nests_past_the_recursion_limit():
+    depth = 5000
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    opening = "".join("[\n" + "  " * (level + 1) for level in range(depth))
+    closing = "".join("\n" + "  " * level + "]" for level in reversed(range(depth)))
+    assert dump_document(value) == opening + "[]" + closing
+
+
 # --- generator -----------------------------------------------------------
 
 

@@ -1,12 +1,15 @@
 """Property-based invariants, plus the shared randomized suite."""
 
-from hypothesis import given, settings, strategies as st
+import json
+
+from hypothesis import example, given, settings, strategies as st
 
 from diskalloc import (
     Allocation,
     Stage,
     canonical_edge,
     detect_communities,
+    dump_document,
     integrate_relations,
     relocation_diff,
 )
@@ -123,3 +126,45 @@ def test_stage_normalization_is_idempotent(data):
 
 def test_randomized_suite_holds_over_forty_seeds():
     assert run_property_suite(range(40)) > 0
+
+
+# --- the document writer ---------------------------------------------------
+
+_special_floats = st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+_big_ints = st.integers(min_value=2**64, max_value=2**300) | st.integers(max_value=-(2**64))
+_texts = st.text() | st.sampled_from(["\x00\x1f\x7f\u2028", "\u00e9\u2603\U0001d11e", '"\\/'])
+_numbers = st.integers() | _big_ints | st.floats() | _special_floats
+_scalars = st.none() | st.booleans() | _numbers | _texts
+# Pair lists whose ends are sometimes a bool or a float, so that some miss
+# the writer's integer fast paths.
+_pair_lists = st.lists(
+    st.lists(st.integers() | _big_ints, min_size=2, max_size=2)
+    | st.tuples(_numbers | st.booleans(), _numbers | st.booleans()),
+    min_size=1,
+)
+_leaf_lists = _pair_lists | st.lists(st.integers(), min_size=1) | st.lists(st.floats(), min_size=1)
+_json_values = st.recursive(
+    _scalars | _leaf_lists,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.none() | st.booleans() | _numbers | _texts, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300)
+@given(_json_values)
+@example([float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 0.1])
+@example([10**40, -(10**25), 0])
+@example({"x\u00e9\u2603\U0001d11e\x00\x1f\x7f": " \t\n\"\\"})
+@example({1: 2, 1.5: 3.5, True: False, None: None, float("nan"): [], -0.0: {}})
+@example([[], {}, (), [[]], ((1, 2),)])
+@example([[1, 2], [True, 3]])
+@example([[1, 2], [3, 4.0]])
+@example([[1, 2], [3]])
+@example([(1, 2), [3, 4]])
+@example([[1, 2], [3, 10**30]])
+@example([1, 2.0])
+@example("top level")
+def test_dump_document_is_json_dumps_with_indent_2(value):
+    assert dump_document(value) == json.dumps(value, indent=2)
