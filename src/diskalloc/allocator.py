@@ -61,34 +61,58 @@ class PairWeights:
     ordered entries of a pair add up on its unordered edge, whether or not
     the stage relates the pair, and ``scale`` is the lcm of the entries'
     denominators, 1000 for 3-decimal ``phi``.
+
+    The weights index the files they weigh once: ``files`` lists, ascending,
+    the stage's active files and any other file a weighted pair names (an
+    unvalidated stage may pair an inactive file), ``position`` maps each to
+    its index there, and ``links[i]`` maps ``j`` to the weight between
+    ``files[i]`` and ``files[j]``, for each pair of non-zero weight.
     """
 
     def __init__(self, stage: Stage):
         self.scale = 1
-        self._adjacent: dict[int, dict[int, int]] = {}
         if stage.phi is None:
-            for a, b in _related_pairs(stage):
-                self._adjacent.setdefault(a, {})[b] = 1
-                self._adjacent.setdefault(b, {})[a] = 1
-            return
-        ratios = {w: Decimal(repr(w)).as_integer_ratio() for w in set(stage.phi.values())}
-        self.scale = lcm(*(den for _, den in ratios.values()))
-        scaled = {w: num * (self.scale // den) for w, (num, den) in ratios.items()}
-        weights: dict[Pair, int] = {}
-        for (a, b), w in stage.phi.items():
-            edge = canonical_edge(a, b)
-            weights[edge] = weights.get(edge, 0) + scaled[w]
-        for (a, b), w in weights.items():
-            if w:
-                self._adjacent.setdefault(a, {})[b] = w
-                self._adjacent.setdefault(b, {})[a] = w
+            edges = _related_pairs(stage)
+        else:
+            ratios = {w: Decimal(repr(w)).as_integer_ratio() for w in set(stage.phi.values())}
+            self.scale = lcm(*(den for _, den in ratios.values()))
+            scaled = {w: num * (self.scale // den) for w, (num, den) in ratios.items()}
+            sums: dict[Pair, int] = {}
+            for (a, b), w in stage.phi.items():
+                edge = canonical_edge(a, b)
+                sums[edge] = sums.get(edge, 0) + scaled[w]
+            edges = {edge: w for edge, w in sums.items() if w}
+        try:
+            self._index(stage.active_files, edges)
+        except KeyError:
+            # An unvalidated stage may pair a file that it does not activate.
+            self._index(sorted(set(stage.active_files).union(*edges)), edges)
+
+    def _index(self, files: Sequence[int], edges: Iterable[Pair] | Mapping[Pair, int]) -> None:
+        """Number ``files`` and link each pair of ``edges``, weight 1 each
+        or the weight that ``edges`` maps it to; KeyError for a pair that
+        names a file not in ``files``."""
+        self.files = list(files)
+        self.position = position = {f: i for i, f in enumerate(files)}
+        self.links: list[dict[int, int]] = [{} for _ in files]
+        links = self.links
+        if isinstance(edges, Mapping):
+            for (a, b), w in edges.items():
+                i, j = position[a], position[b]
+                links[i][j] = links[j][i] = w
+        else:
+            for a, b in edges:
+                i, j = position[a], position[b]
+                links[i][j] = links[j][i] = 1
 
     def attach_cost(self, f: int, others: Iterable[int]) -> int:
         """Cost added by placing ``f`` next to ``others`` on one disk."""
-        adj = self._adjacent.get(f)
-        if not adj:
+        position = self.position
+        i = position.get(f)
+        if i is None:
             return 0
-        return sum(adj[g] for g in others if g in adj)
+        link = self.links[i]
+        return sum(link[j] for j in map(position.get, others) if j in link)
 
 
 @dataclass(frozen=True)
@@ -171,16 +195,22 @@ def evaluate_objective(
             raise ValidationError("ordered-distance costs need file sizes")
         positions = _ordered_positions(alloc, active, sizes)
 
+    # Positions ascend with file ids, so walking each file's later
+    # neighbours in index order lists the same-disk pairs ascending.
+    files, scale = weights.files, weights.scale
+    disk_of = [alloc.assignment[f] if link else None for f, link in zip(files, weights.links)]
     terms: list[ObjectiveTerm] = []
     psi = 0
-    pairs = ((a, b, w) for a, adj in weights._adjacent.items() for b, w in adj.items() if a <= b)
-    for a, b, w in sorted(pairs):
-        if alloc.assignment[a] != alloc.assignment[b]:
-            continue
-        psi += w
-        cost = 1.0 if positions is None else abs(positions[a] - positions[b])
-        terms.append(ObjectiveTerm((a, b), w / weights.scale, cost))
-    value = psi / weights.scale if positions is None else sum(t.contribution for t in terms)
+    for i, link in enumerate(weights.links):
+        d = disk_of[i]
+        same = sorted([j for j in link if j >= i and disk_of[j] == d])
+        a = files[i]
+        for j in same:
+            b, w = files[j], link[j]
+            psi += w
+            cost = 1.0 if positions is None else abs(positions[a] - positions[b])
+            terms.append(ObjectiveTerm((a, b), w / scale, cost))
+    value = psi / scale if positions is None else sum(t.contribution for t in terms)
     return ObjectiveReport(value=float(value), terms=tuple(terms))
 
 
@@ -363,30 +393,37 @@ def _connection_tables(
     placed: Mapping[int, int],
     disks: Sequence[int],
     weights: PairWeights,
-) -> tuple[list[dict[int, int]], list[dict[int, int]], int]:
+) -> tuple[list[list[int]], list[dict[int, int]], int]:
     """(rows, links, psi) of ``files``, built in O(E) from the weights'
-    adjacency: ``rows[i][d]`` is the summed weight from ``files[i]`` to
-    the files that ``placed`` puts on disk ``d``, keyed by ``disks`` in
-    their order, ``links[i]`` maps j to the weight of each neighbour
-    ``files[j]``, and ``psi`` is the objective of ``placed``, the weight
-    of each pair on one disk, once; all in the weights' integer units.
+    links: ``rows[i][s]`` is the summed weight from ``files[i]`` to the
+    files that ``placed`` puts on disk ``disks[s]``, ``links[i]`` maps j to
+    the weight of each neighbour ``files[j]``, and ``psi`` is the objective
+    of ``placed``, the weight of each pair on one disk, once; all in the
+    weights' integer units. Where ``files`` are the weights' own ``files``,
+    ``links`` are the weights' own links; a subset, such as the files left
+    when some are pinned, gets them re-keyed to its positions.
     Only linked files count: an inactive file, which ``validate_instance``
     leaves unlinked, only fills its disk."""
-    adjacent = weights._adjacent
-    position = {f: i for i, f in enumerate(files)}
-    rows = [dict.fromkeys(disks, 0) for _ in files]
+    position, own, named = weights.position, weights.links, weights.files
+    index = {position[f]: i for i, f in enumerate(files)}
+    if list(files) == named:
+        links = own
+    else:
+        links = [{index[q]: w for q, w in own[position[f]].items() if q in index} for f in files]
+    slot_of = {d: s for s, d in enumerate(disks)}
+    rows = [[0] * len(disks) for _ in files]
     psi = 0
     for g, d in placed.items():
-        for f, w in adjacent.get(g, {}).items():
-            if f > g and placed.get(f) == d:
+        p = position.get(g)
+        if p is None:
+            continue
+        s = slot_of[d]
+        for q, w in own[p].items():
+            if q > p and placed.get(named[q]) == d:
                 psi += w
-            i = position.get(f)
+            i = index.get(q)
             if i is not None:
-                rows[i][d] += w
-    links = [
-        {position[g]: w for g, w in adjacent.get(f, {}).items() if g in position}
-        for f in files
-    ]
+                rows[i][s] += w
     return rows, links, psi
 
 
@@ -394,24 +431,27 @@ class _Placement:
     """Mutable placement of ``assignment``, every file to its disk,
     searched by moving and swapping ``files``.
 
-    Holds the searched files' disks, ``disk_of[i]`` for ``files[i]``, the
-    per-disk loads, the table rows below, and ``psi``, the objective of
-    the files placed so far; the other files of ``assignment`` stay fixed.
+    Numbers the disks ascending as slots, ``disks[s]``, and holds the
+    searched files' slots, ``disk_of[i]`` for ``files[i]``, and ``homes``
+    as ``home_of[i]``, the loads and capacities as lists by slot, the
+    table rows below, and ``psi``, the objective of the files placed so
+    far; the other files of ``assignment`` stay fixed. Steps name disk ids,
+    as they are yielded, applied and counted, so slots stay inside.
     Only linked files count: an inactive file, which ``validate_instance``
     leaves unlinked, only fills its disk. Every file starts on its entry
     in ``homes``, if it has one, and counts as moved while it sits
     elsewhere; no step may leave more than ``allowance`` files moved.
 
-    ``rows[i][d]`` is the summed weight from ``files[i]`` to the files on
-    disk ``d`` (Kernighan and Lin's gain bookkeeping). One
+    ``rows[i][s]`` is the summed weight from ``files[i]`` to the files on
+    slot ``s`` (Kernighan and Lin's gain bookkeeping). One
     ``_connection_tables`` call builds the rows over the fixed files, then
-    ``place`` puts each searched file on its disk in O(deg), so the table
+    ``place`` puts each searched file on its slot in O(deg), so the table
     costs O(E). A file of ``files`` that ``assignment`` leaves out starts
     unplaced, for ``_least_connection`` to place and classify; the scan
     needs every file placed.
     Evaluating a step costs O(1). Applying one costs O(deg) per moved
     file, and so does keeping each file's ``gain``, ``rows[i][disk_of[i]]
-    - min(rows[i].values())``, the most a move of ``files[i]`` can save,
+    - min(rows[i])``, the most a move of ``files[i]`` can save,
     and ``discontent``, the positions whose gain is positive, the way
     Fiduccia and Mattheyses keep their gain buckets.
     The table holds ``PairWeights``' integers, so every delta is exact.
@@ -443,47 +483,52 @@ class _Placement:
         allowance: int,
     ):
         self.files = files
-        self.capacities = instance.capacities
-        self.disks = sorted(self.capacities)
+        self.disks = sorted(instance.capacities)
+        self.slot_of = slot_of = {d: s for s, d in enumerate(self.disks)}
+        self.capacities = [instance.capacities[d] for d in self.disks]
         self.homes = homes
         self.allowance = allowance
         self.scale = weights.scale
         self.moved = 0
         self.position = {f: i for i, f in enumerate(files)}
         self.fixed = {f: d for f, d in assignment.items() if f not in self.position}
-        self.loads = dict.fromkeys(self.disks, 0)
+        self.loads = [0] * len(self.disks)
         for f, d in self.fixed.items():
-            self.loads[d] += instance.sizes[f]
+            self.loads[slot_of[d]] += instance.sizes[f]
         self.rows, self.links, self.psi = _connection_tables(files, self.fixed, self.disks, weights)
         self.disk_of: list[Optional[int]] = [None] * len(files)
         self.size_of = [instance.sizes[f] for f in files]
-        self.home_of = [homes.get(f) for f in files]
-        # later[i]: positions of files[i]'s neighbours after it, ascending.
-        self.later = [
-            sorted([j for j in link if j > i]) for i, link in enumerate(self.links)
-        ]
+        self.home_of = [slot_of.get(homes.get(f)) for f in files]
+        # later[i]: positions of files[i]'s neighbours after it, ascending,
+        # filled in the order of j.
+        self.later: list[list[int]] = [[] for _ in files]
+        for j, link in enumerate(self.links):
+            for i in link:
+                if i < j:
+                    self.later[i].append(j)
         self.gain = [0] * len(files)
         self.discontent: set[int] = set()
         placed = [i for i, f in enumerate(files) if f in assignment]
         for i in placed:
-            self.place(i, assignment[files[i]])
+            self.place(i, slot_of[assignment[files[i]]])
         self._classify(placed)
 
     @property
     def assignment(self) -> dict[int, int]:
         """Every file's disk, the fixed files' and the searched files'."""
-        return {**self.fixed, **dict(zip(self.files, self.disk_of))}
+        disks = self.disks
+        return {**self.fixed, **{f: disks[s] for f, s in zip(self.files, self.disk_of)}}
 
-    def place(self, i: int, d: int) -> None:
-        """Put the unplaced ``files[i]`` on disk ``d``, in O(deg): its own
+    def place(self, i: int, s: int) -> None:
+        """Put the unplaced ``files[i]`` on slot ``s``, in O(deg): its own
         entry there joins ``psi``, and its weight joins its neighbours'
-        entries for ``d``."""
-        self.disk_of[i] = d
-        self.loads[d] += self.size_of[i]
+        entries for ``s``."""
+        self.disk_of[i] = s
+        self.loads[s] += self.size_of[i]
         rows = self.rows
-        self.psi += rows[i][d]
+        self.psi += rows[i][s]
         for j, w in self.links[i].items():
-            rows[j][d] += w
+            rows[j][s] += w
 
     def _classify(self, positions: Iterable[int]) -> None:
         """Set the ``gain`` of each of ``positions`` and put it in or out
@@ -491,7 +536,7 @@ class _Placement:
         rows, disk_of, discontent, gain = self.rows, self.disk_of, self.discontent, self.gain
         for i in positions:
             row = rows[i]
-            gain[i] = g = row[disk_of[i]] - min(row.values())
+            gain[i] = g = row[disk_of[i]] - min(row)
             if g:
                 discontent.add(i)
             else:
@@ -530,6 +575,7 @@ class _Placement:
         files, disk_of, size_of, home_of = self.files, self.disk_of, self.size_of, self.home_of
         allowance, moved = self.allowance, self.moved
         homes, gain = self.homes, self.gain
+        slots = range(len(disks))
         worried = sorted(self.discontent)
         bar = 0
         for i in worried:
@@ -537,7 +583,7 @@ class _Placement:
                 continue
             src, home, size, row = disk_of[i], home_of[i], size_of[i], rows[i]
             detach = row[src]
-            for dst in disks:
+            for dst in slots:
                 if dst == src or loads[dst] + size > capacities[dst]:
                     continue
                 after = moved
@@ -548,10 +594,10 @@ class _Placement:
                 delta = row[dst] - detach
                 if delta < bar:
                     bar = delta
-                    yield delta, ((files[i], dst),), after
+                    yield delta, ((files[i], disks[dst]),), after
 
         links, later_of = self.links, self.later
-        free = {d: capacities[d] - loads[d] for d in disks}
+        free = [capacities[s] - loads[s] for s in slots]
         n = len(files)
         # hot: the discontent files whose gain exceeds -hot_bar, the partners
         # of a file with no gain while the bar is hot_bar.
@@ -604,18 +650,19 @@ class _Placement:
                 delta = row_a[db] - w_ab + row_b[da] - w_ab - row_a[da] - row_b[db]
                 if delta < bar:
                     bar = delta
-                    yield delta, ((files[i], db), (files[j], da)), after
+                    yield delta, ((files[i], disks[db]), (files[j], disks[da])), after
 
     def count(self, step: tuple[tuple[int, int], ...] = ()) -> int:
         """The feasible steps in scan order up to and including ``step``,
         counted one by one; all of them when ``step`` is empty."""
-        loads, capacities, disks = self.loads, self.capacities, self.disks
+        loads, capacities, slot_of = self.loads, self.capacities, self.slot_of
         files, disk_of, size_of = self.files, self.disk_of, self.size_of
         slack = self.allowance - self.moved
+        step = tuple((f, slot_of[d]) for f, d in step)
         seen = 0
         for i, f in enumerate(files):
             src, size = disk_of[i], size_of[i]
-            for dst in disks:
+            for dst in range(len(loads)):
                 if dst == src or loads[dst] + size > capacities[dst]:
                     continue
                 if self._after(i, src, dst) <= slack:
@@ -672,8 +719,8 @@ class _Placement:
         self.moved = moved
         loads, rows, disk_of, links = self.loads, self.rows, self.disk_of, self.links
         touched = set()
-        for f, dst in step:
-            i = self.position[f]
+        for f, d in step:
+            i, dst = self.position[f], self.slot_of[d]
             src, size = disk_of[i], self.size_of[i]
             disk_of[i] = dst
             loads[src] -= size
@@ -706,17 +753,18 @@ def _least_connection(
     shares a disk. Raises InfeasibleError, as ``spread_allocate`` words
     it, for a file that fits no disk, and the errors of ``_pinned_loads``
     for ``fixed``."""
-    capacities = instance.capacities
-    _pinned_loads(fixed, instance.sizes, capacities)
+    _pinned_loads(fixed, instance.sizes, instance.capacities)
     state = _Placement(fixed, files, instance, weights, {}, 0)
-    loads, rows, size_of, adjacent = state.loads, state.rows, state.size_of, weights._adjacent
+    loads, rows, size_of, capacities = state.loads, state.rows, state.size_of, state.capacities
+    links, position = weights.links, weights.position
     order = sorted(
         range(len(files)),
-        key=lambda i: (-size_of[i], -len(adjacent.get(files[i], ())), files[i]),
+        key=lambda i: (-size_of[i], -len(links[position[files[i]]]), files[i]),
     )
+    slots = range(len(capacities))
     for i in order:
         size = size_of[i]
-        fits = [d for d in state.disks if loads[d] + size <= capacities[d]]
+        fits = [s for s in slots if loads[s] + size <= capacities[s]]
         if not fits:
             raise InfeasibleError(f"file {files[i]} ({size} tracks) fits on no disk")
         state.place(i, min(fits, key=rows[i].__getitem__))
@@ -875,7 +923,8 @@ def _branch_and_bound(
     placement hashes no disk id; slots turn back into disk ids only in the
     returned assignment. The bound keeps ``conn[i][s]``, the summed weight
     from ``files[i]`` to the files now on slot ``s`` (the connection
-    table of ``_Placement``), so placing a file costs one lookup. Each
+    table of ``_Placement``, as ``_connection_tables`` builds it), so
+    placing a file costs one lookup. Each
     unplaced file adds at least its cheapest entry, ``low[i]``, because
     weights are non-negative and later placements only raise ``conn``.
     The pairs among the unplaced files add at least ``floors[i]`` (see
@@ -924,9 +973,7 @@ def _branch_and_bound(
 
     # Interference of fixed files among themselves is a constant floor;
     # interference with searched files accrues during the descent.
-    rows, links, psi = _connection_tables(files, fixed, disks, weights)
-    # Each row follows the disks ascending: slot order.
-    conn = [list(row.values()) for row in rows]
+    conn, links, psi = _connection_tables(files, fixed, disks, weights)
     low = [min(row, default=0) for row in conn]
     floors = _suffix_floors(links, len(disks))
     # later[i]: (j, weight) for each neighbour files[j] placed after files[i].

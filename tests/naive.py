@@ -196,6 +196,43 @@ def naive_least_connection(stage, instance, fixed):
     return assignment
 
 
+def naive_connection_tables(stage, files, placed, disks):
+    """(rows, links, psi, scale) recounted from the stage's pairs. Each
+    pair weighs 1, or under ``phi`` the sum of its two entries as the
+    decimals they print as, times ``scale``, the least common denominator
+    of the entries, so every weight is an integer. ``rows[i][s]`` sums the
+    weight from ``files[i]`` to each other file that ``placed`` puts on
+    ``disks[s]``; ``links[i]`` maps j to the weight between ``files[i]``
+    and ``files[j]`` where it is not 0; ``psi`` sums the weight of each
+    pair of placed files that share a disk."""
+    if stage.phi is None:
+        pairs = [(a, b, Fraction(1)) for a, b in naive_integrated(stage)]
+    else:
+        pairs = [(a, b, Fraction(repr(w))) for (a, b), w in stage.phi.items()]
+    scale = lcm(*(w.denominator for _, _, w in pairs))
+    weight = {}
+    for a, b, w in pairs:
+        key = (min(a, b), max(a, b))
+        weight[key] = weight.get(key, 0) + int(w * scale)
+
+    def between(a, b):
+        return weight.get((min(a, b), max(a, b)), 0) if a != b else 0
+
+    rows = []
+    for f in files:
+        row = [0] * len(disks)
+        for g, d in placed.items():
+            row[disks.index(d)] += between(f, g)
+        rows.append(row)
+    links = [
+        {j: between(f, g) for j, g in enumerate(files) if between(f, g)} for f in files
+    ]
+    psi = sum(
+        between(a, b) for a in placed for b in placed if a < b and placed[a] == placed[b]
+    )
+    return rows, links, psi, scale
+
+
 def naive_internal_floor(weights, files, k):
     """Least summed weight of the same-disk pairs among ``files`` over
     every assignment of them to ``k`` disks, capacity ignored.

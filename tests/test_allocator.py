@@ -121,13 +121,25 @@ def test_objective_with_no_pair_on_one_disk_is_a_float(phi):
     assert value == 0.0 and type(value) is float
 
 
+def adjacency_by_file(weights):
+    """The weights' position links keyed by file id, linked files only."""
+    files = weights.files
+    assert weights.position == {f: i for i, f in enumerate(files)}
+    return {
+        files[i]: {files[j]: w for j, w in link.items()}
+        for i, link in enumerate(weights.links)
+        if link
+    }
+
+
 def test_uniform_weights_share_the_relations_neighbour_map():
     # The uniform weights build, from the stage's pairs, the adjacency
     # that the relation's neighbour map holds.
     stage = Stage(index=1, active_files=(1, 2, 3), concurrency={(1, 2), (2, 3)})
     weights = PairWeights(stage)
-    assert weights._adjacent == integrate_relations(stage)._neighbours
-    assert weights._adjacent == {1: {2: 1.0}, 2: {1: 1.0, 3: 1.0}, 3: {2: 1.0}}
+    assert weights.files == [1, 2, 3]
+    assert adjacency_by_file(weights) == integrate_relations(stage)._neighbours
+    assert adjacency_by_file(weights) == {1: {2: 1.0}, 2: {1: 1.0, 3: 1.0}, 3: {2: 1.0}}
 
 
 @pytest.mark.parametrize(
@@ -163,7 +175,9 @@ def test_uniform_adjacency_equals_the_integrated_relation(stage, adjacent):
     # The uniform weights read the stage's pairs directly; they must link
     # what the integrated relation links, the override replacing both
     # pair sets.
-    assert PairWeights(stage)._adjacent == integrate_relations(stage)._neighbours == adjacent
+    weights = PairWeights(stage)
+    assert weights.files == list(stage.active_files)
+    assert adjacency_by_file(weights) == integrate_relations(stage)._neighbours == adjacent
 
 
 def test_explicit_probabilities_need_no_relation_edge():
@@ -778,6 +792,48 @@ def test_exact_objective_is_evaluate_objective_on_a_pair_with_an_inactive_file()
     assert alloc.assignment == {1: 2, 2: 1}
 
 
+@pytest.mark.parametrize(
+    "phi",
+    [None, {(1, 2): 0.25, (2, 3): 0.5, (3, 4): 0.125, (4, 1): 0.375}],
+    ids=["uniform", "phi"],
+)
+def test_every_search_counts_a_pair_with_an_inactive_pinned_file(phi):
+    # Unvalidated: pairs name file 2, inactive and pinned or held on disk
+    # 1, which has room for one more file. Every search counts them as the
+    # evaluation does, so only file 4, unpaired with 2, joins it.
+    from diskalloc.restructure import RestructureMode, RestructuringProblem, restructure_one_stage
+
+    inst = Instance(
+        files=tuple(FileSpec(f, 1) for f in (1, 2, 3, 4)),
+        disks=(DiskSpec(1, 2), DiskSpec(2, 2)),
+        stages=(
+            Stage(
+                index=1,
+                active_files=(1, 3, 4),
+                concurrency=frozenset({(1, 2), (2, 3), (3, 4)}),
+                phi=phi,
+            ),
+        ),
+    )
+    stage = inst.stage(1)
+    start = Allocation({1: 1, 2: 1, 3: 2, 4: 2})
+    assert evaluate_objective(start, stage).value > 0
+    found = [
+        _solve_stage(stage, inst, {2: 1}, 0, exact=False)[:2],
+        _solve_stage(stage, inst, {2: 1}, 3, exact=True)[:2],
+        local_search(start, stage, inst, pinned={2: 1}),
+    ]
+    for mode in RestructureMode:
+        problem = RestructuringProblem(
+            instance=inst, stage=stage, previous=start, budget=2.0, reference=None
+        )
+        result = restructure_one_stage(problem, mode)
+        found.append((result.allocation, result.objective))
+    for alloc, psi in found:
+        assert psi == evaluate_objective(alloc, stage).value == 0.0
+        assert alloc.assignment == {1: 2, 2: 1, 3: 2, 4: 1}
+
+
 def test_exact_handles_stage_with_no_active_files():
     inst = small_instance(
         stages=(Stage(index=1, active_files=()),),
@@ -964,9 +1020,9 @@ def test_the_seeded_placement_holds_the_table_of_a_fresh_build(fractional):
         loads = dict.fromkeys(inst.capacities, 0)
         for f, d in assignment.items():
             loads[d] += inst.sizes[f]
-        assert state.loads == loads, seed
-        own = [row[assignment[f]] for f, row in zip(free, rows)]
-        assert state.discontent == {i for i, row in enumerate(rows) if min(row.values()) < own[i]}
+        assert state.loads == [loads[d] for d in sorted(inst.capacities)], seed
+        own = [row[state.slot_of[assignment[f]]] for f, row in zip(free, rows)]
+        assert state.discontent == {i for i, row in enumerate(rows) if min(row) < own[i]}
         value = evaluate_objective(Allocation(assignment), stage).value
         assert state.psi / weights.scale == value, seed
 

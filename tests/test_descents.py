@@ -18,16 +18,18 @@ import pytest
 from diskalloc import allocator
 from diskalloc.allocator import (
     PairWeights,
+    _connection_tables,
     _Placement,
     evaluate_objective,
     local_search,
 )
 from diskalloc.generator import generate_instance
 from diskalloc.io import parse_instance_document
-from diskalloc.model import Allocation
+from diskalloc.model import Allocation, Stage
 from diskalloc.restructure import RestructureMode, RestructuringProblem, restructure_one_stage
 
 from naive import (
+    naive_connection_tables,
     naive_feasible_steps,
     naive_greedy_descent,
     naive_greedy_descent_decimal,
@@ -173,14 +175,15 @@ def _scan_states(case, with_homes):
 def _table_delta(state, weights, step):
     """A step's delta from the connection table, in the expression and
     summation order of the neighbourhood."""
-    rows, position = state.rows, state.position
+    rows, position, slot_of = state.rows, state.position, state.slot_of
     if len(step) == 1:
         ((f, dst),) = step
         row = rows[position[f]]
-        return row[dst] - row[state.assignment[f]]
+        return row[slot_of[dst]] - row[slot_of[state.assignment[f]]]
     (a, db), (b, da) = step
     row_a, row_b = rows[position[a]], rows[position[b]]
-    w_ab = weights._adjacent.get(a, {}).get(b, 0.0)
+    da, db = slot_of[da], slot_of[db]
+    w_ab = weights.links[weights.position[a]].get(weights.position[b], 0)
     return row_a[db] - w_ab + row_b[da] - w_ab - row_a[da] - row_b[db]
 
 
@@ -232,7 +235,7 @@ def checked_tables(monkeypatch):
         apply(self, step, moved)
         on_disk = _on_disk(self)
         for f in self.files:
-            for d, value in self.rows[self.position[f]].items():
+            for d, value in zip(self.disks, self.rows[self.position[f]], strict=True):
                 scratch = checks["weights"].attach_cost(f, on_disk[d])
                 assert abs(value - scratch) <= _EPS, (f, d, value, scratch)
         checks["steps"].append(step)
@@ -288,6 +291,49 @@ def test_greedy_restructure_follows_the_decimal_scan(case):
             assert got == (want, float(want_psi)), (seed, allowance)
 
 
+def _holding(stage, held, paired):
+    """``stage`` with the files of ``held`` made inactive, their pairs
+    dropped, as ``validate_instance`` requires, unless ``paired``."""
+
+    def kept(pair):
+        return paired or not held & set(pair)
+
+    return Stage(
+        index=stage.index,
+        active_files=[f for f in stage.active_files if f not in held],
+        precedence=filter(kept, stage.precedence),
+        concurrency=filter(kept, stage.concurrency),
+        phi=None if stage.phi is None else {p: w for p, w in stage.phi.items() if kept(p)},
+    )
+
+
+@pytest.mark.parametrize("case", [_uniform_case, _dense_phi_case, _sparse_phi_case])
+def test_connection_tables_equal_a_recount(case):
+    """The tables of the weights' own files share the weights' links, and
+    those of the files left beside pinned ones re-key them; both equal a
+    recount from the stage's pairs. One to three files are held inactive
+    and, on one seed in three, stay paired, as an unvalidated stage may
+    pair them; the placed files are every file, or the held and pinned
+    ones."""
+    paths = set()
+    for seed in range(30):
+        inst, assignment, rng = case(seed)
+        held = set(rng.sample(inst.stage(1).active_files, rng.randint(1, 3)))
+        stage = _holding(inst.stage(1), held, paired=seed % 3 == 0)
+        pinned = rng.sample(stage.active_files, rng.randint(0, 3))
+        files = [f for f in stage.active_files if f not in pinned]
+        weights = PairWeights(stage)
+        disks = sorted(inst.capacities)
+        shared = files == weights.files
+        paths.add(shared)
+        for placed in (assignment, {f: assignment[f] for f in [*held, *pinned]}):
+            rows, links, psi = _connection_tables(files, placed, disks, weights)
+            assert (links is weights.links) == shared, seed
+            want = naive_connection_tables(stage, files, placed, disks)
+            assert (rows, links, psi, weights.scale) == want, seed
+    assert paths == {False, True}
+
+
 def _recount(state):
     """Each file's gain and the discontent positions, recomputed from the
     assignment and the table."""
@@ -295,7 +341,7 @@ def _recount(state):
     assignment = state.assignment
     for i, f in enumerate(state.files):
         row = state.rows[i]
-        gain.append(row[assignment[f]] - min(row.values()))
+        gain.append(row[state.slot_of[assignment[f]]] - min(row))
         if gain[i] > 0:
             discontent.add(i)
     return gain, discontent
@@ -328,7 +374,7 @@ def test_placement_bookkeeping_matches_a_recount(case, with_homes):
             assert (state.gain, state.discontent) == _recount(state), seed
             on_disk = _on_disk(state)
             for f in files:
-                for d, value in state.rows[state.position[f]].items():
+                for d, value in zip(state.disks, state.rows[state.position[f]], strict=True):
                     assert abs(value - weights.attach_cost(f, on_disk[d])) <= _EPS
 
 
@@ -341,13 +387,13 @@ def test_swap_filter_never_skips_a_gaining_pair(case, with_homes):
     skipped = 0
     for state, inst, weights, homes, allowance in _scan_states(case, with_homes):
         for _ in range(2):
-            adjacent = weights._adjacent
+            links, at = weights.links, weights.position
             position = {f: i for i, f in enumerate(state.files)}
             for step, _ in naive_feasible_steps(state.assignment, state.files, inst, homes, allowance):
                 if len(step) == 1:
                     continue
                 (a, _), (b, _) = step
-                if b in adjacent.get(a, {}) or {position[a], position[b]} & state.discontent:
+                if at[b] in links[at[a]] or {position[a], position[b]} & state.discontent:
                     continue
                 skipped += 1
                 assert _table_delta(state, weights, step) >= -_EPS, step
