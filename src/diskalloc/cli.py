@@ -36,7 +36,7 @@ from .io import (
     solution_from_trajectory,
     write_document,
 )
-from .model import Instance
+from .model import CostModel, Instance
 from .report import (
     _solution_text,
     diff_report,
@@ -184,6 +184,20 @@ def _parse_budgets(raw: Optional[str]) -> Optional[list[float]]:
         ) from None
 
 
+def _solver_instance(path) -> Instance:
+    """The instance at ``path`` for a command that solves it. The solvers
+    optimize uniform costs and lay out no tracks, so their reports and
+    documents would not hold for an ordered-distance instance: it is
+    refused before any work."""
+    instance = parse_instance(path)
+    if instance.cost_model is CostModel.ORDERED_DISTANCE:
+        raise ValidationError(
+            "ordered-distance instances can only be evaluated: the solvers "
+            "optimize uniform costs and produce no track ordering"
+        )
+    return instance
+
+
 @contextmanager
 def _cap_hint():
     """Rephrase exact search's refusals, at the cap or the node budget, for
@@ -199,7 +213,7 @@ def _cap_hint():
 
 
 def _cmd_solve(args):
-    instance = parse_instance(args.instance)
+    instance = _solver_instance(args.instance)
     exact = True if args.exact else False if args.local_search else None
     with _cap_hint():
         alloc, psi, certified = solve_stage(
@@ -247,7 +261,7 @@ def _cmd_diff(args):
 
 
 def _cmd_restructure(args):
-    instance = parse_instance(args.instance)
+    instance = _solver_instance(args.instance)
     previous_stage = _single_stage(parse_solution(args.previous), "--previous solution")
     _check_ids(previous_stage, 0, instance)
     _check_plan_output(args, previous_stage.index, args.stage)
@@ -272,7 +286,7 @@ def _cmd_restructure(args):
 
 
 def _cmd_trajectory(args):
-    instance = parse_instance(args.instance)
+    instance = _solver_instance(args.instance)
     strategy = _STRATEGIES[args.strategy]
     budgets = _parse_budgets(args.budgets)
     text = ""
@@ -288,7 +302,7 @@ def _cmd_trajectory(args):
 
 
 def _cmd_oracle(args):
-    instance = parse_instance(args.instance)
+    instance = _solver_instance(args.instance)
     with _cap_hint():
         alloc, psi = exact_solve(instance.stage(args.stage), instance)
     doc = solution_from_allocation(alloc, args.stage, objective=psi, rho=0.0)

@@ -5,6 +5,7 @@ malformed shapes are rejected with the offending field path in the message.
 Pair lists are first checked in one pass over exact types; only a list
 that fails it is walked again pair by pair, and that walk alone builds
 field paths, so the first fault in document order is the one reported.
+Pairs that pass are built once, here, and ``Stage`` does not walk them.
 ``parse_instance_document(emit_instance_document(x))`` returns ``x`` and
 the same holds for solution documents.
 """
@@ -14,7 +15,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
+from operator import le
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -31,6 +33,7 @@ from .model import (
     RelocationPlan,
     Stage,
     Trajectory,
+    _CheckedPairs,
     validate_instance,
 )
 
@@ -134,14 +137,24 @@ def _check_ordering(
                 )
 
 
-def _parse_pair_list(raw, path: str) -> list[tuple[int, int]]:
+def _parse_pair_list(raw, path: str, unordered: bool = False):
+    """The pairs of a JSON list of two-integer lists, for ``Stage``.
+
+    One pass over exact types checks the whole list; a bool or another int
+    subclass fails it. A list that passes, and for an ``unordered``
+    relation holds only (low, high) pairs, comes back as a ``_CheckedPairs``
+    that ``Stage`` takes as it is. Any other list comes back as tuples for
+    ``Stage`` to canonicalize, after a failing one is walked pair by pair.
+    """
     _expect(raw, list, path)
-    # Exact types, no field paths: a bool or another int subclass fails
-    # this test, and the walk below then judges each entry.
-    if set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}:
-        ends = list(chain.from_iterable(raw))
-        if set(map(type, ends)) <= {int}:
-            return list(zip(ends[::2], ends[1::2]))
+    if (
+        set(map(type, raw)) <= {list}
+        and set(map(len, raw)) <= {2}
+        and set(map(type, chain.from_iterable(raw))) <= {int}
+    ):
+        if not unordered or all(starmap(le, raw)):
+            return _CheckedPairs(map(tuple, raw))
+        return list(map(tuple, raw))
     out = []
     for i, item in enumerate(raw):
         _expect(item, list, f"{path}[{i}]")
@@ -218,17 +231,21 @@ def parse_instance_document(doc) -> Instance:
         # phi's rows follow the sorted list, so a repeat would shift them
         _unique(active, "file", lambda k: f"{path}.active_files[{k}]")
         precedence = _parse_pair_list(raw.get("precedence", []), f"{path}.precedence")
-        concurrency = _parse_pair_list(raw.get("concurrency", []), f"{path}.concurrency")
+        concurrency = _parse_pair_list(
+            raw.get("concurrency", []), f"{path}.concurrency", unordered=True
+        )
         phi = _parse_phi(raw.get("phi", "uniform"), active, f"{path}.phi")
         override = None
         if "e3_override" in raw:
-            override = frozenset(_parse_pair_list(raw["e3_override"], f"{path}.e3_override"))
+            override = _parse_pair_list(
+                raw["e3_override"], f"{path}.e3_override", unordered=True
+            )
         stages.append(
             Stage(
                 index=_as_int(raw["index"], f"{path}.index"),
                 active_files=tuple(active),
-                precedence=frozenset(precedence),
-                concurrency=frozenset(concurrency),
+                precedence=precedence,
+                concurrency=concurrency,
                 phi=phi,
                 e3_override=override,
             )

@@ -37,6 +37,26 @@ def canonical_edge(a: int, b: int) -> Pair:
     return (a, b) if a <= b else (b, a)
 
 
+class _CheckedPairs(list):
+    """Pairs the document reader has proven canonical: exact ``int``
+    2-tuples, each in (low, high) form where the relation is unordered.
+    Only the reader builds one; ``Stage`` makes its frozenset straight
+    from it, converting no pair."""
+
+    __slots__ = ()
+
+
+def _pair_set(pairs, unordered: bool) -> frozenset[Pair]:
+    """``pairs`` as a plain frozenset of exact ``int`` 2-tuples, each in
+    (low, high) form when ``unordered``; pairs the reader checked are taken
+    as they are."""
+    if type(pairs) is _CheckedPairs:
+        return frozenset(pairs)
+    if unordered:
+        return frozenset(canonical_edge(a, b) for a, b in pairs)
+    return frozenset((int(a), int(b)) for a, b in pairs)
+
+
 @dataclass(frozen=True)
 class FileSpec:
     id: FileId
@@ -65,6 +85,10 @@ class Stage:
     ``e3_override`` replaces the integrated relation wholesale. It exists
     for stages whose raw arc and edge lists are not available, only the
     integrated result.
+
+    Construction canonicalizes every pair set and ``phi``, except pair sets
+    the document reader hands over already canonical: those are taken as
+    they are.
     """
 
     index: int
@@ -78,14 +102,8 @@ class Stage:
         object.__setattr__(
             self, "active_files", tuple(sorted({int(f) for f in self.active_files}))
         )
-        object.__setattr__(
-            self,
-            "precedence",
-            frozenset((int(a), int(b)) for a, b in self.precedence),
-        )
-        object.__setattr__(
-            self, "concurrency", frozenset(canonical_edge(a, b) for a, b in self.concurrency)
-        )
+        object.__setattr__(self, "precedence", _pair_set(self.precedence, unordered=False))
+        object.__setattr__(self, "concurrency", _pair_set(self.concurrency, unordered=True))
         if self.phi is not None:
             entries = {
                 (int(a), int(b)): float(w)
@@ -94,11 +112,7 @@ class Stage:
             }
             object.__setattr__(self, "phi", MappingProxyType(entries))
         if self.e3_override is not None:
-            object.__setattr__(
-                self,
-                "e3_override",
-                frozenset(canonical_edge(a, b) for a, b in self.e3_override),
-            )
+            object.__setattr__(self, "e3_override", _pair_set(self.e3_override, unordered=True))
 
     @property
     def active_set(self) -> frozenset[int]:

@@ -587,6 +587,50 @@ def test_generate_output_writes_quietly(capsys, tmp_path):
     assert parse_instance_document(json.loads(target.read_text())) is not None
 
 
+# --- ordered-distance instances ------------------------------------------
+
+
+def _solver_must_not_run(*args, **kwargs):
+    raise AssertionError("a solver ran on an ordered-distance instance")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--stage", "1"],
+        ["solve", "--stage", "1", "--exact"],
+        ["oracle", "--stage", "1"],
+        ["restructure", "--stage", "2", "--previous", "{previous}", "--budget", "2"],
+        ["trajectory", "--strategy", "sequential", "--budgets", "2"],
+        ["trajectory", "--strategy", "independent"],
+    ],
+    ids=["solve", "solve exact", "oracle", "restructure", "trajectory sequential", "trajectory independent"],
+)
+def test_solver_commands_refuse_ordered_distance_before_solving(
+    capsys, tmp_path, monkeypatch, argv
+):
+    from diskalloc import cli
+
+    doc = generate_instance(10, 3, 2, 0.4, (1, 2), 1.5, 3)
+    doc["cost_model"] = "ordered_distance"
+    instance = tmp_path / "ordered.json"
+    write_document(doc, instance)
+    previous = write_stage_doc(tmp_path / "previous.json", {f: 1 + f % 3 for f in range(1, 11)}, 1)
+    for name in ("solve_stage", "exact_solve", "restructure_one_stage", "plan_trajectory"):
+        monkeypatch.setattr(cli, name, _solver_must_not_run)
+    out_path = tmp_path / "out.json"
+    argv = [a.format(previous=previous) for a in argv]
+    code, out, err = run(
+        capsys, argv[0], "--instance", str(instance), *argv[1:], "--output", str(out_path)
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: ordered-distance instances can only be evaluated: the solvers "
+        "optimize uniform costs and produce no track ordering\n"
+    )
+    assert not out_path.exists()
+
+
 # --- exit codes and determinism ------------------------------------------
 
 

@@ -1,6 +1,8 @@
 """Document parsing, emission, and the instance generator."""
 
 import json
+import random
+from types import MappingProxyType
 
 import pytest
 
@@ -10,6 +12,7 @@ from diskalloc import (
     SolutionDocument,
     SolutionStage,
     SolutionTransition,
+    Stage,
     TrajectoryStrategy,
     ValidationError,
     allocation_from_solution_stage,
@@ -121,6 +124,9 @@ def test_python_built_documents_are_checked_as_json_ones():
     doc = bundled_doc()
     doc["stages"][0]["precedence"][1] = (1, 2)
     assert parse_error(doc) == "stages[0].precedence[1]: expected list, got tuple"
+    doc = bundled_doc()
+    doc["stages"][2]["e3_override"][1] = (1, 2)
+    assert parse_error(doc) == "stages[2].e3_override[1]: expected list, got tuple"
 
 
 class _Id(int):
@@ -143,6 +149,94 @@ def test_int_subclasses_read_as_their_values():
     expected = parse_instance_document(doc)
     doc["stages"][0]["phi"] = _phi((0, 1), 1)
     assert parse_instance_document(_with_int_subclasses(doc)) == expected
+
+
+def _assert_canonical_stage(stage):
+    """Plain frozensets of exact-int 2-tuples, unordered ones (low, high),
+    and a read-only phi of exact-int pair keys and float weights."""
+    for field, unordered in (
+        (stage.precedence, False),
+        (stage.concurrency, True),
+        (stage.e3_override or frozenset(), True),
+    ):
+        assert type(field) is frozenset
+        assert {type(pair) for pair in field} <= {tuple}
+        assert {len(pair) for pair in field} <= {2}
+        assert {type(end) for pair in field for end in pair} <= {int}
+        if unordered:
+            assert all(a <= b for a, b in field)
+    if stage.phi is not None:
+        assert type(stage.phi) is MappingProxyType
+        assert {type(end) for pair in stage.phi for end in pair} <= {int}
+        assert {type(w) for w in stage.phi.values()} <= {float}
+
+
+def _messy_document(seed):
+    """A generated document whose concurrency and override pairs are partly
+    written reversed and duplicated, with uniform, dense or sparse phi."""
+    rng = random.Random(seed)
+    doc = generate_instance(8, 2, 3, 0.5, (1, 2), 1.5, seed)
+    for raw in doc["stages"]:
+        files = raw["active_files"]
+        flip = rng.choice([0.0, 0.3, 1.0])
+
+        def messy(pairs):
+            pairs = [p[::-1] if rng.random() < flip else p for p in pairs]
+            return pairs + [list(p) for p in rng.sample(pairs, len(pairs) // 4)]
+
+        raw["concurrency"] = messy(raw["concurrency"])
+        if rng.random() < 0.7:
+            raw["e3_override"] = messy(
+                [[a, b] for a in files for b in files if a < b and rng.random() < 0.4]
+            )
+        density = rng.choice([None, 1.0, 0.2])
+        if density is not None:
+            raw["phi"] = [
+                [
+                    round(rng.random(), 3) if a != b and rng.random() < density else 0.0
+                    for b in files
+                ]
+                for a in files
+            ]
+    return doc
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_handed_over_pairs_equal_a_directly_built_stage(seed):
+    doc = _messy_document(seed)
+    instance = parse_instance_document(doc)
+    for raw, stage in zip(doc["stages"], instance.stages):
+        phi = raw["phi"]
+        weights = None
+        if phi != "uniform":
+            files = raw["active_files"]
+            weights = {
+                (a, b): w for a, row in zip(files, phi) for b, w in zip(files, row) if w != 0.0
+            }
+        expected = Stage(
+            index=raw["index"],
+            active_files=tuple(raw["active_files"]),
+            precedence=frozenset(map(tuple, raw["precedence"])),
+            concurrency=frozenset(map(tuple, raw["concurrency"])),
+            phi=weights,
+            e3_override=(
+                frozenset(map(tuple, raw["e3_override"])) if "e3_override" in raw else None
+            ),
+        )
+        assert stage == expected
+        assert stage.concurrency == {(min(p), max(p)) for p in raw["concurrency"]}
+        assert (None if stage.phi is None else dict(stage.phi)) == weights
+        _assert_canonical_stage(stage)
+
+
+def test_int_subclass_pair_ends_read_as_exact_ints():
+    doc = _messy_document(3)
+    doc["stages"][0]["e3_override"] = [[2, 1], [3, 4]]
+    doc["stages"][0]["phi"] = [[0, 1] + [0] * 6] + [[0] * 8 for _ in range(7)]
+    instance = parse_instance_document(_with_int_subclasses(doc))
+    assert instance == parse_instance_document(doc)
+    for stage in instance.stages:
+        _assert_canonical_stage(stage)
 
 
 def test_stage_keys_are_checked():
@@ -744,11 +838,14 @@ _ORDERING_ERRORS = [
 ]
 
 # Faults deep in long lists, which the one-pass check hands to the
-# entry-by-entry walk, and an integer beyond the float range.
+# entry-by-entry walk, an integer beyond the float range, and pair ends
+# that fail the exact-type pass in an unordered relation.
 _WALKED_ERRORS = [
     (_edit((("stages", 0, "concurrency"), [[1, 2]] * 40 + [[3, True]])), "stages[0].concurrency[40][1]: expected integer, got bool"),
     (_edit((("stages", 0, "active_files"), list(range(1, 17)) + [True])), "stages[0].active_files[16]: expected integer, got bool"),
     (_edit((("stages", 0, "phi"), _phi((2, 5), 10**400))), "stages[0].phi[2][5]: expected a finite number, got inf"),
+    (_edit((("stages", 0, "concurrency", 1), [1, 2.0])), "stages[0].concurrency[1][1]: expected integer, got float"),
+    (_edit((("stages", 2, "e3_override", 1), [True, 2])), "stages[2].e3_override[1][0]: expected integer, got bool"),
 ]
 
 _CORPUS = (
