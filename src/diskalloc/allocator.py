@@ -4,10 +4,10 @@ feasibility checking.
 
 A heuristic stage solve seeds by least connection, the greedy Max-k-Cut
 seed, then runs local search. It builds the stage's ``PairWeights`` once,
-straight from the stage's pairs, and one connection table: the seed fills
-the ``_Placement`` that local search then descends on. Community spreading
-(``spread_allocate`` over ``detect_communities``) remains the paper's
-scheme, public and unchanged, but off the solve path.
+straight from the stage's pairs, and one connection table: ``_Placement``
+seeds the files it is given no disk for, and local search descends on it.
+Community spreading (``spread_allocate`` over ``detect_communities``)
+remains the paper's scheme, public and unchanged, on no solve path.
 
 All tie-breaks run ascending file id then ascending disk id, so every entry
 point is deterministic for a given input. Files outside the stage's active
@@ -18,7 +18,8 @@ Budgeted restructuring takes every placement, the stage's weights and the
 reading of a previous allocation (``_held``) from here. Exact
 restructuring and ``exact_solve`` share one branch-and-bound; greedy
 restructuring is ``_Placement``'s best-improvement descent over local
-search's move/swap neighbourhood. Spreading places files new to a stage.
+search's move/swap neighbourhood, on a ``_Placement`` that seeds the
+files new to a stage by least connection, as a heuristic solve does.
 The searches run on ``PairWeights``' exact integer weights, so a gain is
 a negative delta and a tie is equality; each objective they return is one
 division by the weights' ``scale``.
@@ -318,6 +319,9 @@ def _check_active(stage: Stage, instance: Instance) -> None:
             raise ValidationError(f"stage {stage.index}: active file {f} does not exist")
 
 
+# No solve path calls spread_allocate or _best_fit, yet they stay in this
+# module, as PairWeights.attach_cost does: bench/tracing.py wraps
+# allocator.spread_allocate and PairWeights.attach_cost by those names.
 def _best_fit(
     size: int,
     disks: Iterable[int],
@@ -428,14 +432,14 @@ def _connection_tables(
 
 
 class _Placement:
-    """Mutable placement of ``assignment``, every file to its disk,
-    searched by moving and swapping ``files``.
+    """Mutable placement of ``files`` beside the other files of
+    ``assignment``, searched by moving and swapping ``files``.
 
     Numbers the disks ascending as slots, ``disks[s]``, and holds the
     searched files' slots, ``disk_of[i]`` for ``files[i]``, and ``homes``
     as ``home_of[i]``, the loads and capacities as lists by slot, the
-    table rows below, and ``psi``, the objective of the files placed so
-    far; the other files of ``assignment`` stay fixed. Steps name disk ids,
+    table rows below, and ``psi``, the objective of the placement; the
+    other files of ``assignment`` stay fixed. Steps name disk ids,
     as they are yielded, applied and counted, so slots stay inside.
     Only linked files count: an inactive file, which ``validate_instance``
     leaves unlinked, only fills its disk. Every file starts on its entry
@@ -445,10 +449,10 @@ class _Placement:
     ``rows[i][s]`` is the summed weight from ``files[i]`` to the files on
     slot ``s`` (Kernighan and Lin's gain bookkeeping). One
     ``_connection_tables`` call builds the rows over the fixed files, then
-    ``place`` puts each searched file on its slot in O(deg), so the table
-    costs O(E). A file of ``files`` that ``assignment`` leaves out starts
-    unplaced, for ``_least_connection`` to place and classify; the scan
-    needs every file placed.
+    ``place`` puts each searched file on its slot in O(deg): first the
+    files that ``assignment`` gives a disk, then the rest by least
+    connection (see ``__init__``), so the table costs O(E + n·k) and every
+    file is placed before any step is scanned.
     Evaluating a step costs O(1). Applying one costs O(deg) per moved
     file, and so does keeping each file's ``gain``, ``rows[i][disk_of[i]]
     - min(rows[i])``, the most a move of ``files[i]`` can save,
@@ -482,6 +486,17 @@ class _Placement:
         homes: Mapping[int, Optional[int]],
         allowance: int,
     ):
+        """Place every file of ``files``: each that ``assignment`` gives a
+        disk on that disk, and the rest by least connection, the greedy
+        Max-k-Cut seed of Sahni and Gonzalez (1976). Those go largest
+        first, then by linked neighbours, placed or not, most first (Welsh
+        and Powell), then by id; each to the disk it fits with the least
+        summed weight to the files already placed, the fixed and given ones
+        from the start, ties to the lowest disk id: its own table row. Where
+        capacity never binds, each file pays at most 1/k of its weight to
+        the files before it, so at most 1/k of the weight it places shares
+        a disk. Raises InfeasibleError for a file that fits no disk. Every
+        file is then classified once."""
         self.files = files
         self.disks = sorted(instance.capacities)
         self.slot_of = slot_of = {d: s for s, d in enumerate(self.disks)}
@@ -508,10 +523,23 @@ class _Placement:
                     self.later[i].append(j)
         self.gain = [0] * len(files)
         self.discontent: set[int] = set()
-        placed = [i for i, f in enumerate(files) if f in assignment]
-        for i in placed:
-            self.place(i, slot_of[assignment[files[i]]])
-        self._classify(placed)
+        unplaced = []
+        for i, f in enumerate(files):
+            if f in assignment:
+                self.place(i, slot_of[assignment[f]])
+            else:
+                unplaced.append(i)
+        links, position, size_of = weights.links, weights.position, self.size_of
+        unplaced.sort(key=lambda i: (-size_of[i], -len(links[position[files[i]]]), files[i]))
+        loads, rows, capacities = self.loads, self.rows, self.capacities
+        slots = range(len(capacities))
+        for i in unplaced:
+            size = size_of[i]
+            fits = [s for s in slots if loads[s] + size <= capacities[s]]
+            if not fits:
+                raise InfeasibleError(f"file {files[i]} ({size} tracks) fits on no disk")
+            self.place(i, min(fits, key=rows[i].__getitem__))
+        self._classify(range(len(files)))
 
     @property
     def assignment(self) -> dict[int, int]:
@@ -732,44 +760,6 @@ class _Placement:
             touched.add(i)
             touched.update(links[i])
         self._classify(touched)
-
-
-def _least_connection(
-    files: Sequence[int],
-    fixed: Mapping[int, int],
-    instance: Instance,
-    weights: PairWeights,
-) -> _Placement:
-    """The greedy Max-k-Cut seed of Sahni and Gonzalez (1976): the
-    ``_Placement`` of ``files`` beside ``fixed``, ready to search. Files go
-    largest first, then by linked neighbours, pinned ones included, most
-    first (Welsh and Powell), then by id; each to the disk it fits with
-    the least summed weight to the files already placed, the ``fixed``
-    ones from the start, ties to the lowest disk id. That weight is the
-    file's own table row, so the seed builds the table once, over the
-    ``fixed`` files, and each placement updates it in O(deg): O(E + n·k)
-    in all. Where capacity never binds, each file pays at most 1/k of its
-    weight to the files before it, so at most 1/k of the weight it places
-    shares a disk. Raises InfeasibleError, as ``spread_allocate`` words
-    it, for a file that fits no disk, and the errors of ``_pinned_loads``
-    for ``fixed``."""
-    _pinned_loads(fixed, instance.sizes, instance.capacities)
-    state = _Placement(fixed, files, instance, weights, {}, 0)
-    loads, rows, size_of, capacities = state.loads, state.rows, state.size_of, state.capacities
-    links, position = weights.links, weights.position
-    order = sorted(
-        range(len(files)),
-        key=lambda i: (-size_of[i], -len(links[position[files[i]]]), files[i]),
-    )
-    slots = range(len(capacities))
-    for i in order:
-        size = size_of[i]
-        fits = [s for s in slots if loads[s] + size <= capacities[s]]
-        if not fits:
-            raise InfeasibleError(f"file {files[i]} ({size} tracks) fits on no disk")
-        state.place(i, min(fits, key=rows[i].__getitem__))
-    state._classify(range(len(files)))
-    return state
 
 
 def local_search(
@@ -1177,10 +1167,12 @@ def _solve_stage(
 ) -> tuple[Allocation, float, bool]:
     """(allocation, objective, certified) of one stage around the ``fixed``
     files: enumeration unless ``exact`` is False, falling back past the cap,
-    unless ``exact`` is True, to the heuristic: the least-connection seed
-    plus local search, which descends on the seed's ``_Placement``, so the
-    heuristic builds one connection table. It reuses ``weights``, the
-    stage's ``PairWeights``, when given; enumeration builds its own."""
+    unless ``exact`` is True, to the heuristic: a ``_Placement`` that
+    seeds the free files by least connection, and local search descending
+    on it, so the heuristic builds one connection table. It reuses
+    ``weights``, the stage's ``PairWeights``, when given; enumeration
+    builds its own. ``fixed`` must fit the disks, as ``_held`` and
+    ``exact_solve`` check."""
     if exact is None or exact:
         try:
             alloc, psi = exact_solve(stage, instance, cap=cap, pinned=fixed)
@@ -1192,7 +1184,7 @@ def _solve_stage(
     _check_active(stage, instance)
     weights = weights or PairWeights(stage)
     free = [f for f in stage.active_files if f not in fixed]
-    state = _least_connection(free, fixed, instance, weights)
+    state = _Placement(fixed, free, instance, weights, {}, 0)
     assignment, psi = _local_search(state, instance, weights)
     return Allocation(assignment), psi, False
 
@@ -1211,6 +1203,7 @@ def solve_stage(
     falling back when the stage is too wide. The heuristic seeds by least
     connection: largest files first, each to the disk it fits with the
     least weight to the files placed so far; then local search. Community
-    spreading, the paper's scheme, stays available as ``spread_allocate``.
+    spreading, the paper's scheme, stays available as ``spread_allocate``,
+    but neither this solve nor restructuring calls it.
     """
     return _solve_stage(instance.stage(stage_index), instance, {}, cap, exact)

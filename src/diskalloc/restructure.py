@@ -10,9 +10,10 @@ plan and its budget check); the allocator reads the previous allocation,
 holds the stage's weights and takes every placement. Exact restructuring
 is the branch-and-bound of ``exact_solve``, symmetry prune and node
 budget included, run with each file's previous disk as its home and a
-move allowance. Greedy restructuring places files new to the stage with
-``spread_allocate``, then runs ``_Placement``'s best-improvement descent
-under the move allowance. Both run on exact integer weights, so an
+move allowance. Greedy restructuring runs ``_Placement``'s
+best-improvement descent under the move allowance, on a placement that
+seeds the files new to the stage by least connection, as a heuristic
+stage solve seeds its files. Both run on exact integer weights, so an
 objective that ties the reference reads a proximity of exactly 0.0.
 """
 
@@ -41,9 +42,7 @@ from .allocator import (
     _Placement,
     _solve_stage,
     exact_solve,
-    spread_allocate,
 )
-from .relations import Community
 
 # Budgets are floats: a budget of k unit moves buys k moves even where the
 # division rounds just below k.
@@ -148,7 +147,8 @@ def restructure_one_stage(
     Files of the previous allocation that are inactive in the target stage
     hold their disks and are never moved. Active files absent from the
     previous allocation are placed fresh; placing them costs nothing.
-    Greedy mode places them with ``spread_allocate`` before its descent.
+    Greedy mode places them by least connection, as a heuristic stage
+    solve seeds, before its descent.
     A stage, or a previous allocation, that names a file or disk the
     instance lacks raises ValidationError, whether or not the file is
     active and even with a declared reference.
@@ -183,10 +183,8 @@ def restructure_one_stage(
             raise InfeasibleError("no placement within the move allowance fits the disks")
         final, psi = found
     else:
-        # New files start where spreading puts them, move-free.
-        new_files = [Community((f,)) for f in stage.active_files if f not in base]
-        seeded = spread_allocate(new_files, instance, stage, pinned={**fixed, **base})
-        state = _Placement(seeded.assignment, stage.active_files, instance, weights, base, m)
+        # New files start where the least-connection seed puts them, move-free.
+        state = _Placement({**fixed, **base}, stage.active_files, instance, weights, base, m)
         final, psi = state.steepest_descent()
 
     if psi < psi_star:

@@ -2,6 +2,7 @@
 search, and exact enumeration."""
 
 import dataclasses
+import itertools
 import logging
 import random
 from fractions import Fraction
@@ -33,7 +34,7 @@ from diskalloc import (
 from diskalloc.allocator import (
     PairWeights,
     _connection_tables,
-    _least_connection,
+    _Placement,
     _solve_stage,
     _suffix_floors,
 )
@@ -925,7 +926,7 @@ def test_least_connection_leaves_at_most_a_kth_of_the_weight_on_one_disk(fractio
         rng, stage, inst = seed_case(seed, fractional, lambda k, rng: float(k))
         pinned = random_pins(rng, stage, inst) if seed % 2 else {}
         free = [f for f in stage.active_files if f not in pinned]
-        seeded = _least_connection(free, pinned, inst, PairWeights(stage)).assignment
+        seeded = _Placement(pinned, free, inst, PairWeights(stage), {}, 0).assignment
 
         def placed(a, b):
             return a not in pinned or b not in pinned
@@ -945,7 +946,7 @@ def test_least_connection_places_the_largest_files_first():
         )
     )
     stage = inst.stage(1)
-    seeded = _least_connection(stage.active_files, {}, inst, PairWeights(stage)).assignment
+    seeded = _Placement({}, stage.active_files, inst, PairWeights(stage), {}, 0).assignment
     assert seeded == {3: 1, 4: 2, 1: 1, 2: 2}
 
 
@@ -956,8 +957,8 @@ def test_least_connection_is_a_feasible_deterministic_start_that_keeps_pins(frac
         pinned = random_pins(rng, stage, inst)
         free = [f for f in stage.active_files if f not in pinned]
         weights = PairWeights(stage)
-        seeded = _least_connection(free, pinned, inst, weights).assignment
-        assert seeded == _least_connection(free, pinned, inst, weights).assignment, seed
+        seeded = _Placement(pinned, free, inst, weights, {}, 0).assignment
+        assert seeded == _Placement(pinned, free, inst, weights, {}, 0).assignment, seed
         assert all(seeded[f] == d for f, d in pinned.items()), seed
         assert check_allocation_feasible(Allocation(seeded), stage, inst).feasible, seed
         alloc, psi, certified = _solve_stage(stage, inst, pinned, 0, exact=False)
@@ -970,7 +971,7 @@ def test_least_connection_counts_pinned_files_as_placed():
     # linked to neither, takes the lowest disk.
     inst = small_instance()
     stage = Stage(index=1, active_files=(1, 2, 3), concurrency=frozenset({(1, 2)}))
-    seeded = _least_connection([2, 3], {1: 1}, inst, PairWeights(stage)).assignment
+    seeded = _Placement({1: 1}, [2, 3], inst, PairWeights(stage), {}, 0).assignment
     assert seeded == {1: 1, 2: 2, 3: 1}
 
 
@@ -1002,29 +1003,56 @@ def held_case(seed, fractional):
     return stage, inst, fixed
 
 
+def homed_case(seed, fractional):
+    """(stage, instance, held, base, allowance): ``held_case``'s stage and
+    its inactive held files, with one to four active files given a
+    ``base`` home on disks they fit, and a move allowance of at most that
+    many, as greedy restructuring gives them; the other active files are
+    new."""
+    stage, inst, fixed = held_case(seed, fractional)
+    held = {f: d for f, d in fixed.items() if f not in stage.active_set}
+    rng = random.Random(seed)
+    loads = dict.fromkeys(inst.capacities, 0)
+    for f, d in held.items():
+        loads[d] += inst.sizes[f]
+    base = {}
+    for f in rng.sample(stage.active_files, rng.randint(1, 4)):
+        room = [d for d in sorted(loads) if loads[d] + inst.sizes[f] <= inst.capacities[d]]
+        base[f] = rng.choice(room)
+        loads[base[f]] += inst.sizes[f]
+    return stage, inst, held, base, rng.randint(0, len(base))
+
+
 @pytest.mark.parametrize("fractional", [False, True], ids=["uniform", "phi"])
 def test_the_seeded_placement_holds_the_table_of_a_fresh_build(fractional):
     # The seed fills the table that local search descends on one file at a
     # time; it must end where a build from scratch for the seeded
     # assignment starts, held and pinned files included. The oracle seed
     # orders the files by all their neighbours, pinned ones included.
-    for seed in range(40):
-        stage, inst, fixed = held_case(seed, fractional)
+    # Greedy restructuring seeds only its new files, beside the held files
+    # and the homed ones it searches too.
+    for seed, homed in itertools.product(range(40), (False, True)):
+        if homed:
+            stage, inst, held, base, allowance = homed_case(seed, fractional)
+            given, files = {**held, **base}, stage.active_files
+        else:
+            stage, inst, given = held_case(seed, fractional)
+            base, allowance = {}, 0
+            files = [f for f in stage.active_files if f not in given]
         weights = PairWeights(stage)
-        free = [f for f in stage.active_files if f not in fixed]
-        state = _least_connection(free, fixed, inst, weights)
+        state = _Placement(given, files, inst, weights, base, allowance)
         assignment = state.assignment
-        assert assignment == naive_least_connection(stage, inst, fixed), seed
-        rows, links, psi = _connection_tables(free, assignment, state.disks, weights)
-        assert (state.rows, state.links, state.psi) == (rows, links, psi), seed
+        assert assignment == naive_least_connection(stage, inst, given), (seed, homed)
+        rows, links, psi = _connection_tables(files, assignment, state.disks, weights)
+        assert (state.rows, state.links, state.psi) == (rows, links, psi), (seed, homed)
         loads = dict.fromkeys(inst.capacities, 0)
         for f, d in assignment.items():
             loads[d] += inst.sizes[f]
-        assert state.loads == [loads[d] for d in sorted(inst.capacities)], seed
-        own = [row[state.slot_of[assignment[f]]] for f, row in zip(free, rows)]
+        assert state.loads == [loads[d] for d in sorted(inst.capacities)], (seed, homed)
+        own = [row[state.slot_of[assignment[f]]] for f, row in zip(files, rows)]
         assert state.discontent == {i for i, row in enumerate(rows) if min(row) < own[i]}
         value = evaluate_objective(Allocation(assignment), stage).value
-        assert state.psi / weights.scale == value, seed
+        assert state.psi / weights.scale == value, (seed, homed)
 
 
 @pytest.mark.parametrize("fractional", [False, True], ids=["uniform", "phi"])

@@ -347,6 +347,66 @@ def test_exact_restructure_matches_brute_force_with_new_and_pinned_files(seed, f
         assert dict(result.allocation.assignment) == assignment, budget
 
 
+def test_greedy_restructuring_places_new_files_where_exact_mode_does():
+    # Files 1, 3, 7, 9 and 10 are new to stage 2. Spread in id order, each
+    # to the disk with the most room, they left file 10 (3 tracks) no disk
+    # that fits it; placed largest first, they all fit.
+    inst = parse_instance_document(generate_instance(11, 4, 2, 0.3, (1, 3), 1.2, 255))
+    previous = {2: 4, 4: 2, 5: 4, 6: 3, 8: 1, 11: 2}
+    for budget, objective in ((1.0, 1.0), (3.0, 0.0)):
+        for mode in RestructureMode:
+            result = restructure_one_stage(problem(inst, 2, previous, budget, reference=0.0), mode)
+            assert result.objective == objective, (mode, budget)
+
+
+def _dropped_case(seed, slack):
+    """(instance, previous): 8-12 files on 3-4 disks in two stages, and
+    the heuristic stage-1 allocation with each file dropped at chance 0.4,
+    so that the dropped files are new to stage 2."""
+    rng = random.Random(seed)
+    n, k = rng.randint(8, 12), rng.randint(3, 4)
+    inst = parse_instance_document(generate_instance(n, k, 2, 0.3, (1, 3), slack, seed))
+    first = solve_stage(inst, 1, exact=False)[0].assignment
+    return inst, {f: first[f] for f in sorted(first) if rng.random() >= 0.4}
+
+
+def test_greedy_restructuring_places_new_files_wherever_exact_mode_can():
+    # Spreading the new files refused 12 of these 300 (seed, budget) pairs,
+    # the first at seed 4.
+    refused = []
+    for seed in range(100):
+        inst, previous = _dropped_case(seed, 1.2)
+        for budget in (0.0, 1.0, 2.0):
+            solved = []
+            for mode in (RestructureMode.EXACT, RestructureMode.GREEDY):
+                try:
+                    restructure_one_stage(problem(inst, 2, previous, budget, reference=0.0), mode)
+                    solved.append(mode)
+                except InfeasibleError:
+                    pass
+            if solved == [RestructureMode.EXACT]:
+                refused.append((seed, budget))
+    assert refused == []
+
+
+@pytest.mark.xfail(
+    strict=True, raises=InfeasibleError, reason="least connection is no packing guarantee"
+)
+def test_greedy_restructuring_places_new_files_on_a_tight_stage():
+    # At slack 1.05, seeds 0-1499 leave greedy refusing 9 of the 4,473
+    # (seed, budget) pairs that exact mode solves: seeds 73, 493 and 1077,
+    # at every budget.
+    inst, previous = _dropped_case(73, 1.05)
+    for budget in (0.0, 1.0, 2.0):
+        try:
+            restructure_one_stage(problem(inst, 2, previous, budget, reference=0.0))
+        except InfeasibleError as error:
+            pytest.fail(f"exact mode refused budget {budget}: {error}")
+        restructure_one_stage(
+            problem(inst, 2, previous, budget, reference=0.0), RestructureMode.GREEDY
+        )
+
+
 def test_exact_restructuring_bounds_the_moves_left(monkeypatch):
     # Priced as if every file could still move, the search enters 189,511
     # nodes at budget 2; with the bound on the moves left it enters 1,613.
