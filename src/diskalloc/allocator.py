@@ -467,14 +467,14 @@ class _Placement:
       ``rows[a][db] + rows[b][da] - rows[a][da] - rows[b][db] - 2·w_ab``,
       and ``rows[a][db]`` and ``rows[b][da]`` are at least the least of
       their rows.
+    - The same swap: ``-(rows[a][da] + rows[b][db])``, their own entries,
+      since each of ``rows[a][db]`` and ``rows[b][da]`` sums ``w_ab`` with
+      other non-negative weights. Two settled files, whose own entries
+      are 0, never gain by a swap.
 
     The scan yields only records, the steps whose delta is below every
     delta yielded before them, and skips every step whose floor cannot get
-    below the last record, or below 0 before the first. It also skips the
-    swaps of two settled files, whose own entries are 0: the delta is
-    ``(rows[a][db] - w_ab) + (rows[b][da] - w_ab)``, and each of
-    ``rows[a][db]`` and ``rows[b][da]`` sums ``w_ab`` with other
-    non-negative weights.
+    below the last record, or below 0 before the first.
     """
 
     def __init__(
@@ -492,11 +492,14 @@ class _Placement:
         first, then by linked neighbours, placed or not, most first (Welsh
         and Powell), then by id; each to the disk it fits with the least
         summed weight to the files already placed, the fixed and given ones
-        from the start, ties to the lowest disk id: its own table row. Where
-        capacity never binds, each file pays at most 1/k of its weight to
-        the files before it, so at most 1/k of the weight it places shares
-        a disk. Raises InfeasibleError for a file that fits no disk. Every
-        file is then classified once."""
+        from the start, ties to the lowest disk id: its own table row, whose
+        least entry it tries first. Where capacity never binds, each file
+        pays at most 1/k of its weight to the files before it, so at most
+        1/k of the weight it places shares a disk. When a file fits no
+        disk, the files placed by least connection are taken back and all
+        of them are placed best fit decreasing instead (see
+        ``_best_fit_decreasing``); raises InfeasibleError for a file that
+        fits no disk there either. Every file is then classified once."""
         self.files = files
         self.disks = sorted(instance.capacities)
         self.slot_of = slot_of = {d: s for s, d in enumerate(self.disks)}
@@ -533,12 +536,18 @@ class _Placement:
         unplaced.sort(key=lambda i: (-size_of[i], -len(links[position[files[i]]]), files[i]))
         loads, rows, capacities = self.loads, self.rows, self.capacities
         slots = range(len(capacities))
-        for i in unplaced:
-            size = size_of[i]
-            fits = [s for s in slots if loads[s] + size <= capacities[s]]
-            if not fits:
-                raise InfeasibleError(f"file {files[i]} ({size} tracks) fits on no disk")
-            self.place(i, min(fits, key=rows[i].__getitem__))
+        for seeded, i in enumerate(unplaced):
+            size, row = size_of[i], rows[i]
+            s = row.index(min(row))
+            if loads[s] + size > capacities[s]:
+                fits = [s for s in slots if loads[s] + size <= capacities[s]]
+                if not fits:
+                    for j in unplaced[:seeded]:
+                        self.unplace(j)
+                    self._best_fit_decreasing(unplaced)
+                    break
+                s = min(fits, key=row.__getitem__)
+            self.place(i, s)
         self._classify(range(len(files)))
 
     @property
@@ -557,6 +566,30 @@ class _Placement:
         self.psi += rows[i][s]
         for j, w in self.links[i].items():
             rows[j][s] += w
+
+    def unplace(self, i: int) -> None:
+        """Take ``files[i]`` back off its slot, undoing ``place``."""
+        s = self.disk_of[i]
+        self.disk_of[i] = None
+        self.loads[s] -= self.size_of[i]
+        rows = self.rows
+        self.psi -= rows[i][s]
+        for j, w in self.links[i].items():
+            rows[j][s] -= w
+
+    def _best_fit_decreasing(self, unplaced: Sequence[int]) -> None:
+        """Place ``unplaced``, which come largest first, each in turn on the
+        disk it fits with the least room left, ties to the lowest disk id;
+        raises InfeasibleError for a file that fits no disk."""
+        loads, capacities, size_of = self.loads, self.capacities, self.size_of
+        slots = range(len(loads))
+        for i in unplaced:
+            size = size_of[i]
+            room = [capacities[s] - loads[s] for s in slots]
+            fits = [(room[s], s) for s in slots if room[s] >= size]
+            if not fits:
+                raise InfeasibleError(f"file {self.files[i]} ({size} tracks) fits on no disk")
+            self.place(i, min(fits)[1])
 
     def _classify(self, positions: Iterable[int]) -> None:
         """Set the ``gain`` of each of ``positions`` and put it in or out
@@ -596,8 +629,10 @@ class _Placement:
         with its later neighbours and the later files whose gain exceeds
         ``need``. With ``homes`` set and fewer than two moves left, a swap
         of two files at home would move both, so a file at home pairs only
-        with those of them that are off their homes or have none; the steps
-        yielded stay the same.
+        with those of them that are off their homes or have none. Where
+        ``cut = -bar - rows[i][disk_of[i]]`` is at least 0, i pairs only
+        with those whose own entry exceeds ``cut``; where ``need < 0``,
+        ``cut`` is below 0. The steps yielded stay the same.
         """
         loads, rows, capacities, disks = self.loads, self.rows, self.capacities, self.disks
         files, disk_of, size_of, home_of = self.files, self.disk_of, self.size_of, self.home_of
@@ -627,6 +662,7 @@ class _Placement:
         links, later_of = self.links, self.later
         free = [capacities[s] - loads[s] for s in slots]
         n = len(files)
+        cost = [row[s] for row, s in zip(rows, disk_of)]
         # hot: the discontent files whose gain exceeds -hot_bar, the partners
         # of a file with no gain while the bar is hot_bar.
         hot, hot_bar = worried, 0
@@ -654,10 +690,13 @@ class _Placement:
                 later = later_of[i]
                 if rivals:
                     later = sorted(set(later).union(rivals)) if later else rivals
+            cut = -bar - cost[i]
+            if cut >= 0:
+                later = [j for j in later if cost[j] > cut]
             if not later:
                 continue
             da, size_a, ha, row_a, link_a = disk_of[i], size_of[i], home_of[i], rows[i], links[i]
-            room_a, settled_a = free[da] + size_a, row_a[da] == 0
+            room_a = free[da] + size_a
             for j in later:
                 db = disk_of[j]
                 if db == da or size_of[j] > room_a or size_a > free[db] + size_of[j]:
@@ -671,10 +710,8 @@ class _Placement:
                         after += (da != hb) - (db != hb)
                     if after > allowance:
                         continue
-                row_b = rows[j]
-                if settled_a and row_b[db] == 0:
-                    continue
                 w_ab = link_a.get(j, 0)
+                row_b = rows[j]
                 delta = row_a[db] - w_ab + row_b[da] - w_ab - row_a[da] - row_b[db]
                 if delta < bar:
                     bar = delta
@@ -923,7 +960,15 @@ def _branch_and_bound(
     which only loosens the bound. A subtree is cut when partial objective
     plus the summed ``low`` of its unplaced files plus their floor fails
     the incumbent test: none of its leaves could be accepted, so cutting
-    it changes no result.
+    it changes no result. A child that places ``files[i]`` is tested
+    first, in O(1) and before its placement raises any ``low`` entry:
+    partial objective plus the ``low`` of ``files[i+1:]`` as they stand,
+    each one's least weight to the files before ``files[i]``, plus
+    ``floors[i]``, whose pairs include those of ``files[i]`` with later
+    files. Its own entry counts only its weight to earlier files, so again
+    no edge counts twice. A child cut there is no node: ``_NODE_BUDGET``
+    counts only the children that pass, and a search that once refused at
+    the budget may now finish.
 
     Where files have homes and fewer moves are allowed than there are
     homed files, a second bound prices the allowance. The completion that
@@ -973,13 +1018,15 @@ def _branch_and_bound(
     best: Optional[list[int]] = None
     best_psi = inf
     best_moves = 0
-    chosen: list[int] = []
+    chosen = [0] * n
 
     def children(i: int, partial: int, bound: int, moves: int):
         """Place files[i] on each slot in turn, yielding the child (partial,
-        bound, moves) and undoing the placement when resumed."""
-        home, size, cost = file_homes[i], sizes[i], conn[i]
+        bound, moves) and undoing the placement when resumed. A child that
+        fails the O(1) test (see above) is cut before its table update."""
+        home, size, cost, mine = file_homes[i], sizes[i], conn[i], later[i]
         rest = bound - low[i]
+        ahead = rest + floors[i]
         seen_empty: set[int] = set()
         for s in slots:
             if loads[s] + size > capacities[s]:
@@ -995,10 +1042,11 @@ def _branch_and_bound(
                     continue
                 seen_empty.add(key)
             child_partial = partial + cost[s]
-            if child_partial > best_psi or (child_partial == best_psi and used >= best_moves):
+            floor = child_partial + ahead
+            if floor > best_psi or (floor == best_psi and used >= best_moves):
                 continue
             saved_low, child = [], rest
-            for j, w in later[i]:
+            for j, w in mine:
                 row = conn[j]
                 c = row[s]
                 row[s] = c + w
@@ -1007,11 +1055,10 @@ def _branch_and_bound(
                     low[j] = min(row)
                     child += low[j] - c
             loads[s] += size
-            chosen.append(s)
+            chosen[i] = s
             yield child_partial, child, used
-            chosen.pop()
             loads[s] -= size
-            for j, w in later[i]:
+            for j, w in mine:
                 conn[j][s] -= w
             for j, c in saved_low:
                 low[j] = c
@@ -1041,16 +1088,21 @@ def _branch_and_bound(
         """``children`` under the allowance bound: keeps ``mates``, the
         savings and ``extra`` current for each child, and passes on a child
         that the bound cuts with an infinite bound, so that the search loop
-        counts it as a node and cuts it."""
+        counts it as a node and cuts it. A leaf, or a child that the search
+        loop's own floor cuts, is passed on as it is, with no upkeep."""
         nonlocal extra
         home, outer = file_homes[i], extra
         if home is not None:
             extra -= saving[i] - mates[i]
             del ranked[bisect_left(ranked, saving[i])]
-        inner = extra
+        inner, last, ahead, mine = extra, i + 1 == n, floors[i + 1], later[i]
         for child_partial, child, used in children(i, partial, bound, moves):
+            floor = child_partial + child + ahead
+            if last or floor > best_psi or (floor == best_psi and used >= best_moves):
+                yield child_partial, child, used
+                continue
             saved = []
-            for j, w in later[i]:
+            for j, w in mine:
                 h = file_homes[j]
                 if h is None:
                     continue

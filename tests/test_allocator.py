@@ -751,6 +751,31 @@ def test_exact_search_cuts_subtrees_that_can_only_tie(seed, monkeypatch):
     assert exact_solve(stage, inst) == want
 
 
+# Node budgets for the dense-``phi`` stages of
+# test_exact_search_stays_within_its_node_count, by seed. Testing each
+# child's floor only after its placement raises the ``low`` entries, the
+# search enters 929, 1651, 1593, 1914, 849 and 452 nodes. Tested before
+# that update, a child that the floor cuts is no node: with the pairs
+# among the files after the child's own, ``floors[i + 1]``, it enters 734,
+# 1243, 1223, 1398, 693 and 358; with those among its own file and the
+# files after it, ``floors[i]``, 627, 1049, 906, 1072, 549 and 293. Each
+# budget is one below the middle count, so the test fails when either
+# the early test or its own file's pairs are lost.
+PRECHECK_NODE_BUDGETS = {0: 733, 1: 1242, 2: 1222, 3: 1397, 4: 692, 5: 357}
+
+
+@pytest.mark.parametrize("seed", sorted(PRECHECK_NODE_BUDGETS))
+def test_exact_search_cuts_children_before_their_table_update(seed, monkeypatch):
+    import diskalloc.allocator as mod
+
+    rng = random.Random(seed)
+    doc = generate_instance(10, 3, 1, 0.2, (1, 3), 1.3, seed)
+    stage, inst = with_dense_phi(rng, parse_instance_document(doc))
+    want = exact_solve(stage, inst)
+    monkeypatch.setattr(mod, "_NODE_BUDGET", PRECHECK_NODE_BUDGETS[seed])
+    assert exact_solve(stage, inst) == want
+
+
 def test_exact_respects_pins():
     inst = small_instance()
     stage = inst.stage(1)
@@ -1081,6 +1106,18 @@ def test_heuristic_solve_builds_its_weights_and_table_once(monkeypatch, caplog, 
         alloc, psi, certified = solve_stage(inst, 1)
     assert not caplog.records and not certified
     assert built == ["weights", "table"]
+
+
+def test_heuristic_solves_a_tight_stage_that_least_connection_could_not_fill():
+    # Least connection left file 7 (2 tracks) no disk; the seed takes
+    # back the files it placed and places them best fit decreasing.
+    rng = random.Random(192)
+    n, k = rng.randint(8, 12), rng.randint(3, 4)
+    inst = parse_instance_document(generate_instance(n, k, 2, 0.3, (1, 3), 1.05, 192))
+    alloc, psi, certified = solve_stage(inst, 1, exact=False)
+    assert check_allocation_feasible(alloc, inst.stage(1), inst).feasible
+    assert psi == evaluate_objective(alloc, inst.stage(1)).value and not certified
+    assert psi >= exact_solve(inst.stage(1), inst)[1]
 
 
 def test_heuristic_solves_a_tight_stage_that_spreading_could_not_start():
