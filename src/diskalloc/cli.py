@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 from contextlib import contextmanager
@@ -342,7 +343,25 @@ _parser = functools.cache(build_parser)
 
 
 def run_command(argv: Sequence[str]) -> int:
-    """Parse and run one command line; returns the process exit code."""
+    """Parse and run one command line; returns the process exit code.
+
+    The command runs with the cyclic garbage collector paused, and the
+    collector is turned back on afterwards only if it was on before. A
+    command leaves no reference cycles behind, so reference counting
+    frees everything it builds. The collector's passes over a parsed
+    document's many small objects found nothing to free, yet took about
+    a sixth of the time of the benchmark's ``cli_documents`` commands.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_command(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run_command(argv: Sequence[str]) -> int:
     try:
         args = _parser().parse_args(list(argv))
     except SystemExit as exc:  # argparse handles usage and --help itself

@@ -2,10 +2,11 @@
 
 Documents are plain JSON. Parsing is strict: unknown keys, wrong types, and
 malformed shapes are rejected with the offending field path in the message.
-Pair lists are first checked in one pass over exact types; only a list
-that fails it is walked again pair by pair, and that walk alone builds
-field paths, so the first fault in document order is the one reported.
-Pairs that pass are built once, here, and ``Stage`` does not walk them.
+File, disk and move records, ``active_files`` and pair lists are each
+first checked in one pass over exact types and key sets. Only a list that
+fails it is walked again entry by entry, and that walk alone builds field
+paths, so the first fault in document order is the one reported. Pairs
+that pass are built once, here, and ``Stage`` does not walk them.
 ``parse_instance_document(emit_instance_document(x))`` returns ``x`` and
 the same holds for solution documents.
 """
@@ -16,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat, starmap
-from operator import le
+from operator import itemgetter, le
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -49,6 +50,12 @@ def _as_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise DocumentError(f"expected integer, got {type(value).__name__}", path)
     return value
+
+
+def _ints(values) -> bool:
+    """Whether every one of ``values`` is an exact ``int``: a bool or
+    another int subclass fails."""
+    return set(map(type, values)) <= {int}
 
 
 def _as_number(value, path: str) -> float:
@@ -86,8 +93,23 @@ def _int_record(raw, path: str, *fields: str) -> list[int]:
     return [_as_int(raw[key], f"{path}.{key}") for key in fields]
 
 
+def _records(raw, path: str, make, *fields: str) -> list:
+    """``make(*values)`` for each object of a JSON list of objects holding
+    exactly the integer ``fields``, their values in ``fields`` order."""
+    _expect(raw, list, path)
+    keys = frozenset(fields)
+    if set(map(type, raw)) <= {dict} and set(map(frozenset, raw)) <= {keys}:
+        rows = list(map(itemgetter(*fields), raw))
+        if _ints(chain.from_iterable(rows)):
+            return list(starmap(make, rows))
+    return [make(*_int_record(item, f"{path}[{i}]", *fields)) for i, item in enumerate(raw)]
+
+
 def _int_list(raw, path: str) -> list[int]:
-    return [_as_int(v, f"{path}[{k}]") for k, v in enumerate(_expect(raw, list, path))]
+    _expect(raw, list, path)
+    if _ints(raw):
+        return list(raw)
+    return [_as_int(v, f"{path}[{k}]") for k, v in enumerate(raw)]
 
 
 def _id_map(raw, path: str, field: str, kind: str, read) -> dict:
@@ -111,6 +133,8 @@ def _id_map(raw, path: str, field: str, kind: str, read) -> dict:
 def _unique(values: Sequence[int], what: str, path_of) -> None:
     """Reject the first of ``values`` that repeats an earlier one; its path
     is ``path_of(position)``."""
+    if len(set(values)) == len(values):
+        return
     seen = set()
     for k, value in enumerate(values):
         if value in seen:
@@ -150,7 +174,7 @@ def _parse_pair_list(raw, path: str, unordered: bool = False):
     if (
         set(map(type, raw)) <= {list}
         and set(map(len, raw)) <= {2}
-        and set(map(type, chain.from_iterable(raw))) <= {int}
+        and _ints(chain.from_iterable(raw))
     ):
         if not unordered or all(starmap(le, raw)):
             return _CheckedPairs(map(tuple, raw))
@@ -209,14 +233,8 @@ def parse_instance_document(doc) -> Instance:
         },
         required={"files", "disks", "stages"},
     )
-    files = [
-        FileSpec(*_int_record(raw, f"files[{i}]", "id", "size"))
-        for i, raw in enumerate(_expect(doc["files"], list, "files"))
-    ]
-    disks = [
-        DiskSpec(*_int_record(raw, f"disks[{i}]", "id", "capacity"))
-        for i, raw in enumerate(_expect(doc["disks"], list, "disks"))
-    ]
+    files = _records(doc["files"], "files", FileSpec, "id", "size")
+    disks = _records(doc["disks"], "disks", DiskSpec, "id", "capacity")
 
     stages = []
     for i, raw in enumerate(_expect(doc["stages"], list, "stages")):
@@ -430,10 +448,7 @@ def parse_solution_document(doc) -> SolutionDocument:
         path = f"transitions[{i}]"
         fields = ("from_stage", "to_stage", "moves", "h")
         _object(raw, path, fields, fields)
-        moves = [
-            RelocationMove(*_int_record(m, f"{path}.moves[{k}]", "file", "from", "to"))
-            for k, m in enumerate(_expect(raw["moves"], list, f"{path}.moves"))
-        ]
+        moves = _records(raw["moves"], f"{path}.moves", RelocationMove, "file", "from", "to")
         _unique([m.file for m in moves], "file", lambda k: f"{path}.moves[{k}].file")
         transitions.append(
             SolutionTransition(

@@ -290,6 +290,23 @@ class Trajectory:
     total_modification_cost: float
 
 
+def _spec_ids(specs, kind: str, amount: str) -> set[int]:
+    """The ids of ``specs``, files or disks, each a positive integer named
+    once, with a positive integer ``amount``; the first offending spec
+    is named."""
+    seen = set()
+    for spec in specs:
+        if not isinstance(spec.id, int) or spec.id < 1:
+            raise ValidationError(f"{kind} id {spec.id!r} must be a positive integer")
+        if spec.id in seen:
+            raise ValidationError(f"duplicate {kind} id {spec.id}")
+        seen.add(spec.id)
+        value = getattr(spec, amount)
+        if not isinstance(value, int) or value < 1:
+            raise ValidationError(f"{kind} {spec.id}: {amount} must be a positive integer")
+    return seen
+
+
 def validate_instance(instance: Instance) -> Instance:
     """Check every structural rule and return the canonical instance.
 
@@ -301,25 +318,8 @@ def validate_instance(instance: Instance) -> Instance:
     if not instance.stages:
         raise ValidationError("instance needs at least one stage")
 
-    file_ids = set()
-    for f in instance.files:
-        if not isinstance(f.id, int) or f.id < 1:
-            raise ValidationError(f"file id {f.id!r} must be a positive integer")
-        if f.id in file_ids:
-            raise ValidationError(f"duplicate file id {f.id}")
-        file_ids.add(f.id)
-        if not isinstance(f.size, int) or f.size < 1:
-            raise ValidationError(f"file {f.id}: size must be a positive integer")
-
-    disk_ids = set()
-    for d in instance.disks:
-        if not isinstance(d.id, int) or d.id < 1:
-            raise ValidationError(f"disk id {d.id!r} must be a positive integer")
-        if d.id in disk_ids:
-            raise ValidationError(f"duplicate disk id {d.id}")
-        disk_ids.add(d.id)
-        if not isinstance(d.capacity, int) or d.capacity < 1:
-            raise ValidationError(f"disk {d.id}: capacity must be a positive integer")
+    file_ids = _spec_ids(instance.files, "file", "size")
+    _spec_ids(instance.disks, "disk", "capacity")
 
     seen_indices = set()
     for stage in instance.stages:

@@ -1,5 +1,6 @@
 """Document parsing, emission, and the instance generator."""
 
+import gc
 import json
 import random
 from types import MappingProxyType
@@ -153,7 +154,8 @@ def test_int_subclasses_read_as_their_values():
 
 def _assert_canonical_stage(stage):
     """Plain frozensets of exact-int 2-tuples, unordered ones (low, high),
-    and a read-only phi of exact-int pair keys and float weights."""
+    and a read-only phi over a plain dict of exact-int pair keys and float
+    weights."""
     for field, unordered in (
         (stage.precedence, False),
         (stage.concurrency, True),
@@ -167,13 +169,15 @@ def _assert_canonical_stage(stage):
             assert all(a <= b for a, b in field)
     if stage.phi is not None:
         assert type(stage.phi) is MappingProxyType
+        assert [type(mapping) for mapping in gc.get_referents(stage.phi)] == [dict]
         assert {type(end) for pair in stage.phi for end in pair} <= {int}
         assert {type(w) for w in stage.phi.values()} <= {float}
 
 
 def _messy_document(seed):
     """A generated document whose concurrency and override pairs are partly
-    written reversed and duplicated, with uniform, dense or sparse phi."""
+    written reversed and duplicated, with uniform, dense or sparse phi whose
+    cells are floats or ints, and zeros 0.0, -0.0 or 0."""
     rng = random.Random(seed)
     doc = generate_instance(8, 2, 3, 0.5, (1, 2), 1.5, seed)
     for raw in doc["stages"]:
@@ -193,7 +197,9 @@ def _messy_document(seed):
         if density is not None:
             raw["phi"] = [
                 [
-                    round(rng.random(), 3) if a != b and rng.random() < density else 0.0
+                    rng.choice((round(rng.random(), 3), rng.randint(1, 3)))
+                    if a != b and rng.random() < density
+                    else rng.choice((0.0, -0.0, 0))
                     for b in files
                 ]
                 for a in files
@@ -227,6 +233,7 @@ def test_handed_over_pairs_equal_a_directly_built_stage(seed):
         assert stage.concurrency == {(min(p), max(p)) for p in raw["concurrency"]}
         assert (None if stage.phi is None else dict(stage.phi)) == weights
         _assert_canonical_stage(stage)
+        _assert_canonical_stage(expected)
 
 
 def test_int_subclass_pair_ends_read_as_exact_ints():
@@ -848,6 +855,59 @@ _WALKED_ERRORS = [
     (_edit((("stages", 2, "e3_override", 1), [True, 2])), "stages[2].e3_override[1][0]: expected integer, got bool"),
 ]
 
+# One fault in each kind of list: records and active files, whose one-pass
+# check must send it to the entry-by-entry walk, and dense phi matrices and
+# solution id maps, which are walked entry by entry. The walk names it.
+_ONE_PASS_ERRORS = [
+    (_edit((("files", 6, "size"), True)), "files[6].size: expected integer, got bool"),
+    (_edit((("files", 7, "id"), 8.0)), "files[7].id: expected integer, got float"),
+    (_edit((("files", 4, "name"), "e")), "files[4]: unknown field 'name'"),
+    (_edit((("files", 7, "id"), _DROP)), "files[7]: missing required field 'id'"),
+    (_edit((("files", 3), [4, 1])), "files[3]: expected dict, got list"),
+    (_edit((("files", 4), {"id": 5, "name": 1})), "files[4]: unknown field 'name'"),
+    (_edit((("disks", 2, "capacity"), True)), "disks[2].capacity: expected integer, got bool"),
+    (_edit((("disks", 1, "capacity"), 2.5)), "disks[1].capacity: expected integer, got float"),
+    (_edit((("disks", 1, "speed"), 1)), "disks[1]: unknown field 'speed'"),
+    (_edit((("disks", 2, "id"), _DROP)), "disks[2]: missing required field 'id'"),
+    (_edit((("disks", 2), 3)), "disks[2]: expected dict, got int"),
+    (_edit((("disks", 1), {"id": 2, "space": 3})), "disks[1]: unknown field 'space'"),
+    (_edit((("stages", 1, "active_files", 6), True)), "stages[1].active_files[6]: expected integer, got bool"),
+    (_edit((("stages", 2, "active_files", 7), 8.0)), "stages[2].active_files[7]: expected integer, got float"),
+    (_edit((("stages", 2, "active_files", 7), 2)), "stages[2].active_files[7]: file 2 appears twice"),
+    (_edit((("stages", 0, "phi"), _phi()), (("stages", 0, "phi", 5), [0.0] * 7)), "stages[0].phi[5]: row needs 8 entries, got 7"),
+    (_edit((("stages", 0, "phi"), _phi()), (("stages", 0, "phi", 2), [0.0] * 9)), "stages[0].phi[2]: row needs 8 entries, got 9"),
+    (_edit((("stages", 0, "phi"), _phi((6, 3), True))), "stages[0].phi[6][3]: expected number, got bool"),
+    (_edit((("stages", 0, "phi"), _phi((7, 7), float("nan")))), "stages[0].phi[7][7]: expected a finite number, got nan"),
+    (_edit((("stages", 0, "phi"), _phi((5, 2), float("inf")))), "stages[0].phi[5][2]: expected a finite number, got inf"),
+    (_edit((("stages", 0, "phi"), _phi((7, 0), 10**400))), "stages[0].phi[7][0]: expected a finite number, got inf"),
+    (_edit((("stages", 0, "phi"), _phi((6, 6), 1))), "stages[0].phi[6][6]: diagonal entries must be zero"),
+]
+
+# The same faults after int subclasses, read as their values, in every
+# list: no check may take a bool for one of them.
+_INT_SUBCLASS_ERRORS = [
+    (_edit((("files", 5, "id"), False)), "files[5].id: expected integer, got bool"),
+    (_edit((("disks", 2, "id"), True)), "disks[2].id: expected integer, got bool"),
+    (_edit((("stages", 0, "active_files", 4), True)), "stages[0].active_files[4]: expected integer, got bool"),
+]
+
+_ONE_PASS_SOLUTION_ERRORS = [
+    (_edit((("stages", 1, "assignment", "01"), 1)), "stages[1].assignment: assignment key '01' is not a canonical file id"),
+    (_edit((("stages", 1, "assignment", "+1"), 1)), "stages[1].assignment: assignment key '+1' is not a canonical file id"),
+    (_edit((("stages", 1, "assignment", " 1"), 1)), "stages[1].assignment: assignment key ' 1' is not a canonical file id"),
+    (_edit((("stages", 1, "assignment", "\u0661"), 1)), "stages[1].assignment: assignment key '\u0661' is not a canonical file id"),
+    (_edit((("stages", 1, "assignment", "8"), True)), "stages[1].assignment[8]: expected integer, got bool"),
+    (_edit((("stages", 0, "ordering"), {"1": [1], "+2": [2]})), "stages[0].ordering: ordering key '+2' is not a canonical disk id"),
+    (_edit((("stages", 0, "ordering"), {"1": [1, True]})), "stages[0].ordering[1][1]: expected integer, got bool"),
+    (_edit((("transitions", 0, "moves", 1, "file"), 5.0)), "transitions[0].moves[1].file: expected integer, got float"),
+    (_edit((("transitions", 0, "moves", 1, "from"), False)), "transitions[0].moves[1].from: expected integer, got bool"),
+]
+
+
+def _parse_int_subclasses(path):
+    parse_instance_document(_with_int_subclasses(json.loads(path.read_text())))
+
+
 _CORPUS = (
     [(parse_instance, bundled_doc, edit, message) for edit, message in _INSTANCE_ERRORS]
     + [(parse_solution, solution_doc, edit, message) for edit, message in _SOLUTION_ERRORS]
@@ -862,6 +922,9 @@ _CORPUS = (
         (_evaluate_stage_1, solution_doc, _edit((("stages", 0, "ordering"), {"7": [1]})), "stages[0].ordering[7][0]: file 1 is ordered on disk 7 but assigned to disk 1"),
     ]
     + [(parse_instance, bundled_doc, edit, message) for edit, message in _WALKED_ERRORS]
+    + [(parse_instance, bundled_doc, edit, message) for edit, message in _ONE_PASS_ERRORS]
+    + [(_parse_int_subclasses, bundled_doc, edit, message) for edit, message in _INT_SUBCLASS_ERRORS]
+    + [(parse_solution, solution_doc, edit, message) for edit, message in _ONE_PASS_SOLUTION_ERRORS]
 )
 
 

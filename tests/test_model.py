@@ -164,6 +164,42 @@ def test_validate_rejects_a_non_positive_disk_id():
     assert str(caught.value) == "disk id 0 must be a positive integer"
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(files=(FileSpec(1, 1), FileSpec(2, 0), FileSpec(2, 1))), "file 2: size must be a positive integer"),
+        (dict(files=(FileSpec(1, 1), FileSpec(1, True), FileSpec(3, -1))), "duplicate file id 1"),
+        (dict(disks=(DiskSpec(1, 2), DiskSpec(2, 0), DiskSpec(2, 3))), "disk 2: capacity must be a positive integer"),
+        (
+            dict(
+                stages=(
+                    Stage(index=1, active_files=(1, 2)),
+                    Stage(index=2, active_files=(1, 9)),
+                    Stage(index=2, active_files=(1,)),
+                )
+            ),
+            "stage 2: active file 9 does not exist",
+        ),
+        (
+            dict(
+                stages=(
+                    Stage(index=1, active_files=(1, 2), precedence={(1, 3)}),
+                    Stage(index=2, active_files=(1, 9)),
+                )
+            ),
+            "stage 1: precedence arc (1, 3) references an inactive file",
+        ),
+    ],
+    ids=["file size", "file id", "disk capacity", "active file", "relation"],
+)
+def test_validate_names_the_first_fault_in_order(overrides, message):
+    # Specs are checked in order, then stage by stage: the first fault is
+    # the one named.
+    with pytest.raises(ValidationError) as caught:
+        validate_instance(make_instance(**overrides))
+    assert str(caught.value) == message
+
+
 def test_validate_rejects_a_phi_diagonal_on_a_directly_built_stage():
     # Documents cannot carry one (the matrix reader rejects it first).
     stage = Stage(index=1, active_files=(1, 2), phi={(1, 1): 0.5, (1, 2): 0.5})
