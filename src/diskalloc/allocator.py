@@ -32,7 +32,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from decimal import Decimal
 from math import lcm
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import EnumerationCapError, InfeasibleError, ValidationError
 from .model import Allocation, CostModel, Instance, Pair, Stage, canonical_edge
@@ -47,7 +47,7 @@ EXACT_CAP_DEFAULT = 12
 # The branch-and-bound refuses to enter more search nodes than this.
 _NODE_BUDGET = 5_000_000
 
-# Local search gives up after this multiple of n^2 neighbour evaluations.
+# Local search gives up after this multiple of n^2 evaluations, as _Placement.bound charges them.
 _LOCAL_SEARCH_EVAL_FACTOR = 10
 
 
@@ -176,10 +176,12 @@ def evaluate_objective(
     """Head-movement objective of an allocation at one stage.
 
     The assignment must cover the stage's active files; entries for other
-    files are ignored. Under the uniform cost model each same-disk related
-    pair costs its weight; under the ordered-distance model the cost of a
-    pair is the distance between the two files' track midpoints, which
-    requires the allocation to carry an ordering and ``sizes`` to be given.
+    files are ignored, and a pair with a file it leaves out, which an
+    unvalidated stage may name, costs nothing. Under the uniform cost model
+    each same-disk related pair costs its weight; under the ordered-distance
+    model the cost of a pair is the distance between the two files' track
+    midpoints, which requires the allocation to carry an ordering and
+    ``sizes`` to be given.
     The value is a float; under the uniform model it is the exact sum of
     ``PairWeights``' integers, divided once by their ``scale``.
     """
@@ -197,19 +199,22 @@ def evaluate_objective(
         positions = _ordered_positions(alloc, active, sizes)
 
     # Positions ascend with file ids, so walking each file's later
-    # neighbours in index order lists the same-disk pairs ascending.
+    # neighbours in index order lists the same-disk pairs ascending. An
+    # unplaced file shares no disk, not even with another unplaced one.
     files, scale = weights.files, weights.scale
-    disk_of = [alloc.assignment[f] if link else None for f, link in zip(files, weights.links)]
+    disk_of = [alloc.assignment.get(f) if link else None for f, link in zip(files, weights.links)]
     terms: list[ObjectiveTerm] = []
     psi = 0
-    for i, link in enumerate(weights.links):
-        d = disk_of[i]
-        same = sorted([j for j in link if j >= i and disk_of[j] == d])
-        a = files[i]
-        for j in same:
+    for i, (a, d, link) in enumerate(zip(files, disk_of, weights.links)):
+        if d is None:
+            continue
+        for j in sorted([j for j in link if j >= i and disk_of[j] == d]):
             b, w = files[j], link[j]
             psi += w
-            cost = 1.0 if positions is None else abs(positions[a] - positions[b])
+            try:
+                cost = 1.0 if positions is None else abs(positions[a] - positions[b])
+            except KeyError as err:
+                raise ValidationError(f"track ordering is missing file {err.args[0]}") from None
             terms.append(ObjectiveTerm((a, b), w / scale, cost))
     value = psi / scale if positions is None else sum(t.contribution for t in terms)
     return ObjectiveReport(value=float(value), terms=tuple(terms))
@@ -440,7 +445,7 @@ class _Placement:
     as ``home_of[i]``, the loads and capacities as lists by slot, the
     table rows below, and ``psi``, the objective of the placement; the
     other files of ``assignment`` stay fixed. Steps name disk ids,
-    as they are yielded, applied and counted, so slots stay inside.
+    as they are yielded, applied and charged, so slots stay inside.
     Only linked files count: an inactive file, which ``validate_instance``
     leaves unlinked, only fills its disk. Every file starts on its entry
     in ``homes``, if it has one, and counts as moved while it sits
@@ -603,13 +608,6 @@ class _Placement:
             else:
                 discontent.discard(i)
 
-    def _after(self, i: int, src: int, dst: int) -> int:
-        """Change in files moved when ``files[i]`` goes from ``src`` to ``dst``."""
-        home = self.home_of[i]
-        if home is None:
-            return 0
-        return (dst != home) - (src != home)
-
     def neighbourhood(self) -> Iterator[tuple[int, tuple[tuple[int, int], ...], int]]:
         """The records of the scan, in scan order, as (objective delta in
         the weights' units, step, files moved after it): each step whose
@@ -717,44 +715,11 @@ class _Placement:
                     bar = delta
                     yield delta, ((files[i], disks[db]), (files[j], disks[da])), after
 
-    def count(self, step: tuple[tuple[int, int], ...] = ()) -> int:
-        """The feasible steps in scan order up to and including ``step``,
-        counted one by one; all of them when ``step`` is empty."""
-        loads, capacities, slot_of = self.loads, self.capacities, self.slot_of
-        files, disk_of, size_of = self.files, self.disk_of, self.size_of
-        slack = self.allowance - self.moved
-        step = tuple((f, slot_of[d]) for f, d in step)
-        seen = 0
-        for i, f in enumerate(files):
-            src, size = disk_of[i], size_of[i]
-            for dst in range(len(loads)):
-                if dst == src or loads[dst] + size > capacities[dst]:
-                    continue
-                if self._after(i, src, dst) <= slack:
-                    seen += 1
-                    if step == ((f, dst),):
-                        return seen
-        for i, a in enumerate(files):
-            da, size_a = disk_of[i], size_of[i]
-            for j in range(i + 1, len(files)):
-                db, size_b = disk_of[j], size_of[j]
-                if db == da:
-                    continue
-                if loads[da] - size_a + size_b > capacities[da]:
-                    continue
-                if loads[db] - size_b + size_a > capacities[db]:
-                    continue
-                if self._after(i, da, db) + self._after(j, db, da) <= slack:
-                    seen += 1
-                    if step == ((a, db), (files[j], da)):
-                        return seen
-        return seen
-
     def bound(self, step: tuple[tuple[int, int], ...] = ()) -> int:
-        """An upper bound of ``count(step)`` in O(1): the moves to another
-        disk and the pairs of files that the scan passes up to and
-        including ``step``, feasible or not, where a move of ``files[i]``
-        takes all of that file's moves."""
+        """The evaluations local search charges a scan, in O(1): the moves
+        and pairs of files that it passes up to and including ``step``, or
+        all of them when ``step`` is empty, feasible or not, where a move of
+        ``files[i]`` brings in all k - 1 of that file's moves."""
         n, moves = len(self.files), len(self.disks) - 1
         if not step:
             return n * moves + n * (n - 1) // 2
@@ -813,14 +778,14 @@ def local_search(
     capacity-consuming fixture. Scanning order is file ascending then disk
     ascending for moves, pair-lexicographic for swaps, restarting after
     every accepted step, so the result is deterministic. Deltas are exact
-    on ``PairWeights``' integers, so any gain counts. Every feasible step
-    scanned counts as one evaluation, capped at 10 n^2; hitting the cap
-    logs a warning and returns the best allocation found. Only steps that
+    on ``PairWeights``' integers, so any gain counts, and only steps that
     can gain have their delta computed, each in O(1) from ``_Placement``'s
     connection table (see ``_Placement.neighbourhood``); each accepted
-    step costs O(deg) per moved file. The descent charges each scan an
-    O(1) upper bound of its evaluations, and counts them exactly, in a
-    second descent from the start, only when those bounds meet the cap.
+    step costs O(deg) per moved file. Evaluations are capped at 10 n^2:
+    each move and each pair that a scan passes, feasible or not, a move
+    charged with its file's k - 1 moves (see ``_Placement.bound``). Where
+    a scan passes the cap before its gaining step, the descent stops
+    there, logs a warning and returns the allocation it holds.
     Raises ValidationError, as ``exact_solve`` does, for an active file
     the instance lacks, InfeasibleError for an infeasible ``alloc``, and
     ValidationError when a file of ``pinned`` is not on its pinned disk in
@@ -841,56 +806,32 @@ def local_search(
         if alloc.assignment.get(f) != d:
             raise ValidationError(f"pinned file {f} is not on disk {d} in the allocation")
     movable = [f for f in stage.active_files if f not in fixed]
-    weights = PairWeights(stage)
-    state = _Placement(alloc.assignment, movable, instance, weights, {}, 0)
-    assignment, psi = _local_search(state, instance, weights)
+    state = _Placement(alloc.assignment, movable, instance, PairWeights(stage), {}, 0)
+    assignment, psi = _local_search(state)
     return Allocation(assignment, degraded=alloc.degraded), psi
 
 
-def _local_search(
-    state: _Placement, instance: Instance, weights: PairWeights
-) -> tuple[dict[int, int], float]:
+def _local_search(state: _Placement) -> tuple[dict[int, int], float]:
     """(assignment, objective): ``local_search`` of the feasible placement
-    ``state``, built on ``weights`` with no homes, under uniform costs.
-    Only linked files count: an inactive file, which ``validate_instance``
-    leaves unlinked, only fills its disk."""
+    ``state``, built with no homes, under uniform costs."""
     cap = _LOCAL_SEARCH_EVAL_FACTOR * len(state.files) ** 2
-    start = state.assignment
-
-    def descend(
-        state: _Placement, charge: Callable[[_Placement, tuple[tuple[int, int], ...]], int]
-    ) -> tuple[_Placement, int, bool]:
-        """(placement, objective, capped) of a descent from ``state`` that
-        charges each scan ``charge(placement, first gaining step or ())``
-        evaluations."""
-        psi = state.psi
-        evals = 0
-        while True:
-            # Only the first gaining step of each scan is taken.
-            delta, step, moved = next(state.neighbourhood(), (0, (), 0))
-            seen = charge(state, step)
-            evals += seen
-            # A scan step by step would have stopped at the cap on a step
-            # that does not gain, before reaching this gaining step, if any.
-            gaining = 1 if step else 0
-            if seen > gaining and evals - gaining >= cap:
-                return state, psi, True
-            if not step:
-                return state, psi, False
-            state.apply(step, moved)
-            psi += delta
-
-    # Each bound is at least the exact count, so where the bounds never
-    # meet the cap, counting exactly would take the same steps.
-    state, psi, capped = descend(state, _Placement.bound)
-    if capped:
-        state = _Placement(start, state.files, instance, weights, {}, 0)
-        state, psi, capped = descend(state, _Placement.count)
-        if capped:
-            log.warning(
-                "local search stopped at the evaluation cap (%d evaluations)", cap
-            )
-    return state.assignment, psi / weights.scale
+    psi, evals = state.psi, 0
+    while True:
+        # A scan passes bound(step) - 1 evaluations before its gaining step,
+        # or bound() when none gains; once a scan that passes some brings
+        # the total to the cap, the descent stops without the step.
+        delta, step, moved = next(state.neighbourhood(), (0, (), 0))
+        passed = state.bound(step) - (1 if step else 0)
+        evals += passed
+        if passed and evals >= cap:
+            log.warning("local search stopped at the evaluation cap (%d evaluations)", cap)
+            break
+        if not step:
+            break
+        state.apply(step, moved)
+        psi += delta
+        evals += 1
+    return state.assignment, psi / state.scale
 
 
 def _suffix_floors(links: Sequence[Mapping[int, int]], k: int) -> list[int]:
@@ -1234,10 +1175,9 @@ def _solve_stage(
                 raise
 
     _check_active(stage, instance)
-    weights = weights or PairWeights(stage)
     free = [f for f in stage.active_files if f not in fixed]
-    state = _Placement(fixed, free, instance, weights, {}, 0)
-    assignment, psi = _local_search(state, instance, weights)
+    state = _Placement(fixed, free, instance, weights or PairWeights(stage), {}, 0)
+    assignment, psi = _local_search(state)
     return Allocation(assignment), psi, False
 
 

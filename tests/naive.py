@@ -366,28 +366,51 @@ def naive_feasible_steps(assignment, files, instance, homes, allowance):
                 yield ((a, db), (b, da)), after
 
 
+def naive_scan_charge(files, disks, step):
+    """The evaluations a local-search scan over ``files`` on ``disks`` is
+    charged up to and including ``step``, or for the whole scan when
+    ``step`` is empty: one for each move of a file to another disk and one
+    for each pair of files, in scan order, feasible or not, where a move
+    brings in every move of its file."""
+    files = sorted(files)
+    charge = 0
+    for f in files:
+        charge += len(disks) - 1
+        if len(step) == 1 and step[0][0] == f:
+            return charge
+    for i, a in enumerate(files):
+        for b in files[i + 1 :]:
+            charge += 1
+            if len(step) == 2 and (step[0][0], step[1][0]) == (a, b):
+                return charge
+    return charge
+
+
 def naive_local_search(assignment, stage, instance, files, factor):
     """First-improvement descent on a uniform stage, restarting from the
-    first file after every step. Only ``files`` move. Every feasible step
-    looked at counts as one evaluation; once the count reaches
-    ``factor * len(files) ** 2`` the step in hand is taken if it gains and
-    the descent ends otherwise. Returns (assignment, psi)."""
+    first file after every step. Only ``files`` move. Each scan passes the
+    evaluations ``naive_scan_charge`` charges it before its first gaining
+    step, or all of them when none gains; once a scan that passes some
+    brings the running total to ``factor * len(files) ** 2``, the descent
+    ends without that scan's step. Returns (assignment, psi)."""
     assignment = dict(assignment)
     files = sorted(files)
+    disks = sorted(instance.capacities)
     incident = _incident_edges(stage)
     cap = factor * len(files) ** 2
     evals = 0
     while True:
-        taken = None
-        for step, _ in naive_feasible_steps(assignment, files, instance, {}, len(files)):
-            evals += 1
-            delta = _step_delta(assignment, step, incident)
-            if delta < -1e-9 or evals >= cap:
-                taken = step, delta
+        step = ()
+        for candidate, _ in naive_feasible_steps(assignment, files, instance, {}, len(files)):
+            if _step_delta(assignment, candidate, incident) < -1e-9:
+                step = candidate
                 break
-        if taken is None or taken[1] >= -1e-9:
+        passed = naive_scan_charge(files, disks, step) - (1 if step else 0)
+        evals += passed
+        if not step or passed and evals >= cap:
             return assignment, naive_psi(assignment, stage)
-        assignment.update(taken[0])
+        evals += 1
+        assignment.update(step)
 
 
 def naive_greedy_descent(previous, stage, instance, allowance):

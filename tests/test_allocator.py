@@ -244,6 +244,42 @@ def test_ordered_distance_rejects_malformed_orderings(ordering, sizes, message):
     assert str(caught.value) == message
 
 
+# An unvalidated stage may pair files it does not activate: here file 1 with
+# file 2, and file 2 with file 3. The solvers place file 1 alone.
+_PAIRS_AN_INACTIVE_FILE = Stage(index=1, active_files=(1,), concurrency={(1, 2), (2, 3)})
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda stage, inst: exact_solve(stage, inst),
+        lambda stage, inst: solve_stage(inst, 1, exact=False)[:2],
+        lambda stage, inst: local_search(Allocation({1: 2}), stage, inst),
+    ],
+    ids=["exact", "heuristic", "local_search"],
+)
+def test_objective_scores_a_solvers_result_as_the_solver_did(solve):
+    stage = _PAIRS_AN_INACTIVE_FILE
+    inst = Instance(
+        files=(FileSpec(1, 1), FileSpec(2, 1), FileSpec(3, 1)),
+        disks=(DiskSpec(1, 2), DiskSpec(2, 2)),
+        stages=(stage,),
+    )
+    alloc, psi = solve(stage, inst)
+    assert set(alloc.assignment) == {1}
+    # Files 2 and 3 are both unplaced, which is not one disk.
+    assert evaluate_objective(alloc, stage).value == psi == 0.0
+
+
+def test_ordered_distance_needs_a_track_only_for_a_counted_pair():
+    stage, sizes = _PAIRS_AN_INACTIVE_FILE, {1: 1, 2: 1, 3: 1}
+    apart = Allocation({1: 1, 2: 2}, ordering={1: (1,)})
+    assert evaluate_objective(apart, stage, CostModel.ORDERED_DISTANCE, sizes).value == 0.0
+    together = Allocation({1: 1, 2: 1}, ordering={1: (1,)})
+    with pytest.raises(ValidationError, match="track ordering is missing file 2"):
+        evaluate_objective(together, stage, CostModel.ORDERED_DISTANCE, sizes)
+
+
 # --- spreading heuristic -------------------------------------------------
 
 
@@ -486,8 +522,7 @@ def test_local_search_eval_cap_logs_and_returns(instance, monkeypatch, caplog):
     monkeypatch.setattr(mod, "_LOCAL_SEARCH_EVAL_FACTOR", 0)
     with caplog.at_level(logging.WARNING, logger="diskalloc.allocator"):
         out, psi = local_search(Allocation(ref.X1), instance.stage(2), instance)
-    # The descent that charges bounds meets the cap silently; only the
-    # exact recount warns, once.
+    # The one descent stops at the cap on its first scan and warns once.
     assert ["evaluation cap" in r.getMessage() for r in caplog.records] == [True]
     assert dict(out.assignment) == ref.X1  # nothing applied under a zero cap
 
