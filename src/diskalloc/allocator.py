@@ -7,7 +7,7 @@ seed, then runs local search. It builds the stage's ``PairWeights`` once,
 straight from the stage's pairs, and one connection table: ``_Placement``
 seeds the files it is given no disk for, and local search descends on it.
 Community spreading (``spread_allocate`` over ``detect_communities``)
-remains the paper's scheme, public and unchanged, on no solve path.
+remains the paper's scheme, on no solve path.
 
 All tie-breaks run ascending file id then ascending disk id, so every entry
 point is deterministic for a given input. Files outside the stage's active
@@ -446,6 +446,9 @@ class _Placement:
     table rows below, and ``psi``, the objective of the placement; the
     other files of ``assignment`` stay fixed. Steps name disk ids,
     as they are yielded, applied and charged, so slots stay inside.
+    Once the tables are built, only ``place`` and ``unplace`` change
+    ``disk_of``, the loads, the rows and ``psi``; ``apply`` takes a step
+    through them, so ``psi`` stays exact after every step.
     Only linked files count: an inactive file, which ``validate_instance``
     leaves unlinked, only fills its disk. Every file starts on its entry
     in ``homes``, if it has one, and counts as moved while it sits
@@ -733,32 +736,23 @@ class _Placement:
         """(assignment, objective) after best-improvement descent: while a
         step gains, take the one that gains most, the first in scan order,
         which is the scan's last record."""
-        psi = self.psi
         while True:
             best = None
             for best in self.neighbourhood():
                 pass
             if best is None:
-                return self.assignment, psi / self.scale
-            delta, step, moved = best
-            self.apply(step, moved)
-            psi += delta
+                return self.assignment, self.psi / self.scale
+            self.apply(best[1], best[2])
 
     def apply(self, step: tuple[tuple[int, int], ...], moved: int) -> None:
-        """Take ``step``, after which ``moved`` files sit off their homes."""
+        """Take ``step``, after which ``moved`` files sit off their homes:
+        each of its files is unplaced and placed on its new disk."""
         self.moved = moved
-        loads, rows, disk_of, links = self.loads, self.rows, self.disk_of, self.links
-        touched = set()
+        links, touched = self.links, set()
         for f, d in step:
-            i, dst = self.position[f], self.slot_of[d]
-            src, size = disk_of[i], self.size_of[i]
-            disk_of[i] = dst
-            loads[src] -= size
-            loads[dst] += size
-            for j, w in links[i].items():
-                row = rows[j]
-                row[src] -= w
-                row[dst] += w
+            i = self.position[f]
+            self.unplace(i)
+            self.place(i, self.slot_of[d])
             touched.add(i)
             touched.update(links[i])
         self._classify(touched)
@@ -815,12 +809,12 @@ def _local_search(state: _Placement) -> tuple[dict[int, int], float]:
     """(assignment, objective): ``local_search`` of the feasible placement
     ``state``, built with no homes, under uniform costs."""
     cap = _LOCAL_SEARCH_EVAL_FACTOR * len(state.files) ** 2
-    psi, evals = state.psi, 0
+    evals = 0
     while True:
         # A scan passes bound(step) - 1 evaluations before its gaining step,
         # or bound() when none gains; once a scan that passes some brings
         # the total to the cap, the descent stops without the step.
-        delta, step, moved = next(state.neighbourhood(), (0, (), 0))
+        _, step, moved = next(state.neighbourhood(), (0, (), 0))
         passed = state.bound(step) - (1 if step else 0)
         evals += passed
         if passed and evals >= cap:
@@ -829,9 +823,8 @@ def _local_search(state: _Placement) -> tuple[dict[int, int], float]:
         if not step:
             break
         state.apply(step, moved)
-        psi += delta
         evals += 1
-    return state.assignment, psi / state.scale
+    return state.assignment, state.psi / state.scale
 
 
 def _suffix_floors(links: Sequence[Mapping[int, int]], k: int) -> list[int]:
@@ -908,8 +901,7 @@ def _branch_and_bound(
     ``floors[i]``, whose pairs include those of ``files[i]`` with later
     files. Its own entry counts only its weight to earlier files, so again
     no edge counts twice. A child cut there is no node: ``_NODE_BUDGET``
-    counts only the children that pass, and a search that once refused at
-    the budget may now finish.
+    counts only the children that pass.
 
     Where files have homes and fewer moves are allowed than there are
     homed files, a second bound prices the allowance. The completion that

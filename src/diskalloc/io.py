@@ -35,6 +35,8 @@ from .model import (
     Stage,
     Trajectory,
     _CheckedPairs,
+    _int_assignment,
+    _int_ordering,
     validate_instance,
 )
 
@@ -363,15 +365,9 @@ class SolutionStage:
     rho: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "assignment", dict(sorted({int(f): int(d) for f, d in dict(self.assignment).items()}.items()))
-        )
+        object.__setattr__(self, "assignment", _int_assignment(self.assignment))
         if self.ordering is not None:
-            object.__setattr__(
-                self,
-                "ordering",
-                {int(d): tuple(int(f) for f in seq) for d, seq in sorted(dict(self.ordering).items())},
-            )
+            object.__setattr__(self, "ordering", _int_ordering(self.ordering))
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,27 @@ class Instance:
         raise ValidationError(f"no stage with index {index}")
 
 
+def _int_assignment(assignment) -> dict[int, int]:
+    """``assignment``'s entries as ints, ascending by file; each id is
+    converted before the sort, so "10" sorts after "9". Raises
+    ValidationError for two keys that convert to one file."""
+    raw = dict(assignment)
+    out = {int(f): int(d) for f, d in raw.items()}
+    if len(out) < len(raw):
+        raise ValidationError("assignment names a file more than once")
+    return dict(sorted(out.items()))
+
+
+def _int_ordering(ordering) -> dict[int, tuple[int, ...]]:
+    """``ordering``'s disks and files as ints, ascending by disk, as
+    ``_int_assignment`` sorts them."""
+    raw = dict(ordering)
+    out = {int(d): tuple(map(int, seq)) for d, seq in raw.items()}
+    if len(out) < len(raw):
+        raise ValidationError("ordering names a disk more than once")
+    return dict(sorted(out.items()))
+
+
 @dataclass(frozen=True)
 class Allocation:
     """A placement of files onto disks.
@@ -182,24 +203,9 @@ class Allocation:
     degraded: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "assignment",
-            MappingProxyType(
-                {int(f): int(d) for f, d in sorted(dict(self.assignment).items())}
-            ),
-        )
+        object.__setattr__(self, "assignment", MappingProxyType(_int_assignment(self.assignment)))
         if self.ordering is not None:
-            object.__setattr__(
-                self,
-                "ordering",
-                MappingProxyType(
-                    {
-                        int(d): tuple(int(f) for f in seq)
-                        for d, seq in sorted(dict(self.ordering).items())
-                    }
-                ),
-            )
+            object.__setattr__(self, "ordering", MappingProxyType(_int_ordering(self.ordering)))
 
     @property
     def files(self) -> tuple[int, ...]:

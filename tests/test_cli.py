@@ -10,11 +10,13 @@ import sys
 import pytest
 
 from diskalloc import (
+    InfeasibleError,
     emit_solution_document,
     paper_example_path,
     parse_instance_document,
     parse_solution,
     solution_from_allocation,
+    solve_stage,
     write_document,
 )
 from diskalloc.cli import main, run_command
@@ -630,6 +632,24 @@ def test_solver_commands_refuse_ordered_distance_before_solving(
         "optimize uniform costs and produce no track ordering\n"
     )
     assert not out_path.exists()
+
+
+def test_the_heuristic_refuses_a_stage_that_packs_on_no_disk(capsys, tmp_path):
+    """Three 2-track files on two 3-track disks: six tracks fit in total,
+    yet no disk takes two files, so the seed's best-fit-decreasing
+    fallback refuses the third file."""
+    doc = {
+        "files": [{"id": f, "size": 2} for f in (1, 2, 3)],
+        "disks": [{"id": d, "capacity": 3} for d in (1, 2)],
+        "stages": [{"index": 1, "active_files": [1, 2, 3], "concurrency": [[1, 2]]}],
+    }
+    with pytest.raises(InfeasibleError, match=r"^file 3 \(2 tracks\) fits on no disk$"):
+        solve_stage(parse_instance_document(doc), 1, exact=False)
+    instance = tmp_path / "tight.json"
+    write_document(doc, instance)
+    argv = ["solve", "--instance", str(instance), "--stage", "1", "--local-search"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: file 3 (2 tracks) fits on no disk\n")
 
 
 # --- exit codes and determinism ------------------------------------------

@@ -391,7 +391,9 @@ def _recount(state):
 @pytest.mark.parametrize("case", [_uniform_case, _dense_phi_case, _sparse_phi_case])
 def test_placement_bookkeeping_matches_a_recount(case, with_homes):
     """After random and first-improvement steps, the gains and the set the
-    scan visits equal a recount, and the table equals from-scratch sums."""
+    scan visits equal a recount, the table equals from-scratch sums, and
+    the objective, in the weights' integer units, and the loads equal a
+    recount from the assignment."""
     for seed in range(30):
         inst, assignment, rng = case(seed)
         stage = inst.stage(1)
@@ -412,6 +414,10 @@ def test_placement_bookkeeping_matches_a_recount(case, with_homes):
                     break
                 state.apply(*rng.choice(steps))
             assert (state.gain, state.discontent) == _recount(state), seed
+            placed = state.assignment
+            assert state.psi == naive_connection_tables(stage, [], placed, state.disks)[2], seed
+            loads = [sum(inst.sizes[f] for f in placed if placed[f] == d) for d in state.disks]
+            assert state.loads == loads, seed
             on_disk = _on_disk(state)
             for f in files:
                 for d, value in zip(state.disks, state.rows[state.position[f]], strict=True):

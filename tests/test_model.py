@@ -11,6 +11,7 @@ from diskalloc import (
     ProblemClass,
     RelocationMove,
     RelocationPlan,
+    SolutionStage,
     Stage,
     ValidationError,
     apply_plan,
@@ -285,6 +286,21 @@ def test_allocation_normalizes_and_queries():
     moved = alloc.move(1, 2)
     assert moved.disk_of(1) == 2
     assert alloc.disk_of(1) == 1  # original untouched
+
+
+def test_ids_are_converted_before_they_are_sorted():
+    """String and mixed ids come out as ints in ascending numeric order."""
+    alloc = Allocation({"10": 1, "9": 1, 1: "2"}, ordering={"10": ["3"], "9": [], 2: [1]})
+    assert list(alloc.assignment.items()) == [(1, 2), (9, 1), (10, 1)]
+    assert alloc.files_on(1) == (9, 10)
+    assert list(alloc.ordering.items()) == [(2, (1,)), (9, ()), (10, (3,))]
+    sol = SolutionStage(index=1, assignment={"10": 1, 9: 1}, ordering={"10": [10], "9": [9]})
+    assert list(sol.assignment.items()) == [(9, 1), (10, 1)]
+    assert list(sol.ordering.items()) == [(9, (9,)), (10, (10,))]
+    with pytest.raises(ValidationError, match="names a file more than once"):
+        Allocation({"1": 1, 1: 2})
+    with pytest.raises(ValidationError, match="names a disk more than once"):
+        SolutionStage(index=1, assignment={1: 1}, ordering={"1": [1], 1: []})
 
 
 def test_allocation_equality_ignores_degraded_flag():
