@@ -316,9 +316,21 @@ def _held(
     return held, loads
 
 
+def _check_cost_model(instance: Instance) -> None:
+    """Raise ValidationError unless ``instance`` prices uniform costs: the
+    solvers optimize those alone and lay out no tracks."""
+    if instance.cost_model is not CostModel.UNIFORM:
+        raise ValidationError(
+            "ordered-distance instances can only be evaluated: the solvers "
+            "optimize uniform costs and produce no track ordering"
+        )
+
+
 def _check_active(stage: Stage, instance: Instance) -> None:
-    """Raise ValidationError, in ``validate_instance``'s wording, for an
-    active file of ``stage`` that the instance lacks."""
+    """Raise ValidationError, as ``_check_cost_model`` does, for an instance
+    the solvers cannot optimize, and, in ``validate_instance``'s wording,
+    for an active file of ``stage`` that the instance lacks."""
+    _check_cost_model(instance)
     for f in stage.active_files:
         if f not in instance.sizes:
             raise ValidationError(f"stage {stage.index}: active file {f} does not exist")
@@ -762,7 +774,6 @@ def local_search(
     alloc: Allocation,
     stage: Stage,
     instance: Instance,
-    model: CostModel = CostModel.UNIFORM,
     *,
     pinned: Optional[Mapping[int, int]] = None,
 ) -> tuple[Allocation, float]:
@@ -780,17 +791,11 @@ def local_search(
     charged with its file's k - 1 moves (see ``_Placement.bound``). Where
     a scan passes the cap before its gaining step, the descent stops
     there, logs a warning and returns the allocation it holds.
-    Raises ValidationError, as ``exact_solve`` does, for an active file
-    the instance lacks, InfeasibleError for an infeasible ``alloc``, and
-    ValidationError when a file of ``pinned`` is not on its pinned disk in
-    ``alloc``.
+    Raises ValidationError, as ``exact_solve`` does, for an instance whose
+    cost model is not uniform or an active file the instance lacks,
+    InfeasibleError for an infeasible ``alloc``, and ValidationError when
+    a file of ``pinned`` is not on its pinned disk in ``alloc``.
     """
-    model = CostModel(model)
-    if model is not CostModel.UNIFORM:
-        raise ValidationError(
-            "local search only optimizes uniform costs; ordered-distance is "
-            "evaluation-only"
-        )
     _check_active(stage, instance)
     report = check_allocation_feasible(alloc, stage, instance)
     if not report.feasible:
@@ -1096,7 +1101,6 @@ def _branch_and_bound(
 def exact_solve(
     stage: Stage,
     instance: Instance,
-    model: CostModel = CostModel.UNIFORM,
     *,
     cap: int = EXACT_CAP_DEFAULT,
     pinned: Optional[Mapping[int, int]] = None,
@@ -1116,15 +1120,9 @@ def exact_solve(
     prunes only subtrees that hold no such placement.
     Raises EnumerationCapError beyond ``cap`` active files, up front, or
     once the search has entered more than ``_NODE_BUDGET`` nodes, and
-    ValidationError, before the cap check, for an active file the
-    instance lacks.
+    ValidationError, before the cap check, for an instance whose cost
+    model is not uniform or an active file the instance lacks.
     """
-    model = CostModel(model)
-    if model is not CostModel.UNIFORM:
-        raise ValidationError(
-            "exact search only optimizes uniform costs; ordered-distance is "
-            "evaluation-only"
-        )
     _check_active(stage, instance)
     fixed = pinned or {}
     loads = _pinned_loads(fixed, instance.sizes, instance.capacities)

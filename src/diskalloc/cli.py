@@ -15,7 +15,7 @@ import sys
 from contextlib import contextmanager
 from typing import Optional, Sequence
 
-from .allocator import EXACT_CAP_DEFAULT, evaluate_objective, check_allocation_feasible, exact_solve, solve_stage
+from .allocator import EXACT_CAP_DEFAULT, _check_cost_model, evaluate_objective, check_allocation_feasible, exact_solve, solve_stage
 from .errors import (
     DiskAllocError,
     DocumentError,
@@ -37,7 +37,7 @@ from .io import (
     solution_from_trajectory,
     write_document,
 )
-from .model import CostModel, Instance
+from .model import Instance
 from .report import (
     _solution_text,
     diff_report,
@@ -186,16 +186,11 @@ def _parse_budgets(raw: Optional[str]) -> Optional[list[float]]:
 
 
 def _solver_instance(path) -> Instance:
-    """The instance at ``path`` for a command that solves it. The solvers
-    optimize uniform costs and lay out no tracks, so their reports and
-    documents would not hold for an ordered-distance instance: it is
-    refused before any work."""
+    """The instance at ``path`` for a command that solves it, refused, as
+    the solvers refuse it, before any work when they cannot optimize its
+    cost model."""
     instance = parse_instance(path)
-    if instance.cost_model is CostModel.ORDERED_DISTANCE:
-        raise ValidationError(
-            "ordered-distance instances can only be evaluated: the solvers "
-            "optimize uniform costs and produce no track ordering"
-        )
+    _check_cost_model(instance)
     return instance
 
 

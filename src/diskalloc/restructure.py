@@ -86,8 +86,9 @@ class TrajectoryStrategy(str, Enum):
 @dataclass(frozen=True)
 class RestructuringProblem:
     """Improve ``previous`` for ``stage`` without spending more than
-    ``budget`` on relocations. ``reference`` declares the stage's optimum
-    when the caller already knows it; left None, it is computed."""
+    ``budget`` on relocations. ``reference`` declares the stage's optimum,
+    finite and non-negative, when the caller already knows it; left None,
+    it is computed."""
 
     instance: Instance
     stage: Stage
@@ -101,6 +102,8 @@ class RestructuringProblem:
             raise ValidationError("restructuring budget must be non-negative and finite")
         if self.reference is not None:
             object.__setattr__(self, "reference", float(self.reference))
+            if not 0 <= self.reference < math.inf:
+                raise ValidationError("declared reference must be non-negative and finite")
 
 
 @dataclass(frozen=True)

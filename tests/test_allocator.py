@@ -496,9 +496,8 @@ def test_local_search_keeps_inactive_entries():
 
 def test_local_search_rejects_ordered_distance(instance):
     with pytest.raises(ValidationError, match="uniform"):
-        local_search(
-            Allocation(ref.X1), instance.stage(1), instance, CostModel.ORDERED_DISTANCE
-        )
+        ordered = dataclasses.replace(instance, cost_model=CostModel.ORDERED_DISTANCE)
+        local_search(Allocation(ref.X1), ordered.stage(1), ordered)
 
 
 def test_local_search_rejects_a_stage_file_the_instance_lacks(instance):
@@ -945,7 +944,8 @@ def test_exact_raises_when_nothing_fits():
 
 def test_exact_rejects_ordered_distance(instance):
     with pytest.raises(ValidationError, match="uniform"):
-        exact_solve(instance.stage(1), instance, CostModel.ORDERED_DISTANCE)
+        ordered = dataclasses.replace(instance, cost_model=CostModel.ORDERED_DISTANCE)
+        exact_solve(ordered.stage(1), ordered)
 
 
 # --- least-connection seed -----------------------------------------------

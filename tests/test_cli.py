@@ -10,8 +10,10 @@ import sys
 import pytest
 
 from diskalloc import (
+    CostModel,
     InfeasibleError,
     emit_solution_document,
+    evaluate_objective,
     paper_example_path,
     parse_instance_document,
     parse_solution,
@@ -632,6 +634,37 @@ def test_solver_commands_refuse_ordered_distance_before_solving(
         "optimize uniform costs and produce no track ordering\n"
     )
     assert not out_path.exists()
+
+
+def test_evaluate_scores_an_ordered_distance_instance_by_track_distance(capsys, tmp_path):
+    doc = generate_instance(8, 3, 2, 0.4, (1, 2), 1.5, 3)
+    alloc, _, _ = solve_stage(parse_instance_document(doc), 1)
+    doc["cost_model"] = "ordered_distance"
+    instance = tmp_path / "ordered.json"
+    write_document(doc, instance)
+    ordered = parse_instance_document(doc)
+    ordering = {d: alloc.files_on(d) for d in sorted(ordered.capacities)}
+    laid_out = Allocation(alloc.assignment, ordering=ordering)
+    solution = tmp_path / "laid_out.json"
+    write_document(emit_solution_document(solution_from_allocation(laid_out, 1)), solution)
+    out_path = tmp_path / "scored.json"
+    code, _, err = run(
+        capsys, "evaluate", "--instance", str(instance), "--solution", str(solution),
+        "--stage", "1", "--output", str(out_path),
+    )
+    assert (code, err) == (0, "")
+    want = evaluate_objective(
+        laid_out, ordered.stage(1), CostModel.ORDERED_DISTANCE, sizes=ordered.sizes
+    )
+    scored = parse_solution(out_path).stage(1)
+    assert scored.objective == want.value
+    assert scored.ordering == laid_out.ordering
+
+    bare = write_stage_doc(tmp_path / "bare.json", alloc.assignment, 1)
+    code, out, err = run(
+        capsys, "evaluate", "--instance", str(instance), "--solution", bare, "--stage", "1"
+    )
+    assert (code, out, err) == (2, "", "error: ordered-distance costs need a track ordering\n")
 
 
 def test_the_heuristic_refuses_a_stage_that_packs_on_no_disk(capsys, tmp_path):

@@ -1,11 +1,13 @@
 """Relocation plans, budgeted restructuring, and trajectory planning."""
 
+import dataclasses
 import random
 
 import pytest
 
 from diskalloc import (
     Allocation,
+    CostModel,
     DiskSpec,
     EnumerationCapError,
     FileSpec,
@@ -687,6 +689,13 @@ def test_restructure_rejects_negative_budget(instance):
         problem(instance, 2, ref.X1, -1.0)
 
 
+@pytest.mark.parametrize("reference", [float("nan"), -5.0, float("inf")])
+def test_restructure_rejects_a_declared_reference_no_allocation_can_have(instance, reference):
+    with pytest.raises(ValidationError) as caught:
+        problem(instance, 2, ref.X1, 2.0, reference=reference)
+    assert str(caught.value) == "declared reference must be non-negative and finite"
+
+
 def test_exact_mode_refuses_oversized_spaces(instance, monkeypatch):
     import diskalloc.allocator as mod
 
@@ -1022,3 +1031,56 @@ def test_restructure_result_is_immutable(instance):
     assert isinstance(result, RestructureResult)
     with pytest.raises(AttributeError):
         result.objective = 5.0
+
+
+# --- ordered-distance instances ------------------------------------------
+
+
+def _restructure(mode, reference):
+    return lambda inst: restructure_one_stage(
+        problem(inst, 2, ref.X1, 2.0, reference=reference), mode
+    )
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [
+        lambda inst: solve_stage(inst, 1),
+        lambda inst: solve_stage(inst, 1, exact=True),
+        lambda inst: solve_stage(inst, 1, exact=False),
+        lambda inst: exact_solve(inst.stage(1), inst),
+        lambda inst: local_search(Allocation(ref.X1), inst.stage(1), inst),
+        _restructure(RestructureMode.EXACT, None),
+        _restructure(RestructureMode.EXACT, 0.0),
+        _restructure(RestructureMode.GREEDY, None),
+        _restructure(RestructureMode.GREEDY, 0.0),
+        lambda inst: plan_trajectory(inst, TrajectoryStrategy.INDEPENDENT_OPTIMAL),
+        lambda inst: plan_trajectory(
+            inst, TrajectoryStrategy.SEQUENTIAL_RESTRUCTURED, [2.0, 2.0]
+        ),
+    ],
+    ids=[
+        "solve_stage", "solve_stage exact", "solve_stage heuristic", "exact_solve",
+        "local_search", "exact restructure solved", "exact restructure declared",
+        "greedy restructure solved", "greedy restructure declared",
+        "trajectory independent", "trajectory sequential",
+    ],
+)
+def test_solvers_refuse_ordered_distance_before_any_work(instance, monkeypatch, solver):
+    """Every public solver refuses, in the command line's words, an
+    instance whose costs it cannot optimize, before it weighs a pair."""
+    import diskalloc.allocator as allocator
+    import diskalloc.restructure as restructure
+
+    def weigh(*args, **kwargs):
+        raise AssertionError("a solver weighed an ordered-distance stage")
+
+    inst = dataclasses.replace(instance, cost_model=CostModel.ORDERED_DISTANCE)
+    for module in (allocator, restructure):
+        monkeypatch.setattr(module, "PairWeights", weigh)
+    with pytest.raises(ValidationError) as caught:
+        solver(inst)
+    assert str(caught.value) == (
+        "ordered-distance instances can only be evaluated: the solvers "
+        "optimize uniform costs and produce no track ordering"
+    )
