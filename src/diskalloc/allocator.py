@@ -7,7 +7,8 @@ seed, then runs local search. It builds the stage's ``PairWeights`` once,
 straight from the stage's pairs, and one connection table: ``_Placement``
 seeds the files it is given no disk for, and local search descends on it.
 Community spreading (``spread_allocate`` over ``detect_communities``)
-remains the paper's scheme, on no solve path.
+remains the paper's scheme, on no solve path; one rule picks each
+member's disk.
 
 All tie-breaks run ascending file id then ascending disk id, so every entry
 point is deterministic for a given input. Files outside the stage's active
@@ -16,7 +17,8 @@ stage); they contribute nothing to the objective and are never moved.
 
 Budgeted restructuring takes every placement, the stage's weights and the
 reading of a previous allocation (``_held``) from here. Exact
-restructuring and ``exact_solve`` share one branch-and-bound; greedy
+restructuring and ``exact_solve`` share one branch-and-bound, which sums
+the loads of the files it keeps fixed from those files; greedy
 restructuring is ``_Placement``'s best-improvement descent over local
 search's move/swap neighbourhood, on a ``_Placement`` that seeds the
 files new to a stage by least connection, as a heuristic solve does.
@@ -277,6 +279,9 @@ def check_allocation_feasible(
 def _pinned_loads(
     pinned: Mapping[int, int], sizes: Mapping[int, int], capacities: Mapping[int, int]
 ) -> dict[int, int]:
+    """The tracks ``pinned`` fills on every disk. Raises ValidationError
+    for a pin that names a file or disk the instance lacks, and
+    InfeasibleError when the pins overfill a disk."""
     loads = {d: 0 for d in capacities}
     for f, d in pinned.items():
         if d not in capacities:
@@ -336,23 +341,9 @@ def _check_active(stage: Stage, instance: Instance) -> None:
             raise ValidationError(f"stage {stage.index}: active file {f} does not exist")
 
 
-# No solve path calls spread_allocate or _best_fit, yet they stay in this
-# module, as PairWeights.attach_cost does: bench/tracing.py wraps
+# No solve path calls spread_allocate, yet it stays in this module, as
+# PairWeights.attach_cost does: bench/tracing.py wraps
 # allocator.spread_allocate and PairWeights.attach_cost by those names.
-def _best_fit(
-    size: int,
-    disks: Iterable[int],
-    loads: Mapping[int, int],
-    capacities: Mapping[int, int],
-) -> Optional[int]:
-    """Disk among ``disks`` with the most residual capacity that still fits
-    ``size`` tracks, ties to the lowest disk id; None when none fits."""
-    fits = [d for d in disks if loads[d] + size <= capacities[d]]
-    if not fits:
-        return None
-    return max(fits, key=lambda d: (capacities[d] - loads[d], -d))
-
-
 def spread_allocate(
     communities: Sequence[Community],
     instance: Instance,
@@ -364,11 +355,11 @@ def spread_allocate(
     """Place each community's files on pairwise distinct disks.
 
     Communities are handled in the given order, members ascending; each
-    member goes to the disk with the most residual capacity among those it
-    fits that the community has not used yet (ties to the lowest disk id).
-    When no unused disk fits, the distinct-disk rule is dropped for that
-    member and the result is flagged degraded. Raises InfeasibleError when
-    some member fits no disk at all.
+    member goes, among the disks it fits, to one its community has not
+    used yet, then to the one with the most room left, then to the lowest
+    disk id. When the disk it gets was already used by its community, the
+    result is flagged degraded. Raises InfeasibleError when some member
+    fits no disk at all.
 
     The files of ``pinned``, or else those of ``previous`` inactive in
     ``stage``, keep their disks; ``_held`` reads ``previous``, checks all
@@ -394,14 +385,11 @@ def spread_allocate(
             if size is None:
                 raise ValidationError(f"file {f} does not exist")
 
-            best = _best_fit(size, [d for d in disks if d not in used], loads, capacities)
-            if best is None:
-                best = _best_fit(size, disks, loads, capacities)
-                if best is None:
-                    raise InfeasibleError(
-                        f"file {f} ({size} tracks) fits on no disk"
-                    )
-                degraded = True
+            fits = [d for d in disks if loads[d] + size <= capacities[d]]
+            if not fits:
+                raise InfeasibleError(f"file {f} ({size} tracks) fits on no disk")
+            best = max(fits, key=lambda d: (d not in used, capacities[d] - loads[d], -d))
+            degraded = degraded or best in used
             assignment[f] = best
             loads[best] += size
             used.add(best)
@@ -862,7 +850,6 @@ def _suffix_floors(links: Sequence[Mapping[int, int]], k: int) -> list[int]:
 def _branch_and_bound(
     files: Sequence[int],
     fixed: Mapping[int, int],
-    pinned_loads: Mapping[int, int],
     instance: Instance,
     weights: PairWeights,
     homes: Mapping[int, Optional[int]],
@@ -870,9 +857,10 @@ def _branch_and_bound(
 ) -> Optional[tuple[dict[int, int], float]]:
     """Depth-first search over placements of ``files``, in the given order,
     beside the ``fixed`` ones; returns (assignment of the fixed and searched
-    files, objective), or None when nothing fits. Only linked files count:
-    an inactive file, which ``validate_instance`` leaves unlinked, only
-    fills its disk.
+    files, objective), or None when nothing fits. The ``fixed`` files fill
+    their disks, as in ``_Placement``. Only linked files count: an
+    inactive file, which ``validate_instance`` leaves unlinked, only fills
+    its disk.
 
     A file counts as moved when it lands off its entry in ``homes``; at
     most ``allowance`` files may move. Minimizes (objective, moves,
@@ -934,7 +922,9 @@ def _branch_and_bound(
     disks = sorted(instance.capacities)
     slot_of = {d: s for s, d in enumerate(disks)}
     capacities = [instance.capacities[d] for d in disks]
-    loads = [pinned_loads[d] for d in disks]
+    loads = [0] * len(disks)
+    for f, d in fixed.items():
+        loads[slot_of[d]] += instance.sizes[f]
     slots = range(len(disks))
     n = len(files)
     file_homes = [slot_of.get(homes.get(f)) for f in files]
@@ -1125,7 +1115,7 @@ def exact_solve(
     """
     _check_active(stage, instance)
     fixed = pinned or {}
-    loads = _pinned_loads(fixed, instance.sizes, instance.capacities)
+    _pinned_loads(fixed, instance.sizes, instance.capacities)
 
     files = [f for f in stage.active_files if f not in fixed]
     n = len(files)
@@ -1134,7 +1124,7 @@ def exact_solve(
             f"exact search over {n} files exceeds the cap of {cap}; "
             "raise the cap explicitly or use the heuristic path"
         )
-    found = _branch_and_bound(files, fixed, loads, instance, PairWeights(stage), {}, n)
+    found = _branch_and_bound(files, fixed, instance, PairWeights(stage), {}, n)
     if found is None:
         raise InfeasibleError("no placement satisfies the disk capacities")
     return Allocation(found[0]), found[1]

@@ -15,7 +15,7 @@ import sys
 from contextlib import contextmanager
 from typing import Optional, Sequence
 
-from .allocator import EXACT_CAP_DEFAULT, _check_cost_model, evaluate_objective, check_allocation_feasible, exact_solve, solve_stage
+from .allocator import _check_cost_model, evaluate_objective, check_allocation_feasible, exact_solve, solve_stage
 from .errors import (
     DiskAllocError,
     DocumentError,
@@ -212,9 +212,7 @@ def _cmd_solve(args):
     instance = _solver_instance(args.instance)
     exact = True if args.exact else False if args.local_search else None
     with _cap_hint():
-        alloc, psi, certified = solve_stage(
-            instance, args.stage, exact=exact, cap=EXACT_CAP_DEFAULT
-        )
+        alloc, psi, certified = solve_stage(instance, args.stage, exact=exact)
     text = [relations_report(instance, args.stage)] if args.dump_relations else []
     text.append(evaluation_report(alloc, instance, args.stage))
     if not certified:

@@ -5,16 +5,18 @@ allocation already on the disks and buys improvement with relocation moves,
 each priced at the instance's unit cost. The proximity rho of the result is
 its objective's excess over the stage's reference optimum.
 
-This module holds only budget logic (move allowance, reference, rho,
-plan and its budget check); the allocator reads the previous allocation,
-holds the stage's weights and takes every placement. Exact restructuring
-is the branch-and-bound of ``exact_solve``, symmetry prune and node
-budget included, run with each file's previous disk as its home and a
-move allowance. Greedy restructuring runs ``_Placement``'s
-best-improvement descent under the move allowance, on a placement that
-seeds the files new to the stage by least connection, as a heuristic
-stage solve seeds its files. Both run on exact integer weights, so an
-objective that ties the reference reads a proximity of exactly 0.0.
+This module holds only budget logic (move allowance, reference, rho, plan
+and its check); the allocator reads the previous allocation, holds the
+stage's weights and takes every placement. The budget buys whole moves:
+``_move_allowance`` reads it once, and the searches and the plan check
+count moves against that allowance. Exact restructuring is the
+branch-and-bound of ``exact_solve``, symmetry prune and node budget
+included, run with each file's previous disk as its home and a move
+allowance. Greedy restructuring runs ``_Placement``'s best-improvement
+descent under the move allowance, on a placement that seeds the files new
+to the stage by least connection, as a heuristic stage solve seeds its
+files. Both run on exact integer weights, so an objective that ties the
+reference reads a proximity of exactly 0.0.
 """
 
 from __future__ import annotations
@@ -131,21 +133,22 @@ def restructure_one_stage(
 ) -> RestructureResult:
     """Best allocation reachable from the previous one within the budget.
 
-    Exact mode enumerates every capacity-feasible placement that keeps the
-    number of moved files within the allowance, minimizing (objective, move
-    count, assignment) lexicographically, and raises EnumerationCapError
-    past the branch-and-bound's node budget. Where the allowance is below
-    the number of files with a previous disk, the search also bounds each
-    subtree by the moves left: only that many more files may leave their
-    previous disks, each saving at most its own weight there. Greedy mode
-    repeatedly applies the single move or disk swap that most reduces the
-    objective while the result stays within the allowance, the first in
-    scan order among equal gains, which are exact on integer weights. Its
-    scan yields only records, the steps that gain more than every step
-    before them, and skips each step whose floor, the least delta its
-    files' gains allow, cannot beat the last record. With fewer than two
-    moves left, it also pairs a file on its previous disk only with files
-    that are off theirs or new to the stage.
+    The budget buys whole moves, the allowance, and the plan is checked in
+    moves against it. Exact mode enumerates every capacity-feasible
+    placement that keeps the number of moved files within the allowance,
+    minimizing (objective, move count, assignment) lexicographically, and
+    raises EnumerationCapError past the branch-and-bound's node budget.
+    Where the allowance is below the number of files with a previous disk,
+    the search also bounds each subtree by the moves left: only that many
+    more files may leave their previous disks, each saving at most its own
+    weight there. Greedy mode repeatedly applies the single move or disk
+    swap that most reduces the objective while the result stays within the
+    allowance, the first in scan order among equal gains, which are exact on
+    integer weights. Its scan yields only records, the steps that gain more
+    than every step before them, and skips each step whose floor, the least
+    delta its files' gains allow, cannot beat the last record. With fewer
+    than two moves left, it also pairs a file on its previous disk only with
+    files that are off theirs or new to the stage.
 
     Files of the previous allocation that are inactive in the target stage
     hold their disks and are never moved. Active files absent from the
@@ -181,7 +184,7 @@ def restructure_one_stage(
         _, psi_star, certified = _solve_stage(stage, instance, fixed, cap, weights=weights)
 
     if mode is RestructureMode.EXACT:
-        found = _branch_and_bound(stage.active_files, fixed, loads, instance, weights, base, m)
+        found = _branch_and_bound(stage.active_files, fixed, instance, weights, base, m)
         if found is None:
             raise InfeasibleError("no placement within the move allowance fits the disks")
         final, psi = found
@@ -199,7 +202,7 @@ def restructure_one_stage(
     rho = psi - psi_star
 
     plan = _relocation_plan(base, final, base, unit)
-    if unit > 0 and plan.total_cost > problem.budget + _BUDGET_TOL:
+    if len(plan.moves) > m:
         raise InternalError("restructuring plan exceeds its budget")
     return RestructureResult(
         allocation=Allocation(final),
@@ -208,6 +211,31 @@ def restructure_one_stage(
         reference=psi_star,
         certified=certified,
         plan=plan,
+    )
+
+
+def _trajectory(
+    strategy: str,
+    instance: Instance,
+    allocations: Sequence[Allocation],
+    plans: Sequence[RelocationPlan],
+    objectives: Sequence[float],
+    optima: Sequence[float],
+    certified: Sequence[bool],
+) -> Trajectory:
+    """The trajectory over every stage of ``instance``: each stage's
+    proximity is its objective less its optimum, and the modification cost
+    is the plans' summed cost."""
+    return Trajectory(
+        strategy=strategy,
+        stage_indices=tuple(s.index for s in instance.stages),
+        allocations=tuple(allocations),
+        plans=tuple(plans),
+        objectives=tuple(objectives),
+        optima=tuple(optima),
+        proximities=tuple(psi - star for psi, star in zip(objectives, optima)),
+        certified=tuple(certified),
+        total_modification_cost=sum(p.total_cost for p in plans),
     )
 
 
@@ -248,7 +276,6 @@ def plan_trajectory(
     plans: list[RelocationPlan] = []
     objectives: list[float] = []
     optima: list[float] = []
-    proximities: list[float] = []
     certified: list[bool] = []
 
     # Files inactive in a stage hold their disks from the allocation before,
@@ -257,7 +284,7 @@ def plan_trajectory(
         previous = allocations[-1] if allocations else None
         if previous is None or strategy is TrajectoryStrategy.INDEPENDENT_OPTIMAL:
             alloc, psi, cert = _solve_stage(stage, instance, _held(stage, previous, instance)[0], cap)
-            psi_star, rho = psi, 0.0
+            psi_star = psi
             if previous is not None:
                 # Files entering the stage are placed, not relocated.
                 prev = previous.assignment
@@ -271,26 +298,14 @@ def plan_trajectory(
             )
             result = restructure_one_stage(problem, mode, cap=cap)
             alloc = result.allocation
-            psi, psi_star = result.objective, result.reference
-            rho, cert = result.proximity, result.certified
+            psi, psi_star, cert = result.objective, result.reference, result.certified
             plans.append(result.plan)
         allocations.append(alloc)
         objectives.append(psi)
         optima.append(psi_star)
-        proximities.append(rho)
         certified.append(cert)
 
-    return Trajectory(
-        strategy=strategy.value,
-        stage_indices=tuple(s.index for s in stages),
-        allocations=tuple(allocations),
-        plans=tuple(plans),
-        objectives=tuple(objectives),
-        optima=tuple(optima),
-        proximities=tuple(proximities),
-        certified=tuple(certified),
-        total_modification_cost=sum(p.total_cost for p in plans),
-    )
+    return _trajectory(strategy.value, instance, allocations, plans, objectives, optima, certified)
 
 
 def paper_replay_trajectories(instance: Instance) -> tuple[Trajectory, Trajectory]:
@@ -327,17 +342,7 @@ def paper_replay_trajectories(instance: Instance) -> tuple[Trajectory, Trajector
             )
             for moves in move_lists
         )
-        return Trajectory(
-            strategy=name,
-            stage_indices=tuple(s.index for s in instance.stages),
-            allocations=allocations,
-            plans=plans,
-            objectives=objectives,
-            optima=tuple(optima),
-            proximities=tuple(psi - star for psi, star in zip(objectives, optima)),
-            certified=tuple(True for _ in instance.stages),
-            total_modification_cost=sum(p.total_cost for p in plans),
-        )
+        return _trajectory(name, instance, allocations, plans, objectives, optima, [True] * len(optima))
 
     stage_optimal = build(
         "paper_replay", fixtures.STAGE_OPTIMAL_ASSIGNMENTS, fixtures.STAGE_OPTIMAL_MOVES

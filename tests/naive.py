@@ -196,6 +196,39 @@ def naive_least_connection(stage, instance, fixed):
     return assignment
 
 
+def naive_spread(communities, sizes, capacities, held):
+    """The paper's community spreading, from its contract: the ``held``
+    files keep their disks; communities go in the given order, members
+    ascending, each member to a disk it fits, one its community has not
+    used yet first, then the one with the most room left, then the lowest
+    disk id. Returns (assignment, degraded), degraded when some member
+    lands on a disk its community already used, or the error message for
+    the first member that is already placed, has no size, or fits no
+    disk."""
+    assignment = dict(held)
+    degraded = False
+    for members in communities:
+        used = []
+        for f in sorted(members):
+            if f in assignment:
+                return f"file {f} is already placed"
+            if f not in sizes:
+                return f"file {f} does not exist"
+            room = {
+                d: capacities[d] - sum(sizes[g] for g, e in assignment.items() if e == d)
+                for d in capacities
+            }
+            fits = [d for d in capacities if room[d] >= sizes[f]]
+            if not fits:
+                return f"file {f} ({sizes[f]} tracks) fits on no disk"
+            d = sorted(fits, key=lambda d: (d in used, -room[d], d))[0]
+            if d in used:
+                degraded = True
+            used.append(d)
+            assignment[f] = d
+    return assignment, degraded
+
+
 def naive_connection_tables(stage, files, placed, disks):
     """(rows, links, psi, scale) recounted from the stage's pairs. Each
     pair weighs 1, or under ``phi`` the sum of its two entries as the

@@ -48,6 +48,7 @@ from naive import (
     naive_internal_floor,
     naive_least_connection,
     naive_psi,
+    naive_spread,
 )
 
 
@@ -399,6 +400,77 @@ def test_spread_errors_when_pins_overfill_a_disk(instance):
     stage = instance.stage(1)
     with pytest.raises(InfeasibleError, match="overfill"):
         spread_allocate([], instance, stage, pinned={1: 3, 2: 3, 3: 3})
+
+
+def random_spread_case(seed):
+    """(instance, communities, previous, pinned) for one stage of 3-60
+    files on 1-6 disks at slack 1.0-1.6. A third of the cases hold the
+    inactive files of a previous allocation, a third pin some active
+    files, and a few communities name a file that is placed already or
+    does not exist."""
+    rng = random.Random(seed)
+    n, k = rng.randint(3, 60), rng.randint(1, 6)
+    sizes = {f: rng.randint(1, 3) for f in range(1, n + 1)}
+    capacities = dict.fromkeys(range(1, k + 1), 1)
+    for _ in range(int(rng.uniform(1.0, 1.6) * sum(sizes.values())) - k):
+        capacities[rng.randint(1, k)] += 1
+
+    def fitting(files):
+        """Each of ``files`` that still fits some disk, on a random one."""
+        loads, placed = dict.fromkeys(capacities, 0), {}
+        for f in files:
+            room = [d for d in capacities if loads[d] + sizes[f] <= capacities[d]]
+            if room:
+                placed[f] = rng.choice(room)
+                loads[placed[f]] += sizes[f]
+        return placed
+
+    kind = seed % 3
+    active = sorted(rng.sample(sorted(sizes), rng.randint(1, n))) if kind == 1 else sorted(sizes)
+    previous = Allocation(fitting(sorted(sizes))) if kind == 1 else None
+    pinned = fitting(rng.sample(active, rng.randint(0, len(active) // 3))) if kind == 2 else None
+    free = [f for f in active if f not in (pinned or {})]
+    rng.shuffle(free)
+    communities = []
+    while free:
+        size = rng.randint(1, k + 1)
+        communities.append(free[:size])
+        free = free[size:]
+    if rng.random() < 0.1:
+        rng.choice(communities).append(rng.choice((n + 1, rng.randint(1, n))))
+    communities = [Community(members) for members in communities]
+    inst = validate_instance(
+        Instance(
+            files=tuple(FileSpec(f, s) for f, s in sizes.items()),
+            disks=tuple(DiskSpec(d, c) for d, c in capacities.items()),
+            stages=(Stage(index=1, active_files=tuple(active)),),
+        )
+    )
+    return inst, communities, previous, pinned
+
+
+def test_spread_agrees_with_its_naive_rule():
+    outcomes = {"spread": 0, "degraded": 0, "refused": 0}
+    for seed in range(300):
+        inst, communities, previous, pinned = random_spread_case(seed)
+        stage = inst.stage(1)
+        if pinned is not None:
+            held = pinned
+        elif previous is not None:
+            held = {f: d for f, d in previous.assignment.items() if f not in stage.active_set}
+        else:
+            held = {}
+        want = naive_spread([c.members for c in communities], inst.sizes, inst.capacities, held)
+        try:
+            alloc = spread_allocate(communities, inst, stage, previous, pinned=pinned)
+            got = dict(alloc.assignment), alloc.degraded
+        except (InfeasibleError, ValidationError) as err:
+            got = str(err)
+        assert got == want, seed
+        kind = "refused" if isinstance(got, str) else "degraded" if got[1] else "spread"
+        outcomes[kind] += 1
+    # Every branch of the rule is reached.
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 # --- feasibility check ---------------------------------------------------

@@ -396,6 +396,23 @@ def test_restructure_onto_the_previous_solutions_own_stage(capsys, tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+def test_restructure_spends_a_budget_just_short_of_whole_moves(capsys, tmp_path, mode):
+    # At 10.0 a move, 19.999999995 buys the two moves of stage 2's optimum.
+    doc = json.loads(paper_example_path().read_text())
+    doc["relocation_unit_cost"] = 10.0
+    costly = tmp_path / "costly.json"
+    costly.write_text(json.dumps(doc))
+    previous = write_stage_doc(tmp_path / "x1.json", ref.X1, 1)
+    code, out, err = run(
+        capsys,
+        "restructure", "--instance", str(costly), "--stage", "2",
+        "--previous", previous, "--budget", "19.999999995", "--mode", mode,
+    )
+    assert (code, err) == (0, "")
+    assert "transition 1 -> 2 (modification cost 20.0):" in out
+
+
 @pytest.mark.parametrize("budget", ["nan", "inf"])
 def test_restructure_rejects_a_non_finite_budget(capsys, tmp_path, budget):
     previous = write_stage_doc(tmp_path / "x1.json", ref.X1, 1)
@@ -454,8 +471,8 @@ def test_plan_past_the_budget_exits_2_without_a_traceback(capsys, tmp_path, monk
 
     search = restructure._branch_and_bound
 
-    def unlimited(files, fixed, loads, instance, weights, homes, allowance):
-        return search(files, fixed, loads, instance, weights, homes, len(files))
+    def unlimited(files, fixed, instance, weights, homes, allowance):
+        return search(files, fixed, instance, weights, homes, len(files))
 
     # The optimum of stage 2 from X1 takes two moves; the budget pays one.
     monkeypatch.setattr(restructure, "_branch_and_bound", unlimited)

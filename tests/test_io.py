@@ -511,17 +511,38 @@ def test_solution_from_allocation_and_back():
     assert restored == alloc
 
 
+def trajectory_chains(instance):
+    """Every strategy's chain over the bundled example, then the
+    independent and both sequential chains over generated 9-file, 3-stage
+    instances whose moves cost 0.1 or 0.7, at budgets of a few moves."""
+    sequential = TrajectoryStrategy.SEQUENTIAL_RESTRUCTURED
+    yield plan_trajectory(instance, sequential, budgets=(2.0, 2.0))
+    yield plan_trajectory(instance, sequential, budgets=(2.0, 2.0), mode="greedy")
+    yield plan_trajectory(instance, TrajectoryStrategy.INDEPENDENT_OPTIMAL)
+    yield plan_trajectory(instance, TrajectoryStrategy.PAPER_REPLAY)
+    for seed, unit in ((1, 0.1), (2, 0.7), (3, 0.1)):
+        doc = generate_instance(9, 3, 3, 0.3, (1, 2), 1.3, seed)
+        doc["relocation_unit_cost"] = unit
+        inst = parse_instance_document(doc)
+        budgets = (3 * unit, 2 * unit + 0.05)
+        yield plan_trajectory(inst, TrajectoryStrategy.INDEPENDENT_OPTIMAL)
+        yield plan_trajectory(inst, sequential, budgets=budgets)
+        yield plan_trajectory(inst, sequential, budgets=budgets, mode="greedy")
+
+
 def test_solution_from_trajectory_mirrors_every_field(instance):
-    traj = plan_trajectory(
-        instance, TrajectoryStrategy.SEQUENTIAL_RESTRUCTURED, budgets=(2.0, 2.0)
-    )
-    sol = solution_from_trajectory(traj)
-    assert [s.index for s in sol.stages] == [1, 2, 3]
-    assert sol.total_modification_cost == traj.total_modification_cost
-    assert [t.h for t in sol.transitions] == [p.total_cost for p in traj.plans]
-    assert [s.objective for s in sol.stages] == list(traj.objectives)
-    assert [s.rho for s in sol.stages] == list(traj.proximities)
-    assert parse_solution_document(emit_solution_document(sol)) == sol
+    for traj in trajectory_chains(instance):
+        sol = solution_from_trajectory(traj)
+        assert [s.index for s in sol.stages] == list(traj.stage_indices)
+        assert sol.total_modification_cost == traj.total_modification_cost
+        assert [t.h for t in sol.transitions] == [p.total_cost for p in traj.plans]
+        assert [s.objective for s in sol.stages] == list(traj.objectives)
+        assert [s.rho for s in sol.stages] == list(traj.proximities)
+        assert parse_solution_document(emit_solution_document(sol)) == sol
+        # Each total is derived from the chain's own parts.
+        for i, rho in enumerate(traj.proximities):
+            assert rho == traj.objectives[i] - traj.optima[i]
+        assert traj.total_modification_cost == sum(p.total_cost for p in traj.plans)
 
 
 def test_empty_transitions_key_is_omitted():

@@ -142,6 +142,17 @@ def test_fractional_budget_floors_to_whole_moves(instance):
     assert enough.plan.total_cost == 2.0
 
 
+@pytest.mark.parametrize("mode", list(RestructureMode))
+def test_a_budget_just_short_of_whole_moves_buys_them(instance, mode):
+    # At 10.0 a move, 19.999999995 buys two moves within the allowance's
+    # tolerance; the plan, priced 20.0, is checked in those two moves.
+    costly = dataclasses.replace(instance, relocation_unit_cost=10.0)
+    first, _, _ = solve_stage(costly, 1)
+    result = restructure_one_stage(problem(costly, 2, first.assignment, 19.999999995), mode)
+    assert len(result.plan.moves) == 2
+    assert result.plan.total_cost == 20.0
+
+
 def test_exact_restructure_matches_brute_force_on_bundled(instance):
     stage = instance.stage(2)
     for budget in (0.0, 1.0, 2.0, 3.0):
@@ -894,6 +905,15 @@ def test_sequential_zero_budgets_never_move_anything(instance):
     assert traj.total_modification_cost == 0.0
     assert traj.objectives[0] == 0.0
     assert traj.objectives[1] == 1.0
+
+
+def test_sequential_trajectory_spends_budgets_just_short_of_whole_moves(instance):
+    costly = dataclasses.replace(instance, relocation_unit_cost=10.0)
+    traj = plan_trajectory(
+        costly, TrajectoryStrategy.SEQUENTIAL_RESTRUCTURED, budgets=(19.999999995, 19.999999995)
+    )
+    assert [len(p.moves) for p in traj.plans] == [2, 0]
+    assert traj.total_modification_cost == 20.0
 
 
 def test_sequential_trajectory_requires_one_budget_per_transition(instance):
