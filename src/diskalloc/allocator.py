@@ -22,6 +22,8 @@ the loads of the files it keeps fixed from those files; greedy
 restructuring is ``_Placement``'s best-improvement descent over local
 search's move/swap neighbourhood, on a ``_Placement`` that seeds the
 files new to a stage by least connection, as a heuristic solve does.
+Exact restructuring starts its search from greedy's placement, and its
+reference is ``_optimum``'s value, found on the same weights.
 The searches run on ``PairWeights``' exact integer weights, so a gain is
 a negative delta and a tie is equality; each objective they return is one
 division by the weights' ``scale``.
@@ -505,9 +507,9 @@ class _Placement:
         pays at most 1/k of its weight to the files before it, so at most
         1/k of the weight it places shares a disk. When a file fits no
         disk, the files placed by least connection are taken back and all
-        of them are placed best fit decreasing instead (see
-        ``_best_fit_decreasing``); raises InfeasibleError for a file that
-        fits no disk there either. Every file is then classified once."""
+        of them are placed best fit decreasing instead, or else packed by
+        the branch-and-bound (see ``_best_fit_decreasing``). Every file is
+        then classified once."""
         self.files = files
         self.disks = sorted(instance.capacities)
         self.slot_of = slot_of = {d: s for s, d in enumerate(self.disks)}
@@ -552,7 +554,7 @@ class _Placement:
                 if not fits:
                     for j in unplaced[:seeded]:
                         self.unplace(j)
-                    self._best_fit_decreasing(unplaced)
+                    self._best_fit_decreasing(unplaced, instance)
                     break
                 s = min(fits, key=row.__getitem__)
             self.place(i, s)
@@ -585,18 +587,36 @@ class _Placement:
         for j, w in self.links[i].items():
             rows[j][s] -= w
 
-    def _best_fit_decreasing(self, unplaced: Sequence[int]) -> None:
+    def _best_fit_decreasing(self, unplaced: Sequence[int], instance: Instance) -> None:
         """Place ``unplaced``, which come largest first, each in turn on the
-        disk it fits with the least room left, ties to the lowest disk id;
-        raises InfeasibleError for a file that fits no disk."""
+        disk it fits with the least room left, ties to the lowest disk id.
+        Where a file fits no disk, the files placed so are taken back and
+        ``_branch_and_bound``, as a pure packing search on the weights of a
+        pair-free stage, places them, largest first, then by id, around the
+        files already placed; raises InfeasibleError for that file when the
+        search finds no packing within its node budget."""
         loads, capacities, size_of = self.loads, self.capacities, self.size_of
         slots = range(len(loads))
-        for i in unplaced:
+        for placed, i in enumerate(unplaced):
             size = size_of[i]
             room = [capacities[s] - loads[s] for s in slots]
             fits = [(room[s], s) for s in slots if room[s] >= size]
             if not fits:
-                raise InfeasibleError(f"file {self.files[i]} ({size} tracks) fits on no disk")
+                for j in unplaced[:placed]:
+                    self.unplace(j)
+                files = sorted((self.files[j] for j in unplaced), key=lambda f: (-instance.sizes[f], f))
+                around = {f: self.disks[s] for f, s in zip(self.files, self.disk_of) if s is not None}
+                try:
+                    found = _branch_and_bound(
+                        files, {**self.fixed, **around}, instance, PairWeights(Stage(0, files)), {}, len(files)
+                    )
+                except EnumerationCapError:
+                    found = None
+                if found is None:
+                    raise InfeasibleError(f"file {self.files[i]} ({size} tracks) fits on no disk")
+                for f in files:
+                    self.place(self.position[f], self.slot_of[found[0][f]])
+                return
             self.place(i, min(fits)[1])
 
     def _classify(self, positions: Iterable[int]) -> None:
@@ -854,6 +874,7 @@ def _branch_and_bound(
     weights: PairWeights,
     homes: Mapping[int, Optional[int]],
     allowance: int,
+    incumbent: Optional[_Placement] = None,
 ) -> Optional[tuple[dict[int, int], float]]:
     """Depth-first search over placements of ``files``, in the given order,
     beside the ``fixed`` ones; returns (assignment of the fixed and searched
@@ -866,8 +887,14 @@ def _branch_and_bound(
     most ``allowance`` files may move. Minimizes (objective, moves,
     assignment vector), exactly on the weights' integers: disks are tried
     ascending, so the first optimum recorded is the lexicographically
-    least. Prunes on capacity, on the allowance, on the partial objective
-    once an incumbent exists, on symmetry (an empty disk that holds no
+    least. An ``incumbent``, a placement of the same files beside the same
+    ``fixed`` ones on the same weights within the allowance, such as
+    greedy restructuring's descent, starts the search with its objective
+    as the value to tie or beat and ``allowance + 1`` as its move count:
+    any placement that ties it within the allowance still beats it, so the
+    result is the same least (objective, moves, assignment), found with
+    fewer nodes. Prunes on capacity, on the allowance, on the partial
+    objective once an incumbent exists, on symmetry (an empty disk that holds no
     pinned file and is home to no file still unplaced is interchangeable
     with an earlier such disk of equal residual capacity), and on an
     admissible lower bound.
@@ -944,8 +971,7 @@ def _branch_and_bound(
 
     inf = float("inf")
     best: Optional[list[int]] = None
-    best_psi = inf
-    best_moves = 0
+    best_psi, best_moves = (inf, 0) if incumbent is None else (incumbent.psi, allowance + 1)
     chosen = [0] * n
 
     def children(i: int, partial: int, bound: int, moves: int):
@@ -1128,6 +1154,37 @@ def exact_solve(
     if found is None:
         raise InfeasibleError("no placement satisfies the disk capacities")
     return Allocation(found[0]), found[1]
+
+
+def _optimum(
+    stage: Stage,
+    instance: Instance,
+    fixed: Mapping[int, int],
+    cap: int,
+    weights: Optional[PairWeights] = None,
+) -> tuple[float, bool]:
+    """(objective, certified): the value alone of ``_solve_stage``'s
+    result for the stage around the ``fixed`` files, which must fit the
+    disks, as ``_held`` and ``exact_solve`` check, on ``weights``, the
+    stage's ``PairWeights``, when given. Since only the value is kept,
+    ``_branch_and_bound`` searches the free files, at most ``cap`` of
+    them, heaviest first, by summed weight, then by id; past the cap or
+    the node budget the heuristic's objective comes back uncertified.
+    Raises ``exact_solve``'s InfeasibleError when no placement fits."""
+    weights = weights or PairWeights(stage)
+    free = [f for f in stage.active_files if f not in fixed]
+    if len(free) <= cap:
+        position, links = weights.position, weights.links
+        free.sort(key=lambda f: (-sum(links[position[f]].values()), f))
+        try:
+            found = _branch_and_bound(free, fixed, instance, weights, {}, len(free))
+        except EnumerationCapError:
+            pass
+        else:
+            if found is None:
+                raise InfeasibleError("no placement satisfies the disk capacities")
+            return found[1], True
+    return _solve_stage(stage, instance, fixed, cap, False, weights)[1], False
 
 
 def _solve_stage(

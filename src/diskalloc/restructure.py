@@ -9,14 +9,16 @@ This module holds only budget logic (move allowance, reference, rho, plan
 and its check); the allocator reads the previous allocation, holds the
 stage's weights and takes every placement. The budget buys whole moves:
 ``_move_allowance`` reads it once, and the searches and the plan check
-count moves against that allowance. Exact restructuring is the
-branch-and-bound of ``exact_solve``, symmetry prune and node budget
-included, run with each file's previous disk as its home and a move
-allowance. Greedy restructuring runs ``_Placement``'s best-improvement
-descent under the move allowance, on a placement that seeds the files new
-to the stage by least connection, as a heuristic stage solve seeds its
-files. Both run on exact integer weights, so an objective that ties the
-reference reads a proximity of exactly 0.0.
+count moves against that allowance. Greedy restructuring runs
+``_Placement``'s best-improvement descent under the move allowance, on a
+placement that seeds the files new to the stage by least connection, as a
+heuristic stage solve seeds its files. Exact restructuring runs that
+descent first, then the branch-and-bound of ``exact_solve``, symmetry
+prune and node budget included, with each file's previous disk as its
+home, the move allowance, and greedy's placement as the incumbent to tie
+or beat. The reference is a value only, ``_optimum``'s, found on the
+search's own weights. Both modes run on exact integer weights, so an
+objective that ties the reference reads a proximity of exactly 0.0.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ from .allocator import (
     _branch_and_bound,
     _check_active,
     _held,
+    _optimum,
     _Placement,
     _solve_stage,
-    exact_solve,
 )
 
 # Budgets are floats: a budget of k unit moves buys k moves even where the
@@ -134,10 +136,19 @@ def restructure_one_stage(
     """Best allocation reachable from the previous one within the budget.
 
     The budget buys whole moves, the allowance, and the plan is checked in
-    moves against it. Exact mode enumerates every capacity-feasible
-    placement that keeps the number of moved files within the allowance,
-    minimizing (objective, move count, assignment) lexicographically, and
-    raises EnumerationCapError past the branch-and-bound's node budget.
+    moves against it. The reference, unless declared, is the stage's
+    optimum around the held files as a value and a certified flag: the
+    branch-and-bound's, heaviest files first, on the search's weights, or
+    past the cap or the node budget the heuristic's, uncertified.
+
+    Exact mode enumerates every capacity-feasible placement that keeps the
+    number of moved files within the allowance, minimizing (objective,
+    move count, assignment) lexicographically, and raises
+    EnumerationCapError past the branch-and-bound's node budget.
+    It first runs greedy mode's descent and starts the search from its
+    placement, as an objective to tie or beat with a move count above the
+    allowance, so the search returns the same result with fewer nodes;
+    where greedy cannot seed the stage, the search runs alone.
     Where the allowance is below the number of files with a previous disk,
     the search also bounds each subtree by the moves left: only that many
     more files may leave their previous disks, each saving at most its own
@@ -181,17 +192,23 @@ def restructure_one_stage(
     if problem.reference is not None:
         psi_star, certified = problem.reference, False
     else:
-        _, psi_star, certified = _solve_stage(stage, instance, fixed, cap, weights=weights)
+        psi_star, certified = _optimum(stage, instance, fixed, cap, weights)
 
+    # New files start where the least-connection seed puts them, move-free.
+    try:
+        state = _Placement({**fixed, **base}, stage.active_files, instance, weights, base, m)
+    except InfeasibleError:
+        if mode is RestructureMode.GREEDY:
+            raise
+        state = None
+    else:
+        final, psi = state.steepest_descent()
     if mode is RestructureMode.EXACT:
-        found = _branch_and_bound(stage.active_files, fixed, instance, weights, base, m)
+        # Greedy's result, where it has one, is the incumbent to tie or beat.
+        found = _branch_and_bound(stage.active_files, fixed, instance, weights, base, m, state)
         if found is None:
             raise InfeasibleError("no placement within the move allowance fits the disks")
         final, psi = found
-    else:
-        # New files start where the least-connection seed puts them, move-free.
-        state = _Placement({**fixed, **base}, stage.active_files, instance, weights, base, m)
-        final, psi = state.steepest_descent()
 
     if psi < psi_star:
         if certified:
@@ -324,10 +341,9 @@ def paper_replay_trajectories(instance: Instance) -> tuple[Trajectory, Trajector
             "replay is only defined for the bundled example instance"
         )
     unit = instance.relocation_unit_cost
-    optima = []
-    for stage in instance.stages:
-        _, psi_star = exact_solve(stage, instance)
-        optima.append(psi_star)
+    optima, certified = zip(
+        *(_optimum(stage, instance, {}, EXACT_CAP_DEFAULT) for stage in instance.stages)
+    )
 
     def build(name: str, assignments, move_lists) -> Trajectory:
         allocations = tuple(Allocation(a) for a in assignments)
@@ -342,7 +358,7 @@ def paper_replay_trajectories(instance: Instance) -> tuple[Trajectory, Trajector
             )
             for moves in move_lists
         )
-        return _trajectory(name, instance, allocations, plans, objectives, optima, [True] * len(optima))
+        return _trajectory(name, instance, allocations, plans, objectives, optima, certified)
 
     stage_optimal = build(
         "paper_replay", fixtures.STAGE_OPTIMAL_ASSIGNMENTS, fixtures.STAGE_OPTIMAL_MOVES

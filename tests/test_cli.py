@@ -447,15 +447,15 @@ def test_budget_past_the_float_range_in_moves_exits_0(capsys, tmp_path, command)
 def test_broken_invariant_exits_2_without_a_traceback(capsys, tmp_path, monkeypatch):
     from diskalloc import restructure
 
-    solve = restructure._solve_stage
+    optimum = restructure._optimum
 
     def inflated(*args, **kwargs):
-        alloc, psi, certified = solve(*args, **kwargs)
+        psi, certified = optimum(*args, **kwargs)
         assert certified
-        return alloc, psi + 1.0, certified
+        return psi + 1.0, certified
 
     # A certified reference above the true optimum: the search beats it.
-    monkeypatch.setattr(restructure, "_solve_stage", inflated)
+    monkeypatch.setattr(restructure, "_optimum", inflated)
     previous = write_stage_doc(tmp_path / "x1.json", ref.X1, 1)
     code, out, err = run(
         capsys,
@@ -471,8 +471,8 @@ def test_plan_past_the_budget_exits_2_without_a_traceback(capsys, tmp_path, monk
 
     search = restructure._branch_and_bound
 
-    def unlimited(files, fixed, instance, weights, homes, allowance):
-        return search(files, fixed, instance, weights, homes, len(files))
+    def unlimited(files, fixed, instance, weights, homes, allowance, incumbent=None):
+        return search(files, fixed, instance, weights, homes, len(files), incumbent)
 
     # The optimum of stage 2 from X1 takes two moves; the budget pays one.
     monkeypatch.setattr(restructure, "_branch_and_bound", unlimited)

@@ -31,7 +31,17 @@ from diskalloc import (
     validate_instance,
 )
 from diskalloc.generator import generate_instance
-from diskalloc.allocator import _Placement, exact_solve, local_search
+from diskalloc.allocator import (
+    EXACT_CAP_DEFAULT,
+    PairWeights,
+    _branch_and_bound,
+    _held,
+    _optimum,
+    _Placement,
+    _solve_stage,
+    exact_solve,
+    local_search,
+)
 
 import reference_data as ref
 from naive import naive_restructure, naive_restructure_decimal
@@ -372,13 +382,24 @@ def test_greedy_restructuring_places_new_files_where_exact_mode_does():
             assert result.objective == objective, (mode, budget)
 
 
-def _dropped_case(seed, slack):
+def _dropped_case(seed, slack, inactive=False, dense=False):
     """(instance, previous): 8-12 files on 3-4 disks in two stages, and
     the heuristic stage-1 allocation with each file dropped at chance 0.4,
-    so that the dropped files are new to stage 2."""
+    so that the dropped files are new to stage 2. With ``inactive``, 1-3
+    files leave stage 2 with their pairs; with ``dense``, stage 2 weighs
+    every pair by 3-decimal ``phi``."""
     rng = random.Random(seed)
     n, k = rng.randint(8, 12), rng.randint(3, 4)
-    inst = parse_instance_document(generate_instance(n, k, 2, 0.3, (1, 3), slack, seed))
+    doc = generate_instance(n, k, 2, 0.3, (1, 3), slack, seed)
+    raw, active = doc["stages"][1], list(range(1, n + 1))
+    if inactive:
+        leaving = set(rng.sample(active, rng.randint(1, 3)))
+        raw["active_files"] = active = [f for f in active if f not in leaving]
+        for key in ("precedence", "concurrency"):
+            raw[key] = [pair for pair in raw[key] if leaving.isdisjoint(pair)]
+    if dense:
+        raw["phi"] = [[0.0 if a == b else rng.randint(0, 999) / 1000 for b in active] for a in active]
+    inst = parse_instance_document(doc)
     first = solve_stage(inst, 1, exact=False)[0].assignment
     return inst, {f: first[f] for f in sorted(first) if rng.random() >= 0.4}
 
@@ -416,6 +437,124 @@ def test_greedy_restructuring_places_new_files_on_a_tight_stage(seed):
             problem(inst, 2, previous, budget, reference=0.0), RestructureMode.GREEDY
         )
         assert exact.objective <= greedy.objective, budget
+
+
+@pytest.mark.parametrize("seed, objective", [(249, 1.0), (349, 2.0), (1193, 2.0)])
+def test_the_heuristic_packs_a_tight_stage_that_best_fit_decreasing_misses(seed, objective):
+    # Least connection, then best fit decreasing, left a file of stage 1
+    # no disk ("file N (2 tracks) fits on no disk"); the branch-and-bound,
+    # as a pure packing search, places them all, and local search descends
+    # from there.
+    rng = random.Random(seed)
+    n, k = rng.randint(8, 12), rng.randint(3, 4)
+    inst = parse_instance_document(generate_instance(n, k, 2, 0.3, (1, 3), 1.05, seed))
+    assert solve_stage(inst, 1, exact=False)[1:] == (objective, False)
+    assert solve_stage(inst, 1, exact=True)[1:] == (1.0, True)
+
+
+def _exact_searches(inst, previous, budget):
+    """(search, greedy): the branch-and-bound of exact restructuring of
+    stage 2 from ``previous`` at ``budget`` moves, as a function of its
+    incumbent, and greedy restructuring's placement after its descent, or
+    None where greedy cannot seed the stage."""
+    stage = inst.stage(2)
+    fixed, _ = _held(stage, Allocation(previous), inst)
+    base = {f: d for f, d in previous.items() if f in stage.active_set}
+    weights, m = PairWeights(stage), min(budget, len(base))
+
+    def search(incumbent=None):
+        return _branch_and_bound(stage.active_files, fixed, inst, weights, base, m, incumbent)
+
+    try:
+        greedy = _Placement({**fixed, **base}, stage.active_files, inst, weights, base, m)
+    except InfeasibleError:
+        return search, None
+    greedy.steepest_descent()
+    return search, greedy
+
+
+INCUMBENT_CASES = [(1.05, False, False), (1.2, False, False), (1.2, True, False), (1.2, False, True)]
+
+
+def test_greedys_incumbent_changes_no_exact_result():
+    # New files at slack 1.05 and 1.2, files inactive in stage 2, and dense
+    # 3-decimal phi, at budgets 0, 1, 2 and every file.
+    compared = 0
+    for seed in range(100):
+        inst, previous = _dropped_case(seed, *INCUMBENT_CASES[seed % 4])
+        for budget in (0, 1, 2, len(previous)):
+            search, greedy = _exact_searches(inst, previous, budget)
+            if greedy is not None:
+                assert search(greedy) == search(), (seed, budget)
+                compared += 1
+    assert compared >= 300
+
+
+def test_greedys_incumbent_solves_where_the_bare_search_passes_its_node_budget(monkeypatch):
+    # At budget 4 the search enters 657 nodes alone and 245 from greedy's
+    # objective, with the same result.
+    import diskalloc.allocator as mod
+
+    inst = parse_instance_document(generate_instance(12, 3, 2, 0.3, (1, 3), 1.3, 2))
+    previous = solve_stage(inst, 1, exact=False)[0].assignment
+    want = restructure_one_stage(problem(inst, 2, previous, 4.0, reference=0.0))
+    search, _ = _exact_searches(inst, previous, 4)
+    monkeypatch.setattr(mod, "_NODE_BUDGET", 450)
+    with pytest.raises(EnumerationCapError):
+        search()
+    assert restructure_one_stage(problem(inst, 2, previous, 4.0, reference=0.0)) == want
+
+
+def _reference_case(seed):
+    """(instance, pinned): one stage of 6-11 files on 2-4 disks, uniform or
+    with dense 3-decimal ``phi``, and about a third of its files pinned
+    where the heuristic put them."""
+    rng = random.Random(seed)
+    n, k = rng.randint(6, 11), rng.randint(2, 4)
+    doc = generate_instance(n, k, 1, 0.3, (1, 3), rng.choice((1.05, 1.2, 1.5)), seed)
+    if seed % 2:
+        doc["stages"][0]["phi"] = [
+            [0.0 if a == b else rng.randint(0, 999) / 1000 for b in range(n)] for a in range(n)
+        ]
+    inst = parse_instance_document(doc)
+    first = solve_stage(inst, 1, exact=False)[0].assignment
+    return inst, {f: d for f, d in first.items() if rng.random() < 0.3}
+
+
+def test_the_reference_is_exact_solves_value():
+    for seed in range(300):
+        inst, pinned = _reference_case(seed)
+        stage = inst.stage(1)
+        _, psi = exact_solve(stage, inst, pinned=pinned)
+        assert _optimum(stage, inst, pinned, EXACT_CAP_DEFAULT) == (psi, True), seed
+
+
+def test_the_reference_past_the_cap_or_the_node_budget_is_the_heuristics(monkeypatch):
+    import diskalloc.allocator as mod
+
+    cases = [_reference_case(seed) for seed in range(60)]
+    heuristic = [
+        _solve_stage(inst.stage(1), inst, pinned, EXACT_CAP_DEFAULT, False)[1] for inst, pinned in cases
+    ]
+    for (inst, pinned), psi in zip(cases, heuristic):
+        free = len(inst.stage(1).active_files) - len(pinned)
+        assert _optimum(inst.stage(1), inst, pinned, free - 1) == (psi, False)
+    monkeypatch.setattr(mod, "_NODE_BUDGET", 1)
+    for (inst, pinned), psi in zip(cases, heuristic):
+        assert _optimum(inst.stage(1), inst, pinned, EXACT_CAP_DEFAULT) == (psi, False)
+
+
+def test_the_reference_raises_exact_solves_error_when_nothing_fits():
+    # Three 2-track files on two 3-track disks fit in total tracks only.
+    inst = Instance(
+        files=tuple(FileSpec(f, 2) for f in (1, 2, 3)),
+        disks=(DiskSpec(1, 3), DiskSpec(2, 3)),
+        stages=(Stage(1, (1, 2, 3)),),
+    )
+    with pytest.raises(InfeasibleError) as want:
+        exact_solve(inst.stage(1), inst)
+    with pytest.raises(InfeasibleError, match=f"^{want.value}$"):
+        _optimum(inst.stage(1), inst, {}, EXACT_CAP_DEFAULT)
 
 
 def test_exact_restructuring_bounds_the_moves_left(monkeypatch):
@@ -780,8 +919,8 @@ def restructuring_case(shape, fractional):
     [
         # Past the cap the heuristic reference reuses the search's weights.
         (RestructureMode.GREEDY, (60, 4, 2, 0.1, (1, 2), 1.4, 3), False, [2]),
-        # Below it exact_solve builds its own weights, as a direct call does.
-        (RestructureMode.EXACT, (10, 3, 2, 0.3, (1, 2), 1.4, 3), False, [2, 2]),
+        # Below it the exact reference searches the search's weights too.
+        (RestructureMode.EXACT, (10, 3, 2, 0.3, (1, 2), 1.4, 3), False, [2]),
         # Movement probabilities are weighed without the stage's pairs.
         (RestructureMode.GREEDY, (60, 4, 2, 0.1, (1, 2), 1.4, 3), True, []),
         (RestructureMode.EXACT, (10, 3, 2, 0.3, (1, 2), 1.4, 3), True, []),
