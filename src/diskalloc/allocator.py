@@ -23,7 +23,8 @@ restructuring is ``_Placement``'s best-improvement descent over local
 search's move/swap neighbourhood, on a ``_Placement`` that seeds the
 files new to a stage by least connection, as a heuristic solve does.
 Exact restructuring starts its search from greedy's placement, and its
-reference is ``_optimum``'s value, found on the same weights.
+reference is ``_optimum``'s value, found on the same weights by the value
+search that ``exact_solve`` runs before its witness search.
 The searches run on ``PairWeights``' exact integer weights, so a gain is
 a negative delta and a tie is equality; each objective they return is one
 division by the weights' ``scale``.
@@ -594,7 +595,11 @@ class _Placement:
         ``_branch_and_bound``, as a pure packing search on the weights of a
         pair-free stage, places them, largest first, then by id, around the
         files already placed; raises InfeasibleError for that file when the
-        search finds no packing within its node budget."""
+        search finds no packing within its node budget. It raises so before
+        any search where no packing can exist: where the disks' free room
+        is less than the tracks of ``unplaced``, or where ``unplaced`` holds
+        more files than the disks take of its smallest, each disk its room
+        over that size, rounded down."""
         loads, capacities, size_of = self.loads, self.capacities, self.size_of
         slots = range(len(loads))
         for placed, i in enumerate(unplaced):
@@ -604,6 +609,12 @@ class _Placement:
             if not fits:
                 for j in unplaced[:placed]:
                     self.unplace(j)
+                refusal = InfeasibleError(f"file {self.files[i]} ({size} tracks) fits on no disk")
+                room = [capacities[s] - loads[s] for s in slots]
+                sizes = [size_of[j] for j in unplaced]
+                least = min(sizes)
+                if sum(room) < sum(sizes) or least and len(sizes) > sum(r // least for r in room):
+                    raise refusal
                 files = sorted((self.files[j] for j in unplaced), key=lambda f: (-instance.sizes[f], f))
                 around = {f: self.disks[s] for f, s in zip(self.files, self.disk_of) if s is not None}
                 try:
@@ -613,7 +624,7 @@ class _Placement:
                 except EnumerationCapError:
                     found = None
                 if found is None:
-                    raise InfeasibleError(f"file {self.files[i]} ({size} tracks) fits on no disk")
+                    raise refusal
                 for f in files:
                     self.place(self.position[f], self.slot_of[found[0][f]])
                 return
@@ -875,7 +886,10 @@ def _branch_and_bound(
     homes: Mapping[int, Optional[int]],
     allowance: int,
     incumbent: Optional[_Placement] = None,
-) -> Optional[tuple[dict[int, int], float]]:
+    *,
+    value: bool = False,
+    reach: Optional[int] = None,
+) -> Optional[tuple[dict[int, int], float] | int]:
     """Depth-first search over placements of ``files``, in the given order,
     beside the ``fixed`` ones; returns (assignment of the fixed and searched
     files, objective), or None when nothing fits. The ``fixed`` files fill
@@ -896,8 +910,22 @@ def _branch_and_bound(
     fewer nodes. Prunes on capacity, on the allowance, on the partial
     objective once an incumbent exists, on symmetry (an empty disk that holds no
     pinned file and is home to no file still unplaced is interchangeable
-    with an earlier such disk of equal residual capacity), and on an
-    admissible lower bound.
+    with such a disk of equal residual capacity tried before it), and on
+    an admissible lower bound.
+
+    Two private modes split an optimum's search in two, each counting its
+    own nodes against ``_NODE_BUDGET``. The value search, ``value``,
+    returns the least objective alone, in the weights' integer units, or
+    None: it takes the files heaviest first, by summed weight, then by id,
+    each next file the one with the most weight to those before it, and
+    tries each file's slots cheapest entry first, ties to the lower slot,
+    so it meets low objectives early and cuts more. The witness search,
+    ``reach``, takes that integer objective as its incumbent, to reach
+    rather than beat, with ``allowance + 1`` as its move count, and
+    returns the first leaf that it records: no ancestor of an optimal
+    leaf has a floor above the optimum, so with the files in their given
+    order and the slots ascending, that leaf is the lexicographically
+    least optimum.
 
     The search numbers the disks ascending as slots 0..k-1 and keeps
     loads, capacities, homes and table rows as lists indexed by slot, so a
@@ -945,6 +973,21 @@ def _branch_and_bound(
     A loop over per-level generators, not recursion, runs the search, so
     any depth fits; past ``_NODE_BUDGET`` nodes it raises EnumerationCapError.
     """
+    if value:
+        # Each next file is the one with the most weight to those before it,
+        # ties to the heaviest, then to the lowest id: weights.files ascend,
+        # and so do their positions.
+        own = weights.links
+        ties = sorted(map(weights.position.__getitem__, files), key=lambda p: (-sum(own[p].values()), p))
+        attached = dict.fromkeys(ties, 0)
+        files = []
+        while attached:
+            p = max(attached, key=attached.__getitem__)
+            del attached[p]
+            files.append(weights.files[p])
+            for q, w in own[p].items():
+                if q in attached:
+                    attached[q] += w
     sizes = [instance.sizes[f] for f in files]
     disks = sorted(instance.capacities)
     slot_of = {d: s for s, d in enumerate(disks)}
@@ -956,10 +999,10 @@ def _branch_and_bound(
     n = len(files)
     file_homes = [slot_of.get(homes.get(f)) for f in files]
     # reserved[i]: slots never skipped as empty while files[i:] are unplaced.
-    reserved = [{slot_of[d] for d in fixed.values()}]
-    for home in reversed(file_homes):
-        reserved.append(reserved[-1] | {home})
-    reserved.reverse()
+    reserved = [{slot_of[d] for d in fixed.values()}] * (n + 1)
+    if homes:
+        for i in range(n - 1, -1, -1):
+            reserved[i] = reserved[i + 1] | {file_homes[i]}
 
     # Interference of fixed files among themselves is a constant floor;
     # interference with searched files accrues during the descent.
@@ -971,7 +1014,8 @@ def _branch_and_bound(
 
     inf = float("inf")
     best: Optional[list[int]] = None
-    best_psi, best_moves = (inf, 0) if incumbent is None else (incumbent.psi, allowance + 1)
+    start = reach if incumbent is None else incumbent.psi
+    best_psi, best_moves = (inf, 0) if start is None else (start, allowance + 1)
     chosen = [0] * n
 
     def children(i: int, partial: int, bound: int, moves: int):
@@ -982,7 +1026,7 @@ def _branch_and_bound(
         rest = bound - low[i]
         ahead = rest + floors[i]
         seen_empty: set[int] = set()
-        for s in slots:
+        for s in sorted(slots, key=cost.__getitem__) if value else slots:
             if loads[s] + size > capacities[s]:
                 continue
             used = moves
@@ -1104,6 +1148,9 @@ def _branch_and_bound(
                 continue
             if len(stack) > n:
                 best, best_psi, best_moves = chosen.copy(), partial, moves
+                if reach is not None:
+                    stack.clear()
+                    break
                 continue
             stack.append(expand(len(stack) - 1, partial, bound, moves))
             break
@@ -1111,6 +1158,8 @@ def _branch_and_bound(
             stack.pop()
     if best is None:
         return None
+    if value:
+        return best_psi
     return {**fixed, **{f: disks[s] for f, s in zip(files, best)}}, best_psi / weights.scale
 
 
@@ -1123,19 +1172,24 @@ def exact_solve(
 ) -> tuple[Allocation, float]:
     """Provably minimal placement by depth-first enumeration.
 
-    Searches files ascending over disks ascending, pruning on capacity, on
-    partial objective once an incumbent exists, on symmetry between empty
-    disks of equal residual capacity, and on a lower bound: partial
-    objective plus, for each unplaced file, its summed weight to the disk
-    where that weight is least, plus a floor for the pairs among the
-    unplaced files from how many of them must share a disk (see
+    Runs two searches on one ``PairWeights``, each within its own node
+    budget. The value search finds the least objective alone, files
+    heaviest first, each next the most connected to those before it, and
+    each file's disks cheapest first. The witness search then takes that
+    value as its incumbent, searches files ascending over disks ascending,
+    and stops at the first placement that reaches it. Both prune on
+    capacity, on partial objective once an incumbent exists, on symmetry
+    between empty disks of equal residual capacity, and on a lower bound:
+    partial objective plus, for each unplaced file, its summed weight to
+    the disk where that weight is least, plus a floor for the pairs among
+    the unplaced files from how many of them must share a disk (see
     ``_suffix_floors``). Disks are numbered as list slots for the search
     and mapped back in the result. Objectives compare exactly, on
     ``PairWeights``' integers. Among minimum-objective placements it
     returns the lexicographically least assignment vector; the bound
     prunes only subtrees that hold no such placement.
     Raises EnumerationCapError beyond ``cap`` active files, up front, or
-    once the search has entered more than ``_NODE_BUDGET`` nodes, and
+    once either search has entered more than ``_NODE_BUDGET`` nodes, and
     ValidationError, before the cap check, for an instance whose cost
     model is not uniform or an active file the instance lacks.
     """
@@ -1150,9 +1204,11 @@ def exact_solve(
             f"exact search over {n} files exceeds the cap of {cap}; "
             "raise the cap explicitly or use the heuristic path"
         )
-    found = _branch_and_bound(files, fixed, instance, PairWeights(stage), {}, n)
-    if found is None:
+    weights = PairWeights(stage)
+    psi = _branch_and_bound(files, fixed, instance, weights, {}, n, value=True)
+    if psi is None:
         raise InfeasibleError("no placement satisfies the disk capacities")
+    found = _branch_and_bound(files, fixed, instance, weights, {}, n, reach=psi)
     return Allocation(found[0]), found[1]
 
 
@@ -1167,23 +1223,23 @@ def _optimum(
     result for the stage around the ``fixed`` files, which must fit the
     disks, as ``_held`` and ``exact_solve`` check, on ``weights``, the
     stage's ``PairWeights``, when given. Since only the value is kept,
-    ``_branch_and_bound`` searches the free files, at most ``cap`` of
-    them, heaviest first, by summed weight, then by id; past the cap or
-    the node budget the heuristic's objective comes back uncertified.
+    ``exact_solve``'s value search runs alone over the free files, at most
+    ``cap`` of them, in its order: heaviest first, each next the most
+    connected to those before it, each file's disks cheapest first. Past
+    the cap or the node budget the heuristic's objective comes back
+    uncertified.
     Raises ``exact_solve``'s InfeasibleError when no placement fits."""
     weights = weights or PairWeights(stage)
     free = [f for f in stage.active_files if f not in fixed]
     if len(free) <= cap:
-        position, links = weights.position, weights.links
-        free.sort(key=lambda f: (-sum(links[position[f]].values()), f))
         try:
-            found = _branch_and_bound(free, fixed, instance, weights, {}, len(free))
+            psi = _branch_and_bound(free, fixed, instance, weights, {}, len(free), value=True)
         except EnumerationCapError:
             pass
         else:
-            if found is None:
+            if psi is None:
                 raise InfeasibleError("no placement satisfies the disk capacities")
-            return found[1], True
+            return psi / weights.scale, True
     return _solve_stage(stage, instance, fixed, cap, False, weights)[1], False
 
 

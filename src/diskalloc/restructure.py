@@ -137,9 +137,9 @@ def restructure_one_stage(
 
     The budget buys whole moves, the allowance, and the plan is checked in
     moves against it. The reference, unless declared, is the stage's
-    optimum around the held files as a value and a certified flag: the
-    branch-and-bound's, heaviest files first, on the search's weights, or
-    past the cap or the node budget the heuristic's, uncertified.
+    optimum around the held files as a value and a certified flag: that
+    of ``exact_solve``'s value search, on the search's weights, or past
+    the cap or the node budget the heuristic's, uncertified.
 
     Exact mode enumerates every capacity-feasible placement that keeps the
     number of moved files within the allowance, minimizing (objective,

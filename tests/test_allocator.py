@@ -34,6 +34,7 @@ from diskalloc import (
 from diskalloc.allocator import (
     PairWeights,
     _connection_tables,
+    _optimum,
     _Placement,
     _solve_stage,
     _suffix_floors,
@@ -753,6 +754,45 @@ def test_exact_agrees_with_exact_decimals_around_pinned_files_under_dense_phi(se
     assert psi == pytest.approx(float(brute[1]), abs=1e-9)
 
 
+@pytest.mark.parametrize("seed", range(320))
+def test_exact_solve_agrees_with_brute_force(seed):
+    # exact_solve's value search, files by connection and disks cheapest
+    # first, and its witness search, which stops at its first leaf, must
+    # return the least placement among the optima. Half the stages give
+    # every disk the same capacity, so the symmetry prune fires; the
+    # other half shift tracks from the last disk to the first.
+    rng = random.Random(seed)
+    n, n_pinned, fractional = rng.randint(6, 10), rng.randint(0, 2), seed % 2 == 1
+    # The brute force enumerates at most 4^6 placements of the free files.
+    k = rng.choice([k for k in (2, 3, 4) if k ** (n - n_pinned) <= 4**6])
+    doc = generate_instance(n, k, 1, rng.uniform(0.2, 0.6), (1, 3), rng.uniform(1.05, 1.4), seed)
+    capacities = [disk["capacity"] for disk in doc["disks"]]
+    if seed % 4 < 2:
+        capacities = [max(capacities)] * k
+    else:
+        shift = min(2, capacities[-1] - 1)
+        capacities[0], capacities[-1] = capacities[0] + shift, capacities[-1] - shift
+    for disk, capacity in zip(doc["disks"], capacities):
+        disk["capacity"] = capacity
+    inst = parse_instance_document(doc)
+    stage = inst.stage(1)
+    if fractional:
+        stage, inst = with_dense_phi(rng, inst)
+    pinned = {}
+    loads = dict.fromkeys(inst.capacities, 0)
+    for f in rng.sample(stage.active_files, n_pinned):
+        pinned[f] = rng.choice([d for d in loads if loads[d] + inst.sizes[f] <= inst.capacities[d]])
+        loads[pinned[f]] += inst.sizes[f]
+    brute = (naive_exact_decimal if fractional else naive_exact)(stage, inst, pinned=pinned)
+    if brute is None:
+        with pytest.raises(InfeasibleError):
+            exact_solve(stage, inst, pinned=pinned)
+        return
+    alloc, psi = exact_solve(stage, inst, pinned=pinned)
+    assert dict(alloc.assignment) == brute[0]
+    assert psi == float(brute[1])
+
+
 def random_pair_weights(rng, n, shape):
     """Weights of the linked pairs among files 0..n-1, lower id first.
     Fractional weights sum two 3-decimal cells, as ``PairWeights`` does."""
@@ -880,6 +920,63 @@ def test_exact_search_cuts_children_before_their_table_update(seed, monkeypatch)
     want = exact_solve(stage, inst)
     monkeypatch.setattr(mod, "_NODE_BUDGET", PRECHECK_NODE_BUDGETS[seed])
     assert exact_solve(stage, inst) == want
+
+
+def counted_stage(shape, seed):
+    """(stage, instance): the uniform stage of
+    test_exact_search_cuts_subtrees_that_can_only_tie, or the dense-``phi``
+    stage of test_exact_search_stays_within_its_node_count, for ``seed``."""
+    if shape == "uniform":
+        inst = parse_instance_document(generate_instance(12, 3 + seed % 2, 1, 0.25, (1, 3), 1.3, seed))
+        return inst.stage(1), inst
+    doc = generate_instance(10, 3, 1, 0.2, (1, 3), 1.3, seed)
+    return with_dense_phi(random.Random(seed), parse_instance_document(doc))
+
+
+# Node budgets for test_witness_search_stops_at_its_first_leaf, by (shape,
+# seed): one below the nodes the witness search enters when it goes on
+# past its first leaf, which holds the least optimum already (uniform
+# 1940, 149, 924 and 180; dense phi 398, 961, 937 and 400). Stopping there
+# it enters 206, 88, 95 and 86; 168, 296, 68 and 61. The value search
+# before it enters 62, 13, 319 and 49; 228, 571, 673 and 172.
+WITNESS_NODE_BUDGETS = {
+    ("uniform", 0): 1939, ("uniform", 2): 148, ("uniform", 4): 923, ("uniform", 6): 179,
+    ("phi", 0): 397, ("phi", 1): 960, ("phi", 3): 936, ("phi", 6): 399,
+}
+
+
+@pytest.mark.parametrize("shape, seed", sorted(WITNESS_NODE_BUDGETS))
+def test_witness_search_stops_at_its_first_leaf(shape, seed, monkeypatch):
+    import diskalloc.allocator as mod
+
+    stage, inst = counted_stage(shape, seed)
+    want = exact_solve(stage, inst)
+    monkeypatch.setattr(mod, "_NODE_BUDGET", WITNESS_NODE_BUDGETS[shape, seed])
+    assert exact_solve(stage, inst) == want
+
+
+# Node budgets for test_value_search_tries_the_cheapest_disk_first, by
+# (shape, seed): one below the nodes the value search enters when it tries
+# each file's slots ascending (uniform 80, 82, 111 and 166; dense phi 690,
+# 951, 864 and 487). Cheapest first it enters 13, 13, 13 and 28; 228, 650,
+# 362 and 209. The witness search after it enters 13, 14, 14 and 13; 168,
+# 170, 52 and 91.
+VALUE_NODE_BUDGETS = {
+    ("uniform", 1): 79, ("uniform", 3): 81, ("uniform", 5): 110, ("uniform", 7): 165,
+    ("phi", 0): 689, ("phi", 2): 950, ("phi", 4): 863, ("phi", 5): 486,
+}
+
+
+@pytest.mark.parametrize("shape, seed", sorted(VALUE_NODE_BUDGETS))
+def test_value_search_tries_the_cheapest_disk_first(shape, seed, monkeypatch):
+    import diskalloc.allocator as mod
+
+    stage, inst = counted_stage(shape, seed)
+    want = exact_solve(stage, inst)
+    monkeypatch.setattr(mod, "_NODE_BUDGET", VALUE_NODE_BUDGETS[shape, seed])
+    assert exact_solve(stage, inst) == want
+    # The reference of restructuring runs the value search alone.
+    assert _optimum(stage, inst, {}, 12) == (want[1], True)
 
 
 def test_exact_respects_pins():
@@ -1234,6 +1331,45 @@ def test_heuristic_solves_a_tight_stage_that_spreading_could_not_start():
     alloc, psi, certified = solve_stage(inst, 1, exact=False)
     assert check_allocation_feasible(alloc, inst.stage(1), inst).feasible
     assert psi == 0.0 and not certified
+
+
+def no_packing_search(monkeypatch):
+    """Make any branch-and-bound call fail the test."""
+    import diskalloc.allocator as mod
+
+    def search(*args, **kwargs):
+        raise AssertionError("the packing search ran")
+
+    monkeypatch.setattr(mod, "_branch_and_bound", search)
+
+
+def test_the_heuristic_refuses_more_files_than_the_disks_can_count_before_any_search(monkeypatch):
+    # 40 files of 2 tracks on 16 disks of 5: the 80 tracks of room hold
+    # their 80 tracks, but each disk takes two of them, 32 in all. Without
+    # the count, the packing search spends its whole node budget, about
+    # 9 s, before it refuses.
+    doc = generate_instance(40, 16, 1, 0.1, (2, 2), 1.0, 0)
+    for disk in doc["disks"]:
+        disk["capacity"] = 5
+    inst = parse_instance_document(doc)
+    no_packing_search(monkeypatch)
+    with pytest.raises(InfeasibleError, match=r"^file 37 \(2 tracks\) fits on no disk$"):
+        solve_stage(inst, 1, exact=False)
+
+
+def test_the_heuristic_refuses_more_tracks_than_the_room_left_before_any_search(monkeypatch):
+    # File 1, in no stage, holds disk 1 whole; files 2-4 need 5 tracks and
+    # disk 2 has 4.
+    inst = validate_instance(
+        Instance(
+            files=(FileSpec(1, 4), FileSpec(2, 2), FileSpec(3, 2), FileSpec(4, 1)),
+            disks=(DiskSpec(1, 4), DiskSpec(2, 4)),
+            stages=(Stage(index=1, active_files=(2, 3, 4)),),
+        )
+    )
+    no_packing_search(monkeypatch)
+    with pytest.raises(InfeasibleError, match=r"^file 4 \(1 tracks\) fits on no disk$"):
+        _solve_stage(inst.stage(1), inst, {1: 1}, 12, False)
 
 
 # --- one-stop solve ------------------------------------------------------
