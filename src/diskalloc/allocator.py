@@ -23,8 +23,8 @@ restructuring is ``_Placement``'s best-improvement descent over local
 search's move/swap neighbourhood, on a ``_Placement`` that seeds the
 files new to a stage by least connection, as a heuristic solve does.
 Exact restructuring starts its search from greedy's placement, and its
-reference is ``_optimum``'s value, found on the same weights by the value
-search that ``exact_solve`` runs before its witness search.
+reference is ``_optimum``'s value, found on the same weights by
+``exact_solve``'s value search, cutting every subtree that only ties.
 The searches run on ``PairWeights``' exact integer weights, so a gain is
 a negative delta and a tie is equality; each objective they return is one
 division by the weights' ``scale``.
@@ -509,7 +509,7 @@ class _Placement:
         1/k of the weight it places shares a disk. When a file fits no
         disk, the files placed by least connection are taken back and all
         of them are placed best fit decreasing instead, or else packed by
-        the branch-and-bound (see ``_best_fit_decreasing``). Every file is
+        ``_pack`` (see ``_best_fit_decreasing``). Every file is
         then classified once."""
         self.files = files
         self.disks = sorted(instance.capacities)
@@ -555,7 +555,7 @@ class _Placement:
                 if not fits:
                     for j in unplaced[:seeded]:
                         self.unplace(j)
-                    self._best_fit_decreasing(unplaced, instance)
+                    self._best_fit_decreasing(unplaced)
                     break
                 s = min(fits, key=row.__getitem__)
             self.place(i, s)
@@ -588,14 +588,13 @@ class _Placement:
         for j, w in self.links[i].items():
             rows[j][s] -= w
 
-    def _best_fit_decreasing(self, unplaced: Sequence[int], instance: Instance) -> None:
+    def _best_fit_decreasing(self, unplaced: Sequence[int]) -> None:
         """Place ``unplaced``, which come largest first, each in turn on the
         disk it fits with the least room left, ties to the lowest disk id.
         Where a file fits no disk, the files placed so are taken back and
-        ``_branch_and_bound``, as a pure packing search on the weights of a
-        pair-free stage, places them, largest first, then by id, around the
-        files already placed; raises InfeasibleError for that file when the
-        search finds no packing within its node budget. It raises so before
+        ``_pack`` places them, largest first, then by id, in the room the
+        files already placed leave; raises InfeasibleError for that file
+        when it finds no packing within its node budget. It raises so before
         any search where no packing can exist: where the disks' free room
         is less than the tracks of ``unplaced``, or where ``unplaced`` holds
         more files than the disks take of its smallest, each disk its room
@@ -615,18 +614,15 @@ class _Placement:
                 least = min(sizes)
                 if sum(room) < sum(sizes) or least and len(sizes) > sum(r // least for r in room):
                     raise refusal
-                files = sorted((self.files[j] for j in unplaced), key=lambda f: (-instance.sizes[f], f))
-                around = {f: self.disks[s] for f, s in zip(self.files, self.disk_of) if s is not None}
+                order = sorted(unplaced, key=lambda j: (-size_of[j], self.files[j]))
                 try:
-                    found = _branch_and_bound(
-                        files, {**self.fixed, **around}, instance, PairWeights(Stage(0, files)), {}, len(files)
-                    )
+                    found = _pack([size_of[j] for j in order], room)
                 except EnumerationCapError:
                     found = None
                 if found is None:
                     raise refusal
-                for f in files:
-                    self.place(self.position[f], self.slot_of[found[0][f]])
+                for j, s in zip(order, found):
+                    self.place(j, s)
                 return
             self.place(i, min(fits)[1])
 
@@ -851,6 +847,58 @@ def _local_search(state: _Placement) -> tuple[dict[int, int], float]:
     return state.assignment, state.psi / state.scale
 
 
+def _pack(sizes: Sequence[int], room: Sequence[int]) -> Optional[list[int]]:
+    """The lexicographically least packing of items of ``sizes``, which
+    come largest first, into slots of ``room``, as the slot of each item,
+    or None when none exists. Depth-first, slots ascending, so its first
+    leaf is the least packing; it raises EnumerationCapError once it has
+    entered more than ``_NODE_BUDGET`` nodes. Three prunes keep that
+    packing, since it meets each of them:
+
+    - An item tries, of the slots with equal room, only the lowest: were
+      it on another, the two slots' items from it on could be swapped.
+    - An item the size of the one before it takes no lower slot: the two
+      could be swapped.
+    - A placement that leaves less room on the slots that still fit the
+      smallest item than the items after it fill is no node.
+    """
+    n = len(sizes)
+    left = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        left[i] = left[i + 1] + sizes[i]
+    room, least = list(room), sizes[-1]
+    slots = len(room)
+    chosen = [-1] * n
+    i = nodes = 0
+    while 0 <= i < n:
+        size, s = sizes[i], chosen[i]
+        if s >= 0:
+            room[s] += size
+        first = s + 1
+        if i and sizes[i - 1] == size:
+            first = max(first, chosen[i - 1])
+        seen = set(room[:first])
+        for s in range(first, slots):
+            r = room[s]
+            if r < size or r in seen:
+                continue
+            seen.add(r)
+            room[s] = r - size
+            if sum(x for x in room if x >= least) >= left[i + 1]:
+                break
+            room[s] = r
+        else:
+            chosen[i] = -1
+            i -= 1
+            continue
+        nodes += 1
+        if nodes > _NODE_BUDGET:
+            raise EnumerationCapError(f"packing search passed its budget of {_NODE_BUDGET} nodes")
+        chosen[i] = s
+        i += 1
+    return chosen if i == n else None
+
+
 def _suffix_floors(links: Sequence[Mapping[int, int]], k: int) -> list[int]:
     """``floors[i]``: a lower bound of the weight of the same-disk pairs
     among ``files[i:]`` over every split of them onto ``k`` disks, for
@@ -888,8 +936,9 @@ def _branch_and_bound(
     incumbent: Optional[_Placement] = None,
     *,
     value: bool = False,
+    one_split: bool = False,
     reach: Optional[int] = None,
-) -> Optional[tuple[dict[int, int], float] | int]:
+) -> Optional[tuple[dict[int, int], float] | int | tuple[Optional[dict[int, int]], int]]:
     """Depth-first search over placements of ``files``, in the given order,
     beside the ``fixed`` ones; returns (assignment of the fixed and searched
     files, objective), or None when nothing fits. The ``fixed`` files fill
@@ -925,7 +974,18 @@ def _branch_and_bound(
     returns the first leaf that it records: no ancestor of an optimal
     leaf has a floor above the optimum, so with the files in their given
     order and the slots ascending, that leaf is the lexicographically
-    least optimum.
+    least optimum. A value search with ``one_split``, which must have no
+    homes, also enters the nodes whose floor only ties the best objective
+    while every leaf that ties it splits the files as the best leaf does:
+    the same files on each reserved slot, one that holds a ``fixed`` file,
+    and the same groups of files on the other slots, in any order. It
+    returns (assignment, objective in integer units): the best leaf's
+    assignment where that still holds at the end, else None. The first
+    tie that splits differently stops the keeping of ties, and each better
+    leaf starts it again: a node cut as a tie of an earlier best has a
+    floor above the new one. So where it holds at the end, each optimum
+    was entered or cut by the symmetry prune alone, which relabels empty
+    unreserved slots, and every optimum splits the files one way.
 
     The search numbers the disks ascending as slots 0..k-1 and keeps
     loads, capacities, homes and table rows as lists indexed by slot, so a
@@ -1017,6 +1077,16 @@ def _branch_and_bound(
     start = reach if incumbent is None else incumbent.psi
     best_psi, best_moves = (inf, 0) if start is None else (start, allowance + 1)
     chosen = [0] * n
+    # split: the split of every leaf so far that ties best_psi, or None
+    # while ties are cut. While it is set, best_moves is 1, above the move
+    # count of any node of a search with no homes, so the floor tests let
+    # ties through. A split numbers reserved slots as themselves and the
+    # others by first use.
+    split: Optional[list[int]] = None
+
+    def split_of(placed: list[int]) -> list[int]:
+        names: dict[int, int] = {}
+        return [s if s in reserved[n] else names.setdefault(s, ~len(names)) for s in placed]
 
     def children(i: int, partial: int, bound: int, moves: int):
         """Place files[i] on each slot in turn, yielding the child (partial,
@@ -1147,7 +1217,13 @@ def _branch_and_bound(
             if floor > best_psi or (floor == best_psi and moves >= best_moves):
                 continue
             if len(stack) > n:
+                if split is not None and partial == best_psi:
+                    if split_of(chosen) != split:
+                        split, best_moves = None, 0
+                    continue
                 best, best_psi, best_moves = chosen.copy(), partial, moves
+                if one_split:
+                    split, best_moves = split_of(best), 1
                 if reach is not None:
                     stack.clear()
                     break
@@ -1158,9 +1234,12 @@ def _branch_and_bound(
             stack.pop()
     if best is None:
         return None
-    if value:
+    if value and not one_split:
         return best_psi
-    return {**fixed, **{f: disks[s] for f, s in zip(files, best)}}, best_psi / weights.scale
+    assignment = {**fixed, **{f: disks[s] for f, s in zip(files, best)}}
+    if one_split:
+        return (None if split is None else assignment), best_psi
+    return assignment, best_psi / weights.scale
 
 
 def exact_solve(
@@ -1172,12 +1251,19 @@ def exact_solve(
 ) -> tuple[Allocation, float]:
     """Provably minimal placement by depth-first enumeration.
 
-    Runs two searches on one ``PairWeights``, each within its own node
-    budget. The value search finds the least objective alone, files
+    Runs up to two searches on one ``PairWeights``, each within its own
+    node budget. The value search finds the least objective, files
     heaviest first, each next the most connected to those before it, and
-    each file's disks cheapest first. The witness search then takes that
-    value as its incumbent, searches files ascending over disks ascending,
-    and stops at the first placement that reaches it. Both prune on
+    each file's disks cheapest first. It also enters the subtrees that
+    only tie the best objective while every placement that ties it splits
+    the files the same way (see ``_branch_and_bound``). Where that holds
+    at the end, every optimum relabels that split among the disks that
+    hold no pinned file, and ``_relabel`` turns its best placement into
+    the least one. Otherwise the witness search takes the value as its
+    incumbent, searches files ascending over disks ascending, and stops
+    at the first placement that reaches it. Where the value search that
+    keeps ties passes the budget, the plain value search, which cuts
+    ties, and the witness search run instead. All prune on
     capacity, on partial objective once an incumbent exists, on symmetry
     between empty disks of equal residual capacity, and on a lower bound:
     partial objective plus, for each unplaced file, its summed weight to
@@ -1189,7 +1275,8 @@ def exact_solve(
     returns the lexicographically least assignment vector; the bound
     prunes only subtrees that hold no such placement.
     Raises EnumerationCapError beyond ``cap`` active files, up front, or
-    once either search has entered more than ``_NODE_BUDGET`` nodes, and
+    once the plain value search or the witness search has entered more
+    than ``_NODE_BUDGET`` nodes, and
     ValidationError, before the cap check, for an instance whose cost
     model is not uniform or an active file the instance lacks.
     """
@@ -1205,11 +1292,47 @@ def exact_solve(
             "raise the cap explicitly or use the heuristic path"
         )
     weights = PairWeights(stage)
-    psi = _branch_and_bound(files, fixed, instance, weights, {}, n, value=True)
-    if psi is None:
+    try:
+        found = _branch_and_bound(files, fixed, instance, weights, {}, n, value=True, one_split=True)
+    except EnumerationCapError:
+        psi = _branch_and_bound(files, fixed, instance, weights, {}, n, value=True)
+        found = None if psi is None else (None, psi)
+    if found is None:
         raise InfeasibleError("no placement satisfies the disk capacities")
-    found = _branch_and_bound(files, fixed, instance, weights, {}, n, reach=psi)
-    return Allocation(found[0]), found[1]
+    leaf, psi = found
+    if leaf is None:
+        assignment = _branch_and_bound(files, fixed, instance, weights, {}, n, reach=psi)[0]
+    else:
+        assignment = _relabel(leaf, fixed, instance)
+    return Allocation(assignment), psi / weights.scale
+
+
+def _relabel(leaf: Mapping[int, int], fixed: Mapping[int, int], instance: Instance) -> dict[int, int]:
+    """The lexicographically least assignment that splits the files of
+    ``leaf``, an assignment of them that keeps the ``fixed`` files on their
+    disks, as ``leaf`` does. A file on a disk of a fixed file stays there.
+    The groups of files on the other disks, in order of their least file
+    id, each take the lowest disk still free that holds the group and
+    leaves room for the groups after it: sorted descending, each of their
+    sizes no larger than the capacity it meets among the disks left."""
+    sizes, capacities = instance.sizes, instance.capacities
+    reserved = set(fixed.values())
+    groups: dict[int, list[int]] = {}
+    for f in sorted(leaf):
+        if leaf[f] not in reserved:
+            groups.setdefault(leaf[f], []).append(f)
+    need = [sum(sizes[f] for f in group) for group in groups.values()]
+    free = sorted(d for d in capacities if d not in reserved)
+    assignment = dict(leaf)
+    for k, group in enumerate(groups.values()):
+        rest = sorted(need[k + 1:], reverse=True)
+        for d in free:
+            left = sorted((capacities[e] for e in free if e != d), reverse=True)
+            if need[k] <= capacities[d] and all(a <= b for a, b in zip(rest, left)):
+                break
+        free.remove(d)
+        assignment.update(dict.fromkeys(group, d))
+    return assignment
 
 
 def _optimum(
@@ -1225,7 +1348,8 @@ def _optimum(
     stage's ``PairWeights``, when given. Since only the value is kept,
     ``exact_solve``'s value search runs alone over the free files, at most
     ``cap`` of them, in its order: heaviest first, each next the most
-    connected to those before it, each file's disks cheapest first. Past
+    connected to those before it, each file's disks cheapest first; it
+    cuts every subtree that only ties (see ``_branch_and_bound``). Past
     the cap or the node budget the heuristic's objective comes back
     uncertified.
     Raises ``exact_solve``'s InfeasibleError when no placement fits."""

@@ -36,6 +36,7 @@ from diskalloc.allocator import (
     _connection_tables,
     _optimum,
     _Placement,
+    _relabel,
     _solve_stage,
     _suffix_floors,
 )
@@ -922,6 +923,22 @@ def test_exact_search_cuts_children_before_their_table_update(seed, monkeypatch)
     assert exact_solve(stage, inst) == want
 
 
+def two_searches(monkeypatch):
+    """Make ``exact_solve`` run the plain value search and then the witness
+    search, as it does where the search that keeps ties passes its node
+    budget."""
+    import diskalloc.allocator as mod
+
+    search = mod._branch_and_bound
+
+    def plain(*args, one_split=False, **kwargs):
+        if one_split:
+            raise EnumerationCapError("ties not kept")
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(mod, "_branch_and_bound", plain)
+
+
 def counted_stage(shape, seed):
     """(stage, instance): the uniform stage of
     test_exact_search_cuts_subtrees_that_can_only_tie, or the dense-``phi``
@@ -951,6 +968,9 @@ def test_witness_search_stops_at_its_first_leaf(shape, seed, monkeypatch):
 
     stage, inst = counted_stage(shape, seed)
     want = exact_solve(stage, inst)
+    # Each dense-phi stage here has one optimal split, whose witness the
+    # value search hands over; the two plain searches run on every stage.
+    two_searches(monkeypatch)
     monkeypatch.setattr(mod, "_NODE_BUDGET", WITNESS_NODE_BUDGETS[shape, seed])
     assert exact_solve(stage, inst) == want
 
@@ -977,6 +997,135 @@ def test_value_search_tries_the_cheapest_disk_first(shape, seed, monkeypatch):
     assert exact_solve(stage, inst) == want
     # The reference of restructuring runs the value search alone.
     assert _optimum(stage, inst, {}, 12) == (want[1], True)
+
+
+@pytest.mark.parametrize("seed", range(400))
+def test_exact_solve_agrees_with_its_two_searches(seed, monkeypatch):
+    # Where every optimum splits the files one way, exact_solve relabels
+    # the value search's best leaf instead of running the witness search;
+    # the plain value and witness searches must give the same answer.
+    # Stages alternate uniform and dense phi; every other pair gives all
+    # disks one capacity, the rest capacities one track apart, where the
+    # symmetry prune cannot merge the relabellings.
+    rng = random.Random(seed)
+    n, k = rng.randint(6, 11), rng.choice((2, 3, 4))
+    doc = generate_instance(n, k, 1, rng.uniform(0.2, 0.5), (1, 3), rng.uniform(1.05, 2.0), seed)
+    # The generator deals capacities one track apart, the larger first,
+    # or all equal where the tracks divide evenly.
+    capacities = [disk["capacity"] for disk in doc["disks"]]
+    if seed % 4 < 2:
+        capacities = [max(capacities)] * k
+    elif len(set(capacities)) == 1:
+        capacities[0] += 1
+    for disk, capacity in zip(doc["disks"], capacities):
+        disk["capacity"] = capacity
+    inst = parse_instance_document(doc)
+    stage = inst.stage(1)
+    if seed % 2:
+        stage, inst = with_dense_phi(rng, inst)
+    pinned = {}
+    loads = dict.fromkeys(inst.capacities, 0)
+    for f in rng.sample(stage.active_files, rng.randint(0, 2)):
+        room = [d for d in loads if loads[d] + inst.sizes[f] <= inst.capacities[d]]
+        if room:
+            pinned[f] = rng.choice(room)
+            loads[pinned[f]] += inst.sizes[f]
+
+    def solve():
+        try:
+            return exact_solve(stage, inst, pinned=pinned)
+        except InfeasibleError as err:
+            return str(err)
+
+    fast = solve()
+    two_searches(monkeypatch)
+    assert fast == solve()
+
+
+def witness_calls(monkeypatch):
+    """The list that each ``_branch_and_bound`` call appends to: whether it
+    is a witness search."""
+    import diskalloc.allocator as mod
+
+    calls, search = [], mod._branch_and_bound
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("reach") is not None)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(mod, "_branch_and_bound", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "shape, seed, witness",
+    [
+        # Every optimum of the dense stage relabels one split; the uniform
+        # stage's optima split two ways.
+        ("phi", 0, False),
+        ("uniform", 0, True),
+        # A tie that splits differently stops the keeping of ties, and a
+        # better leaf later resumes it: every optimum splits one way.
+        ("uniform", 8, False),
+    ],
+)
+def test_exact_solve_runs_the_witness_search_only_for_optima_that_split_two_ways(
+    shape, seed, witness, monkeypatch
+):
+    stage, inst = counted_stage(shape, seed)
+    want = exact_solve(stage, inst)
+    calls = witness_calls(monkeypatch)
+    assert exact_solve(stage, inst) == want
+    assert calls == ([False, True] if witness else [False])
+
+
+def test_exact_solve_runs_the_witness_search_where_optima_differ_beside_a_pinned_file(monkeypatch):
+    # Files 1 and 2 each fit beside pinned file 3 on disk 1 or alone on
+    # disk 2, and nothing links them: the two optima split the files the
+    # same way but for which of them shares the pinned file's disk.
+    inst = validate_instance(
+        Instance(
+            files=(FileSpec(1, 1), FileSpec(2, 1), FileSpec(3, 1)),
+            disks=(DiskSpec(1, 2), DiskSpec(2, 1)),
+            stages=(Stage(index=1, active_files=(1, 2, 3)),),
+        )
+    )
+    calls = witness_calls(monkeypatch)
+    assert exact_solve(inst.stage(1), inst, pinned={3: 1}) == (Allocation({1: 1, 2: 2, 3: 1}), 0.0)
+    assert calls == [False, True]
+
+
+def test_exact_solve_runs_two_searches_where_keeping_ties_passes_the_budget(monkeypatch):
+    import diskalloc.allocator as mod
+
+    # The search that keeps ties enters 46 nodes on this uniform stage; the
+    # plain value search enters 13 and the witness search 15.
+    stage, inst = counted_stage("uniform", 9)
+    want = exact_solve(stage, inst)
+    monkeypatch.setattr(mod, "_NODE_BUDGET", 45)
+    calls = witness_calls(monkeypatch)
+    assert exact_solve(stage, inst) == want
+    assert calls == [False, False, True]
+
+
+def test_relabel_keeps_reserved_disks_and_leaves_room_for_later_groups():
+    inst = validate_instance(
+        Instance(
+            files=tuple(FileSpec(f, size) for f, size in ((1, 2), (2, 2), (3, 2), (4, 1), (9, 1))),
+            disks=(DiskSpec(1, 4), DiskSpec(2, 3), DiskSpec(3, 3), DiskSpec(4, 4)),
+            stages=(Stage(index=1, active_files=(1, 2, 3, 4, 9)),),
+        )
+    )
+    # File 4 shares pinned file 9's disk, so it stays there, and no other
+    # file takes that disk, though it has room; files 1, 2 and 3 take
+    # disks 2, 3 and 4 in turn.
+    leaf = {9: 1, 4: 1, 1: 3, 2: 2, 3: 4}
+    assert _relabel(leaf, {9: 1}, inst) == {9: 1, 4: 1, 1: 2, 2: 3, 3: 4}
+    # Files 2 and 3 (4 tracks) fit only disks 1 and 4, and disk 4 holds
+    # pinned file 9. File 1, first, fits disk 1, but files 2 and 3 would
+    # then fit no disk left, so file 1 takes disk 2.
+    leaf = {9: 4, 4: 4, 1: 3, 2: 1, 3: 1}
+    assert _relabel(leaf, {9: 4}, inst) == {9: 4, 4: 4, 1: 2, 2: 1, 3: 1}
 
 
 def test_exact_respects_pins():
@@ -1334,12 +1483,13 @@ def test_heuristic_solves_a_tight_stage_that_spreading_could_not_start():
 
 
 def no_packing_search(monkeypatch):
-    """Make any branch-and-bound call fail the test."""
+    """Make any packing or branch-and-bound search fail the test."""
     import diskalloc.allocator as mod
 
     def search(*args, **kwargs):
         raise AssertionError("the packing search ran")
 
+    monkeypatch.setattr(mod, "_pack", search)
     monkeypatch.setattr(mod, "_branch_and_bound", search)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -442,14 +443,78 @@ def test_greedy_restructuring_places_new_files_on_a_tight_stage(seed):
 @pytest.mark.parametrize("seed, objective", [(249, 1.0), (349, 2.0), (1193, 2.0)])
 def test_the_heuristic_packs_a_tight_stage_that_best_fit_decreasing_misses(seed, objective):
     # Least connection, then best fit decreasing, left a file of stage 1
-    # no disk ("file N (2 tracks) fits on no disk"); the branch-and-bound,
-    # as a pure packing search, places them all, and local search descends
-    # from there.
+    # no disk ("file N (2 tracks) fits on no disk"); the packing search
+    # places them all, and local search descends from there.
     rng = random.Random(seed)
     n, k = rng.randint(8, 12), rng.randint(3, 4)
     inst = parse_instance_document(generate_instance(n, k, 2, 0.3, (1, 3), 1.05, seed))
     assert solve_stage(inst, 1, exact=False)[1:] == (objective, False)
     assert solve_stage(inst, 1, exact=True)[1:] == (1.0, True)
+
+
+# Nodes the packing search enters on tight stages that best fit decreasing
+# cannot place, by (files, disks, size range, seed), each at slack 1.0, so
+# a packing fills every disk. Without the room cut the 30-file stages take
+# 456, 456, 284, 1076 and 7842 nodes; without equal sizes on ascending
+# disks the 24-file stages take 15178 and 30337, and those that fit no
+# packing pass a budget of a million.
+PACKED_NODES = {
+    (30, 10, (2, 3), 1): 30, (30, 10, (2, 3), 2): 30, (30, 10, (2, 3), 3): 30,
+    (30, 10, (2, 3), 5): 30, (30, 10, (2, 3), 28): 30,
+    (24, 8, (1, 4), 91): 262, (24, 8, (1, 4), 112): 157,
+}
+UNPACKED_NODES = {
+    (24, 8, (1, 4), 28): (633, "file 8 (2 tracks)"),
+    (24, 8, (1, 4), 111): (603, "file 22 (2 tracks)"),
+    (24, 8, (1, 4), 135): (602, "file 10 (3 tracks)"),
+}
+
+
+def packing_searches(monkeypatch, nodes):
+    """The list of the packing search's results, each appended as it
+    returns, with ``_NODE_BUDGET`` set to ``nodes``."""
+    import diskalloc.allocator as mod
+
+    packed, search = [], mod._pack
+
+    def counted(sizes, room):
+        packed.append(search(sizes, room))
+        return packed[-1]
+
+    monkeypatch.setattr(mod, "_pack", counted)
+    monkeypatch.setattr(mod, "_NODE_BUDGET", nodes)
+    return packed
+
+
+@pytest.mark.parametrize("shape", sorted(PACKED_NODES))
+def test_the_heuristic_packs_a_stage_that_fills_every_disk(shape, monkeypatch):
+    # At seed 5 of the 30-file shape, twenty 2-track and ten 3-track files
+    # fill 10 disks of 7 tracks, 3 + 2 + 2 on each. Best fit decreasing
+    # misses that. The packing search, stacking 3-track files on the first
+    # disks, spent its whole node budget (about 12 s) on each 30-file stage
+    # and refused ("file 22 (2 tracks) fits on no disk" at seed 5); it
+    # took 0.3 and 6.3 s to pack the 24-file stages.
+    n, k, sizes, seed = shape
+    inst = parse_instance_document(generate_instance(n, k, 1, 0.1, sizes, 1.0, seed))
+    packed = packing_searches(monkeypatch, PACKED_NODES[shape])
+    alloc, psi, certified = solve_stage(inst, 1, exact=False)
+    assert len(packed) == 1 and packed[0] is not None
+    assert alloc.loads(inst.sizes) == inst.capacities
+    assert psi == evaluate_objective(alloc, inst.stage(1)).value and not certified
+
+
+@pytest.mark.parametrize("shape", sorted(UNPACKED_NODES))
+def test_the_heuristic_refuses_a_stage_that_no_packing_fits(shape, monkeypatch):
+    # The disks hold the files' tracks, and enough files of the smallest
+    # size, so the packing search runs; it proves that nothing packs
+    # within about 600 nodes, where it spent its whole budget, about 9 s.
+    n, k, sizes, seed = shape
+    nodes, file = UNPACKED_NODES[shape]
+    inst = parse_instance_document(generate_instance(n, k, 1, 0.1, sizes, 1.0, seed))
+    packed = packing_searches(monkeypatch, nodes)
+    with pytest.raises(InfeasibleError, match=rf"^{re.escape(file)} fits on no disk$"):
+        solve_stage(inst, 1, exact=False)
+    assert packed == [None]
 
 
 def _exact_searches(inst, previous, budget):
