@@ -25,6 +25,8 @@ files new to a stage by least connection, as a heuristic solve does.
 Exact restructuring starts its search from greedy's placement, and its
 reference is ``_optimum``'s value, found on the same weights by
 ``exact_solve``'s value search, cutting every subtree that only ties.
+The value searches leave the groups of files on the disks without a fixed
+file unlabelled and fit them largest group to largest disk.
 The searches run on ``PairWeights``' exact integer weights, so a gain is
 a negative delta and a tie is equality; each objective they return is one
 division by the weights' ``scale``.
@@ -37,9 +39,10 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from decimal import Decimal
 from math import lcm
+from operator import le
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import EnumerationCapError, InfeasibleError, ValidationError
+from .errors import EnumerationCapError, InfeasibleError, InternalError, ValidationError
 from .model import Allocation, CostModel, Instance, Pair, Stage, canonical_edge
 from .relations import Community, _related_pairs
 
@@ -962,6 +965,22 @@ def _branch_and_bound(
     with such a disk of equal residual capacity tried before it), and on
     an admissible lower bound.
 
+    A value search with no homes goes further and pools the slots that
+    hold no ``fixed`` file, as bins whose groups of files go unlabelled:
+    a file joins any non-empty pooled slot and opens only the first empty
+    one it meets. A pooled placement fits when the pooled loads, sorted
+    descending, are each no larger than the pooled capacities, sorted
+    descending: some labelling puts every group on a disk that holds it
+    exactly when the largest group to the largest disk, and so on down,
+    does. A new load above the largest pooled capacity fails where the
+    capacity test runs, and one no larger than the least keeps its
+    parent's match; the loads in between are sorted, only for the
+    children that pass the O(1) test below. A leaf's pooled slots
+    name groups, not disks, and its objective is that of every labelling;
+    ``_relabel`` turns it into the least one that fits. Reserved slots,
+    the witness search and every search with homes test each slot
+    against its own capacity.
+
     Two private modes split an optimum's search in two, each counting its
     own nodes against ``_NODE_BUDGET``. The value search, ``value``,
     returns the least objective alone, in the weights' integer units, or
@@ -983,9 +1002,10 @@ def _branch_and_bound(
     assignment where that still holds at the end, else None. The first
     tie that splits differently stops the keeping of ties, and each better
     leaf starts it again: a node cut as a tie of an earlier best has a
-    floor above the new one. So where it holds at the end, each optimum
-    was entered or cut by the symmetry prune alone, which relabels empty
-    unreserved slots, and every optimum splits the files one way.
+    floor above the new one. So where it holds at the end, each split of
+    the files was entered or cut as no optimum, every optimum relabels
+    the pooled groups of the best leaf, and every optimum splits the
+    files one way.
 
     The search numbers the disks ascending as slots 0..k-1 and keeps
     loads, capacities, homes and table rows as lists indexed by slot, so a
@@ -1064,6 +1084,32 @@ def _branch_and_bound(
         for i in range(n - 1, -1, -1):
             reserved[i] = reserved[i + 1] | {file_homes[i]}
 
+    # pool: the slots of a value search with no homes that hold no fixed
+    # file, whose groups go unlabelled (see above); shelf holds their
+    # capacities descending. Slot s never holds more than limit[s], always
+    # holds up to sure[s] and, in between, holds what keeps the pooled
+    # match: outside the pool both are its capacity, in it the largest and
+    # the least pooled one. kind[s] tells an empty slot reserved to no
+    # unplaced file from the others: by capacity, or not at all in the pool.
+    pool = frozenset(slots).difference(reserved[n]) if value and not homes else frozenset()
+    shelf = sorted((capacities[s] for s in pool), reverse=True)
+    limit = sure = kind = capacities
+    if pool:
+        limit = [shelf[0] if s in pool else c for s, c in enumerate(capacities)]
+        sure = [shelf[-1] if s in pool else c for s, c in enumerate(capacities)]
+        kind = [0] * len(disks)
+
+    def matched(s: int, load: int) -> bool:
+        """Whether the pooled groups fit their disks with ``load`` on slot
+        ``s``: sorted descending, each group no larger than the capacity it
+        meets. Callers skip it up to ``sure[s]``: raising one group of
+        groups that fit to at most the least pooled capacity keeps the
+        match."""
+        groups = [loads[t] for t in pool if t != s]
+        groups.append(load)
+        groups.sort(reverse=True)
+        return all(map(le, groups, shelf))
+
     # Interference of fixed files among themselves is a constant floor;
     # interference with searched files accrues during the descent.
     conn, links, psi = _connection_tables(files, fixed, disks, weights)
@@ -1097,7 +1143,8 @@ def _branch_and_bound(
         ahead = rest + floors[i]
         seen_empty: set[int] = set()
         for s in sorted(slots, key=cost.__getitem__) if value else slots:
-            if loads[s] + size > capacities[s]:
+            load = loads[s] + size
+            if load > limit[s]:
                 continue
             used = moves
             if home is not None and s != home:
@@ -1105,13 +1152,16 @@ def _branch_and_bound(
                 if used > allowance:
                     continue
             if not loads[s] and s not in reserved[i]:
-                key = capacities[s] - loads[s]
-                if key in seen_empty:
+                if kind[s] in seen_empty:
                     continue
-                seen_empty.add(key)
+                seen_empty.add(kind[s])
             child_partial = partial + cost[s]
             floor = child_partial + ahead
             if floor > best_psi or (floor == best_psi and used >= best_moves):
+                continue
+            # A pooled slot is tested last, as its match may sort: every
+            # empty one fits or none does.
+            if load > sure[s] and not matched(s, load):
                 continue
             saved_low, child = [], rest
             for j, w in mine:
@@ -1254,8 +1304,12 @@ def exact_solve(
     Runs up to two searches on one ``PairWeights``, each within its own
     node budget. The value search finds the least objective, files
     heaviest first, each next the most connected to those before it, and
-    each file's disks cheapest first. It also enters the subtrees that
-    only tie the best objective while every placement that ties it splits
+    each file's disks cheapest first. It leaves the groups of files on
+    the disks that hold no pinned file unlabelled: each file opens at most
+    one empty such disk, and the groups fit when, sorted descending, each
+    is no larger than the capacity it meets among those disks, sorted
+    descending. It also enters the subtrees that only tie the best
+    objective while every placement that ties it splits
     the files the same way (see ``_branch_and_bound``). Where that holds
     at the end, every optimum relabels that split among the disks that
     hold no pinned file, and ``_relabel`` turns its best placement into
@@ -1263,10 +1317,10 @@ def exact_solve(
     incumbent, searches files ascending over disks ascending, and stops
     at the first placement that reaches it. Where the value search that
     keeps ties passes the budget, the plain value search, which cuts
-    ties, and the witness search run instead. All prune on
-    capacity, on partial objective once an incumbent exists, on symmetry
-    between empty disks of equal residual capacity, and on a lower bound:
-    partial objective plus, for each unplaced file, its summed weight to
+    ties, and the witness search run instead; the witness search merges
+    only empty disks of equal capacity. All prune on capacity, on partial
+    objective once an incumbent exists, and on a lower bound: partial
+    objective plus, for each unplaced file, its summed weight to
     the disk where that weight is least, plus a floor for the pairs among
     the unplaced files from how many of them must share a disk (see
     ``_suffix_floors``). Disks are numbered as list slots for the search
@@ -1314,7 +1368,9 @@ def _relabel(leaf: Mapping[int, int], fixed: Mapping[int, int], instance: Instan
     The groups of files on the other disks, in order of their least file
     id, each take the lowest disk still free that holds the group and
     leaves room for the groups after it: sorted descending, each of their
-    sizes no larger than the capacity it meets among the disks left."""
+    sizes no larger than the capacity it meets among the disks left.
+    Raises InternalError where no disk left holds a group: the value
+    search's pooled match proved that a labelling exists."""
     sizes, capacities = instance.sizes, instance.capacities
     reserved = set(fixed.values())
     groups: dict[int, list[int]] = {}
@@ -1330,6 +1386,8 @@ def _relabel(leaf: Mapping[int, int], fixed: Mapping[int, int], instance: Instan
             left = sorted((capacities[e] for e in free if e != d), reverse=True)
             if need[k] <= capacities[d] and all(a <= b for a, b in zip(rest, left)):
                 break
+        else:
+            raise InternalError(f"no disk left holds the {need[k]} tracks of files {group}")
         free.remove(d)
         assignment.update(dict.fromkeys(group, d))
     return assignment
@@ -1348,8 +1406,10 @@ def _optimum(
     stage's ``PairWeights``, when given. Since only the value is kept,
     ``exact_solve``'s value search runs alone over the free files, at most
     ``cap`` of them, in its order: heaviest first, each next the most
-    connected to those before it, each file's disks cheapest first; it
-    cuts every subtree that only ties (see ``_branch_and_bound``). Past
+    connected to those before it, each file's disks cheapest first, the
+    groups on the disks without a fixed file unlabelled and fitted largest
+    to largest; it cuts every subtree that only ties (see
+    ``_branch_and_bound``). Past
     the cap or the node budget the heuristic's objective comes back
     uncertified.
     Raises ``exact_solve``'s InfeasibleError when no placement fits."""

@@ -17,6 +17,7 @@ from diskalloc import (
     EnumerationCapError,
     FileSpec,
     InfeasibleError,
+    InternalError,
     Instance,
     Stage,
     ValidationError,
@@ -955,7 +956,7 @@ def counted_stage(shape, seed):
 # past its first leaf, which holds the least optimum already (uniform
 # 1940, 149, 924 and 180; dense phi 398, 961, 937 and 400). Stopping there
 # it enters 206, 88, 95 and 86; 168, 296, 68 and 61. The value search
-# before it enters 62, 13, 319 and 49; 228, 571, 673 and 172.
+# before it enters 28, 13, 120 and 31; 78, 204, 242 and 60.
 WITNESS_NODE_BUDGETS = {
     ("uniform", 0): 1939, ("uniform", 2): 148, ("uniform", 4): 923, ("uniform", 6): 179,
     ("phi", 0): 397, ("phi", 1): 960, ("phi", 3): 936, ("phi", 6): 399,
@@ -976,11 +977,14 @@ def test_witness_search_stops_at_its_first_leaf(shape, seed, monkeypatch):
 
 
 # Node budgets for test_value_search_tries_the_cheapest_disk_first, by
-# (shape, seed): one below the nodes the value search enters when it tries
-# each file's slots ascending (uniform 80, 82, 111 and 166; dense phi 690,
-# 951, 864 and 487). Cheapest first it enters 13, 13, 13 and 28; 228, 650,
-# 362 and 209. The witness search after it enters 13, 14, 14 and 13; 168,
-# 170, 52 and 91.
+# (shape, seed): one below the nodes the value search entered when it
+# tried each file's slots ascending with every disk labelled (uniform 80,
+# 82, 111 and 166; dense phi 690, 951, 864 and 487). Ascending over
+# unlabelled groups, exact_solve's value search, which keeps ties, enters
+# 93, 102, 129 and 163; 454, 547, 524 and 487. Cheapest first it enters 15,
+# 16, 14 and 30; 80, 231, 130 and 209, and _optimum's 13, 13, 13 and 28;
+# 78, 229, 129 and 209. The witness search after the uniform ones enters
+# 13, 14, 14 and 13.
 VALUE_NODE_BUDGETS = {
     ("uniform", 1): 79, ("uniform", 3): 81, ("uniform", 5): 110, ("uniform", 7): 165,
     ("phi", 0): 689, ("phi", 2): 950, ("phi", 4): 863, ("phi", 5): 486,
@@ -1098,11 +1102,11 @@ def test_exact_solve_runs_the_witness_search_where_optima_differ_beside_a_pinned
 def test_exact_solve_runs_two_searches_where_keeping_ties_passes_the_budget(monkeypatch):
     import diskalloc.allocator as mod
 
-    # The search that keeps ties enters 46 nodes on this uniform stage; the
-    # plain value search enters 13 and the witness search 15.
-    stage, inst = counted_stage("uniform", 9)
+    # The search that keeps ties enters 99 nodes on this uniform stage; the
+    # plain value search enters 64 and the witness search 17.
+    stage, inst = counted_stage("uniform", 14)
     want = exact_solve(stage, inst)
-    monkeypatch.setattr(mod, "_NODE_BUDGET", 45)
+    monkeypatch.setattr(mod, "_NODE_BUDGET", 98)
     calls = witness_calls(monkeypatch)
     assert exact_solve(stage, inst) == want
     assert calls == [False, False, True]
@@ -1126,6 +1130,124 @@ def test_relabel_keeps_reserved_disks_and_leaves_room_for_later_groups():
     # then fit no disk left, so file 1 takes disk 2.
     leaf = {9: 4, 4: 4, 1: 3, 2: 1, 3: 1}
     assert _relabel(leaf, {9: 4}, inst) == {9: 4, 4: 4, 1: 2, 2: 1, 3: 1}
+
+
+def test_relabel_refuses_groups_that_no_disk_left_holds():
+    inst = validate_instance(
+        Instance(
+            files=(FileSpec(1, 3), FileSpec(2, 3), FileSpec(3, 1)),
+            disks=(DiskSpec(1, 3), DiskSpec(2, 3)),
+            stages=(Stage(index=1, active_files=(1, 2)),),
+        )
+    )
+    # Two 3-track groups and disks of 3 and 2 tracks: the second group
+    # would overfill disk 2.
+    small = dataclasses.replace(inst, disks=(DiskSpec(1, 3), DiskSpec(2, 2)))
+    with pytest.raises(InternalError, match="no disk left holds the 3 tracks of files"):
+        _relabel({1: 1, 2: 2}, {}, small)
+    # Three groups and two free disks: the third has no disk left.
+    with pytest.raises(InternalError, match=r"files \[3\]"):
+        _relabel({1: 1, 2: 2, 3: 3}, {}, inst)
+
+
+def distinct_capacities(rng, k, room):
+    """``k`` disk capacities, pairwise at least 2 tracks apart, in random
+    order, that add up to ``room``, or to more where ``room`` leaves the
+    least of them no track."""
+    offsets = [0]
+    for _ in range(k - 1):
+        offsets.append(offsets[-1] + rng.choice((2, 3)))
+    capacities = [max(1, (room - sum(offsets)) // k) + offset for offset in offsets]
+    capacities[-1] += max(0, room - sum(capacities))
+    rng.shuffle(capacities)
+    return capacities
+
+
+@pytest.mark.parametrize("seed", range(320))
+def test_pooled_value_searches_agree_with_brute_force_on_distinct_capacities(seed):
+    # The value searches of exact_solve and _optimum keep the groups on the
+    # disks without a pinned file unlabelled and fit them by the sorted
+    # match. Capacities at least 2 tracks apart and slack of 1.0-1.15 make
+    # that match decide which splits fit.
+    rng = random.Random(seed)
+    n, n_pinned, fractional = rng.randint(5, 9), rng.randint(0, 2), seed % 2 == 1
+    # The brute force enumerates at most 4^6 placements of the free files.
+    k = rng.choice([k for k in (2, 3, 4) if k ** (n - n_pinned) <= 4**6])
+    doc = generate_instance(n, k, 1, rng.uniform(0.2, 0.6), (1, 3), 1.0, seed)
+    room = int(sum(f["size"] for f in doc["files"]) * rng.uniform(1.0, 1.15))
+    for disk, capacity in zip(doc["disks"], distinct_capacities(rng, k, room)):
+        disk["capacity"] = capacity
+    inst = parse_instance_document(doc)
+    stage = inst.stage(1)
+    if fractional:
+        stage, inst = with_dense_phi(rng, inst)
+    pinned = {}
+    loads = dict.fromkeys(inst.capacities, 0)
+    for f in rng.sample(stage.active_files, n_pinned):
+        fits = [d for d in loads if loads[d] + inst.sizes[f] <= inst.capacities[d]]
+        if fits:
+            pinned[f] = rng.choice(fits)
+            loads[pinned[f]] += inst.sizes[f]
+    brute = (naive_exact_decimal if fractional else naive_exact)(stage, inst, pinned=pinned)
+    if brute is None:
+        with pytest.raises(InfeasibleError):
+            exact_solve(stage, inst, pinned=pinned)
+        with pytest.raises(InfeasibleError):
+            _optimum(stage, inst, pinned, n)
+        return
+    alloc, psi = exact_solve(stage, inst, pinned=pinned)
+    assert dict(alloc.assignment) == brute[0]
+    assert psi == float(brute[1])
+    assert _optimum(stage, inst, pinned, n) == (float(brute[1]), True)
+
+
+def test_value_search_fits_the_largest_group_to_the_largest_disk(monkeypatch):
+    # File 1, the heaviest, is placed first and opens disk 1, the smallest,
+    # as every empty disk costs it nothing. The only optimum, objective 0,
+    # puts files 1, 2 and 3 together, 3 tracks that only disk 3 holds, and
+    # files 4 and 5, linked to file 1 and to each other, alone.
+    stage = Stage(
+        index=1,
+        active_files=(1, 2, 3, 4, 5),
+        phi={(1, 4): 1.0, (1, 5): 1.0, (4, 5): 0.5, (2, 4): 0.1, (3, 5): 0.1},
+    )
+    inst = validate_instance(
+        Instance(
+            files=tuple(FileSpec(f, 1) for f in range(1, 6)),
+            disks=(DiskSpec(1, 1), DiskSpec(2, 1), DiskSpec(3, 3)),
+            stages=(stage,),
+        )
+    )
+    calls = witness_calls(monkeypatch)
+    assert exact_solve(stage, inst) == (Allocation({1: 3, 2: 3, 3: 3, 4: 1, 5: 2}), 0.0)
+    assert calls == [False]
+    assert _optimum(stage, inst, {}, 12) == (0.0, True)
+    assert naive_exact_decimal(stage, inst)[0] == {1: 3, 2: 3, 3: 3, 4: 1, 5: 2}
+
+
+# Nodes that _optimum's value search enters on the uniform stages of
+# test_value_search_opens_one_empty_disk_per_node, by seed. With the
+# groups on the disks labelled, and empty disks merged only at equal
+# capacity, it entered 1774 and 105; letting each file open every empty
+# disk, 107 and 118.
+POOL_NODES = {0: 24, 4: 12}
+
+
+@pytest.mark.parametrize("seed", sorted(POOL_NODES))
+def test_value_search_opens_one_empty_disk_per_node(seed, monkeypatch):
+    import diskalloc.allocator as mod
+
+    # Four disks of pairwise different capacities, 2 or more tracks apart.
+    doc = generate_instance(11, 4, 1, 0.3, (1, 3), 1.2, seed)
+    for i, disk in enumerate(doc["disks"]):
+        disk["capacity"] += 3 - 2 * i
+    inst = parse_instance_document(doc)
+    stage = inst.stage(1)
+    want = exact_solve(stage, inst)[1]
+    monkeypatch.setattr(mod, "_NODE_BUDGET", POOL_NODES[seed])
+    assert _optimum(stage, inst, {}, 12) == (want, True)
+    monkeypatch.setattr(mod, "_NODE_BUDGET", POOL_NODES[seed] - 1)
+    assert not _optimum(stage, inst, {}, 12)[1]
 
 
 def test_exact_respects_pins():
